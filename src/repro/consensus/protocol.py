@@ -156,13 +156,19 @@ class Protocol:
         instance decided. The proposal is already in hand (disseminated by
         the root / validated by the replica)."""
         height = block.height
+        # One instance lives inside one view, so its comm layer, scheme and
+        # CPU are fixed: resolve the read-through properties once, not per
+        # phase.
+        wait_for = node.comm.wait_for
+        scheme = node.scheme
+        cpu = node.cpu
         for phase in self.vote_phases:
             own = yield from self.vote_rule(node, view, height, phase, block, can_vote)
-            collection = yield from node.comm.wait_for(
+            collection = yield from wait_for(
                 self.vote_tag(view, height, phase),
                 own,
-                node.scheme,
-                node.cpu,
+                scheme,
+                cpu,
                 observer=observer,
             )
             resolve_started = node.sim.now

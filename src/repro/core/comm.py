@@ -91,9 +91,8 @@ class TreeComm:
         """Coroutine: next message with ``tag`` from the parent, or ⊥."""
         if self.parent is None:
             raise ValueError("the root has no parent")
-        parent = self.parent
         msg = yield from self._endpoint.receive(
-            tag, timeout=timeout, match=lambda m: m.src == parent
+            tag, timeout=timeout, src=self.parent
         )
         if msg is TIMEOUT:
             return BOTTOM
@@ -159,17 +158,18 @@ class TreeComm:
         base_bound = self.delta if timeout is None else timeout
         start = self.sim.now
         collection: Collection = own if own is not None else scheme.empty()
+        kind = type(collection)
         merged = 0
         for child in self.children:
             deadline = start + base_bound * self._child_depth_factor[child]
             bound = max(0.0, deadline - self.sim.now)
-            msg = yield from self._endpoint.receive(
-                tag, timeout=bound, match=lambda m, c=child: m.src == c
-            )
+            msg = yield from self._endpoint.receive(tag, timeout=bound, src=child)
             if msg is TIMEOUT:
                 continue  # ⊥: faulty or slow child; aggregate what we have
             partial = msg.payload
-            if not isinstance(partial, Collection):
+            # Exact-type test first: isinstance on the Collection ABC goes
+            # through ABCMeta.__instancecheck__ on every child reply.
+            if type(partial) is not kind and not isinstance(partial, Collection):
                 continue  # Byzantine garbage in place of a collection
             yield from cpu.consume(scheme.cost_verify_share())
             yield from cpu.consume(scheme.cost_combine(1))

@@ -561,10 +561,9 @@ class SmrNode:
         if not can_vote or not self.safety.may_vote(view, height, phase):
             return None
         self.safety.record_vote(view, height, phase)
-        yield from self.cpu.consume(self.scheme.cost_sign())
-        return self.scheme.new(
-            self.keypair, vote_value(phase, view, height, block.hash)
-        )
+        scheme = self.shared.scheme
+        yield from self.cpu.consume(scheme.cost_sign())
+        return scheme.new(self.keypair, vote_value(phase, view, height, block.hash))
 
     def _resolve_qc(
         self,
@@ -581,9 +580,10 @@ class SmrNode:
         quorum is short) and disseminates it; everyone else receives it
         from the parent (Algorithm 2) and verifies it.
         """
+        shared = self.shared  # past the read-through properties: once per phase
         if is_leader:
             value = vote_value(phase, view, height, block.hash)
-            if not collection.has(value, self.quorum):
+            if not collection.has(value, shared.quorum):
                 return None
             qc = QuorumCert(phase, view, height, block.hash, collection)
             signal = self._prepare_signals.get(height)
@@ -605,8 +605,8 @@ class SmrNode:
             or qc.is_genesis
         ):
             return None
-        yield from self.cpu.consume(self.scheme.cost_verify_collection(qc.collection))
-        if not qc.verify(self.quorum):
+        yield from self.cpu.consume(shared.scheme.cost_verify_collection(qc.collection))
+        if not qc.verify(shared.quorum):
             return None
         return qc
 

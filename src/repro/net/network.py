@@ -22,7 +22,7 @@ from repro.net.message import Message
 from repro.net.netem import Netem
 from repro.net.nic import Nic
 from repro.sim.engine import Simulator
-from repro.sim.process import TIMEOUT, Signal, WaitSignal
+from repro.sim.process import MailboxWait
 
 #: Fixed per-message framing overhead (TCP/IP + protocol header), bytes.
 HEADER_BYTES = 64
@@ -42,7 +42,9 @@ class Endpoint:
         self.sim = sim
         self.node_id = node_id
         self._inbox: Dict[Hashable, Deque[Message]] = {}
-        self._waiters: Dict[Hashable, List[Tuple[Optional[MatchFn], Signal]]] = {}
+        #: Parked receive requests per tag, in wait order; the task kernel
+        #: parks and withdraws them, :meth:`deliver` pops the one it serves.
+        self._waiters: Dict[Hashable, List[MailboxWait]] = {}
         self.messages_delivered = 0
         self.bytes_delivered = 0
         #: Live count of queued (delivered-but-unclaimed) messages, and its
@@ -55,51 +57,53 @@ class Endpoint:
     def deliver(self, msg: Message) -> None:
         """Fabric hook: hand ``msg`` to a blocked receiver or queue it.
 
-        Fired-signal entries (waiters whose timeout or cancellation already
-        resolved but whose owning coroutine has not yet run its ``finally``)
-        are pruned during the scan, so hot tags under deep pipelining don't
-        accumulate dead waiters between deliveries.
+        The first parked waiter (in wait order) whose sender filter accepts
+        the message is popped and its task woken with it. Every parked
+        entry is live -- a timed-out or cancelled waiter withdraws its own
+        -- so there is nothing to prune on the way.
         """
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
         waiters = self._waiters.get(msg.tag)
-        consumer = None
-        if waiters:
-            live = []
-            for entry in waiters:
-                match, signal = entry
-                if signal.fired:
-                    continue  # dead waiter: prune instead of skipping
-                if consumer is None and (match is None or match(msg)):
-                    consumer = signal
-                    continue  # consumed: drop the entry now
-                live.append(entry)
-            if live:
-                waiters[:] = live
-            else:
-                del self._waiters[msg.tag]
-            if consumer is not None:
-                consumer.fire(msg)
-                return
+        if waiters is not None:
+            sender = msg.src
+            for index, waiter in enumerate(waiters):
+                if (waiter.src is None or waiter.src == sender) and (
+                    waiter.match is None or waiter.match(msg)
+                ):
+                    if len(waiters) == 1:
+                        del self._waiters[msg.tag]
+                    else:
+                        del waiters[index]
+                    task = waiter.task
+                    waiter.task = None
+                    self.sim.schedule_now(task._step, waiter.token, "send", msg)
+                    return
         self._inbox.setdefault(msg.tag, deque()).append(msg)
         self._queued += 1
         if self._queued > self.max_queued:
             self.max_queued = self._queued
 
     def try_receive(
-        self, tag: Hashable, match: Optional[MatchFn] = None
+        self,
+        tag: Hashable,
+        match: Optional[MatchFn] = None,
+        src: Optional[int] = None,
     ) -> Optional[Message]:
-        """Non-blocking receive: pop the first queued match, if any."""
+        """Non-blocking receive: pop the first queued message accepted by
+        the sender filter (``src`` and/or ``match``), if any."""
         queue = self._inbox.get(tag)
         if not queue:
             return None
-        if match is None:
+        if match is None and src is None:
             msg = queue.popleft()
         else:
             # Locate by index and rotate/pop: deque.remove would rescan the
             # queue comparing every element a second time.
             for index, candidate in enumerate(queue):
-                if match(candidate):
+                if (src is None or candidate.src == src) and (
+                    match is None or match(candidate)
+                ):
                     break
             else:
                 return None
@@ -119,55 +123,36 @@ class Endpoint:
         tag: Hashable,
         timeout: Optional[float] = None,
         match: Optional[MatchFn] = None,
+        src: Optional[int] = None,
     ):
         """Coroutine: block until a message tagged ``tag`` arrives.
 
         Returns the :class:`Message`, or :data:`~repro.sim.TIMEOUT` if
-        ``timeout`` elapses first. ``match`` filters candidates (e.g. by
-        sender). Cancellation-safe: a cancelled receiver never consumes a
-        message.
+        ``timeout`` elapses first. ``src`` restricts candidates to one
+        sender, ``match`` to those an arbitrary predicate accepts.
+        Cancellation-safe: a cancelled receiver never consumes a message,
+        from the moment ``cancel()`` returns.
         """
-        msg = self.try_receive(tag, match)
-        if msg is not None:
-            return msg
-        signal = Signal()
-        entry = (match, signal)
-        self._waiters.setdefault(tag, []).append(entry)
-        try:
-            result = yield WaitSignal(signal, timeout)
-        finally:
-            waiters = self._waiters.get(tag)
-            if waiters is not None:
-                try:
-                    waiters.remove(entry)
-                except ValueError:
-                    pass
-                if not waiters:
-                    del self._waiters[tag]
-        return result  # Message or TIMEOUT
+        if tag in self._inbox:
+            msg = self.try_receive(tag, match, src)
+            if msg is not None:
+                return msg
+        # Message or TIMEOUT; the task kernel parks the request on the tag.
+        return (yield MailboxWait(self._waiters, tag, timeout, src, match))
 
     # ------------------------------------------------------------------
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop queued messages whose tag satisfies ``predicate``.
 
-        Returns the number of messages discarded. Live waiters are left
-        alone (their owning tasks are cancelled separately on view change),
-        but dead entries -- waiters whose signal already resolved, lingering
-        until their coroutine's ``finally`` runs -- are pruned for purged
-        tags, mirroring :meth:`deliver`. A view change would otherwise
-        leave them behind forever on tags no message will touch again.
+        Returns the number of messages discarded. Waiters are left alone:
+        their owning tasks are cancelled separately on view change, which
+        withdraws their entries.
         """
         doomed = [tag for tag in self._inbox if predicate(tag)]
         dropped = 0
         for tag in doomed:
             dropped += len(self._inbox.pop(tag))
         self._queued -= dropped
-        for tag in [tag for tag in self._waiters if predicate(tag)]:
-            live = [entry for entry in self._waiters[tag] if not entry[1].fired]
-            if live:
-                self._waiters[tag][:] = live
-            else:
-                del self._waiters[tag]
         return dropped
 
     @property

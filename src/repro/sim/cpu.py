@@ -10,7 +10,7 @@ these with red circles).
 Busy time is checkpointed as a sorted list of coalesced ``[start, end)``
 intervals, so :meth:`busy_in` -- and therefore :meth:`utilization` over an
 arbitrary measurement window -- is exact: a job straddling the window edge
-contributes only its in-window part, a job cancelled mid-``Sleep`` still
+contributes only its in-window part, a job cancelled mid-execution still
 contributes the compute it performed before dying, and the job running
 right now contributes up to the current instant. Back-to-back jobs merge
 into one interval, so a saturated CPU costs O(1) memory however many jobs
@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal, Sleep, WaitSignal
+from repro.sim.process import Hold, Task
 
 
 class Cpu:
@@ -47,7 +47,9 @@ class Cpu:
         self.name = name
         self._busy = False
         self._busy_since: Optional[float] = None
-        self._queue: Deque[Signal] = deque()
+        #: ``(task, token)`` of every task waiting for a turn, in arrival
+        #: order; an entry whose token is stale belongs to a cancelled task.
+        self._queue: Deque[Tuple[Task, int]] = deque()
         #: Coalesced, time-sorted busy intervals; parallel lists so window
         #: queries can bisect the end times directly.
         self._interval_starts: List[float] = []
@@ -61,52 +63,52 @@ class Cpu:
         """Occupy the CPU for ``seconds`` of simulated compute time.
 
         Zero-cost work returns immediately without queueing, so disabled
-        cost models add no events.
+        cost models add no events. Everything else is one
+        :class:`~repro.sim.process.Hold`: the task kernel queues the task
+        while the CPU is taken, times the job, and calls :meth:`_release`
+        when it completes or its task is cancelled mid-job.
         """
         if seconds < 0:
             raise SimulationError(f"negative CPU time: {seconds}")
         if seconds == 0.0:
             return
-        # Acquire: loop because wakeups are broadcast and a same-instant
-        # arrival may win the race; losers simply re-queue. The broadcast
-        # (rather than hand-off) makes the queue robust to waiters that
-        # were cancelled while waiting.
-        while self._busy:
-            turn = Signal()
-            self._queue.append(turn)
-            yield WaitSignal(turn)
-        self._busy = True
-        self._busy_since = self.sim.now
-        completed = False
-        try:
-            yield Sleep(seconds)
-            completed = True
-            self.jobs_completed += 1
-        finally:
-            # Checkpoint the busy span up to *now*: the full cost on normal
-            # completion, the partial cost when cancelled mid-Sleep.
-            self._record_busy(self._busy_since, self.sim.now)
-            if not completed:
-                self.jobs_cancelled += 1
-            self._busy = False
-            self._busy_since = None
-            waiters, self._queue = self._queue, deque()
-            for turn in waiters:
-                turn.fire_if_unfired()
+        yield Hold(self, seconds)
 
-    def _record_busy(self, start: float, end: float) -> None:
-        if end <= start:
-            return
-        self.busy_time += end - start
-        ends = self._interval_ends
-        # Jobs start in nondecreasing time order; a job starting exactly
-        # when its predecessor finished extends that interval in place.
-        if ends and start <= ends[-1]:
-            if end > ends[-1]:
-                ends[-1] = end
+    def _release(self, completed: bool) -> None:
+        """End the running job now and wake every queued task.
+
+        Checkpoints the busy span up to *now*: the full cost on normal
+        completion, the partial cost when cancelled mid-job. Wake-ups are
+        broadcast (one per live waiter, in queue order) rather than handed
+        to the head: a same-instant arrival may win the race and losers
+        re-queue, which makes the queue robust to waiters cancelled while
+        waiting -- their token no longer matches and they are skipped.
+        """
+        if completed:
+            self.jobs_completed += 1
         else:
-            self._interval_starts.append(start)
-            ends.append(end)
+            self.jobs_cancelled += 1
+        start, end = self._busy_since, self.sim.now
+        if end > start:
+            self.busy_time += end - start
+            ends = self._interval_ends
+            # Jobs start in nondecreasing time order; a job starting exactly
+            # when its predecessor finished extends that interval in place.
+            if ends and start <= ends[-1]:
+                if end > ends[-1]:
+                    ends[-1] = end
+            else:
+                self._interval_starts.append(start)
+                ends.append(end)
+        self._busy = False
+        self._busy_since = None
+        queue = self._queue
+        if queue:
+            schedule_now = self.sim.schedule_now
+            for task, token in queue:
+                if task._wait_token == token:
+                    schedule_now(task._step, token, "send", None)
+            queue.clear()
 
     @property
     def queue_length(self) -> int:

@@ -1,18 +1,42 @@
-"""Generator-based simulated processes ("tasks").
+"""Generator-based simulated processes ("tasks") and their wait requests.
 
-A task is a Python generator that suspends by yielding *wait requests*:
+A task is a Python generator that suspends by yielding a *wait request*;
+:meth:`Task._step` -- the task kernel -- installs the request, and whatever
+completes it schedules ``_step`` again with the value to resume with. There
+are five kinds, dispatched on the exact type of the yielded object:
 
 - ``yield Sleep(duration)`` -- resume after ``duration`` simulated seconds.
 - ``yield WaitSignal(signal)`` -- resume when the signal fires; evaluates to
-  the value the signal was fired with.
-- ``yield WaitSignal(signal, timeout=d)`` -- same, but evaluates to the
-  sentinel :data:`TIMEOUT` if the signal has not fired within ``d`` seconds.
+  the value the signal was fired with. With ``timeout=d`` it evaluates to
+  the sentinel :data:`TIMEOUT` if the signal has not fired within ``d``.
 - ``yield other_task`` -- join: resume when the task finishes; evaluates to
   its return value (re-raising its exception, if any).
+- ``yield Hold(resource, duration)`` -- occupy a FIFO busy-server (a
+  :class:`~repro.sim.cpu.Cpu`) for ``duration``: queue for a turn while it
+  is taken, hold it, release it. Callers write ``yield from
+  cpu.consume(cost)``, which yields this request.
+- ``yield MailboxWait(...)`` -- park on a tag of a keyed mailbox until its
+  owner hands over an item or the timeout elapses (evaluates to
+  :data:`TIMEOUT`). Callers write ``yield from endpoint.receive(tag)``.
 
 Sub-coroutines compose with plain ``yield from``; their ``return`` value is
 the expression value, exactly like real coroutines. This lets the paper's
 blocking pseudocode (Algorithms 1-3) transcribe almost verbatim.
+
+A parked wait is identified by ``(task, token)``: the token is the task's
+``_wait_token`` at the time the wait was installed, and every ``_step``
+(and every :meth:`Task.cancel`) bumps it. A wake-up carrying an older token
+is stale and ignored, so racing wake-ups (a signal and its timeout, a turn
+wake-up and a cancellation) need no other arbitration, and a waiter is dead
+the moment :meth:`Task.cancel` returns.
+
+The kernel never adds, drops or reorders a ``Simulator.schedule*`` call
+relative to writing the same wait with signals and sleeps: a hold is one
+``schedule`` per job plus one ``schedule_now`` per waiter per release, a
+mailbox hand-over is one ``schedule_now``. What it saves is host work per
+wait -- no per-wait ``Signal``, closure or ``try/finally`` generator frame,
+and a turn wake-up that finds the resource taken again re-queues without
+resuming the generator (see DESIGN.md, "wait requests").
 
 Cancellation throws :class:`~repro.errors.TaskCancelled` inside the
 generator at its current suspension point.
@@ -20,7 +44,7 @@ generator at its current suspension point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, Generator, Hashable, List, Optional, Union
 
 from repro.errors import SimulationError, TaskCancelled
 from repro.sim.engine import EventHandle, Simulator
@@ -66,7 +90,9 @@ class Signal:
     def __init__(self) -> None:
         self.fired = False
         self.value: Any = None
-        self._waiters: List[Callable[[Any], None]] = []
+        #: In wait order: ``(task, token)`` pairs parked by the task kernel
+        #: and callbacks registered through :meth:`add_waiter`.
+        self._waiters: List[Any] = []
 
     def fire(self, value: Any = None) -> None:
         if self.fired:
@@ -75,7 +101,11 @@ class Signal:
         self.value = value
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            waiter(value)
+            if type(waiter) is tuple:
+                task, token = waiter
+                task.sim.schedule_now(task._step, token, "send", value)
+            else:
+                waiter(value)
 
     def fire_if_unfired(self, value: Any = None) -> bool:
         """Fire unless already fired; returns whether this call fired it."""
@@ -111,7 +141,60 @@ class WaitSignal:
         self.timeout = timeout
 
 
-WaitRequest = Union[Sleep, WaitSignal, "Task"]
+class Hold:
+    """Wait request: occupy ``resource`` for ``duration`` simulated seconds.
+
+    ``resource`` is a FIFO busy-server exposing ``_busy``, ``_busy_since``,
+    a ``_queue`` deque of ``(task, token)`` pairs and ``_release(completed)``
+    (see :class:`~repro.sim.cpu.Cpu`). The kernel acquires it or queues the
+    task, re-queues on a turn wake-up that lost the race, times the job, and
+    releases on completion or -- with the partial busy span -- when the
+    holder is cancelled mid-job. ``acquired`` tells the two suspended states
+    (queued, holding) apart.
+    """
+
+    __slots__ = ("resource", "duration", "acquired")
+
+    def __init__(self, resource: Any, duration: float):
+        self.resource = resource
+        self.duration = duration
+        self.acquired = False
+
+
+class MailboxWait:
+    """Wait request: park on ``waiters[tag]`` until the mailbox hands over.
+
+    The request object is its own parked entry: the kernel fills in ``task``
+    and ``token`` and appends it to the tag's list (creating the key). The
+    owner of ``waiters`` completes the wait by popping the entry (deleting
+    an emptied key), setting ``task`` to ``None`` and scheduling
+    ``task._step(token, "send", item)``; ``src`` and ``match`` are its
+    selection criteria and opaque to the kernel. A timed-out or cancelled
+    waiter withdraws its entry synchronously, so every parked entry is live.
+    """
+
+    __slots__ = ("waiters", "tag", "timeout", "src", "match", "task", "token")
+
+    def __init__(
+        self,
+        waiters: dict,
+        tag: Hashable,
+        timeout: Optional[float] = None,
+        src: Any = None,
+        match: Optional[Callable[[Any], bool]] = None,
+    ):
+        if timeout is not None and timeout < 0:
+            raise SimulationError(f"negative timeout: {timeout}")
+        self.waiters = waiters
+        self.tag = tag
+        self.timeout = timeout
+        self.src = src
+        self.match = match
+        self.task: Optional["Task"] = None
+        self.token = 0
+
+
+WaitRequest = Union[Sleep, WaitSignal, "Task", Hold, MailboxWait]
 
 
 class Task:
@@ -133,7 +216,7 @@ class Task:
         "_gen",
         "_done_signal",
         "_pending_timer",
-        "_pending_unsub",
+        "_pending_wait",
         "_wait_token",
     )
 
@@ -149,86 +232,146 @@ class Task:
         self._gen = gen
         self._done_signal = Signal()
         self._pending_timer: Optional[Union[EventHandle, TimeoutHandle]] = None
-        self._pending_unsub: Optional[Callable[[], None]] = None
+        #: What the task is parked on besides a timer: the ``Signal`` of a
+        #: signal wait, the ``Task`` being joined, or the ``Hold`` /
+        #: ``MailboxWait`` request itself.
+        self._pending_wait: Any = None
         self._wait_token = 0
         sim.schedule_now(self._step, self._wait_token, "send", None)
 
     # ------------------------------------------------------------------
-    def _clear_wait(self) -> None:
-        if self._pending_timer is not None:
-            self._pending_timer.cancel()
-            self._pending_timer = None
-        if self._pending_unsub is not None:
-            self._pending_unsub()
-            self._pending_unsub = None
+    def _unpark(self, wait: Any, token: int) -> None:
+        """Withdraw the entry this task parked for ``wait`` under ``token``,
+        if whoever completes the wait has not popped it already."""
+        if type(wait) is MailboxWait:
+            if wait.task is not None:
+                wait.task = None
+                parked = wait.waiters[wait.tag]
+                parked.remove(wait)
+                if not parked:
+                    del wait.waiters[wait.tag]
+        else:
+            signal = wait._done_signal if type(wait) is Task else wait
+            if not signal.fired:
+                signal._waiters.remove((self, token))
 
     def _step(self, token: int, mode: str, payload: Any) -> None:
-        """Resume the generator with a value ("send") or exception ("throw")."""
+        """Resume the generator with a value ("send") or exception ("throw").
+
+        One frame per wake-up: the previous wait is cleared, the generator
+        resumed and the request it yields installed right here.
+        """
         if self.done or token != self._wait_token:
             return  # stale wakeup (race between signal and timeout)
-        self._wait_token += 1
-        self._clear_wait()
-        try:
-            if mode == "send":
-                request = self._gen.send(payload)
+        sim = self.sim
+        self._wait_token = token + 1
+        # -- clear the wait this wake-up ends.
+        timer = self._pending_timer
+        if timer is not None:
+            timer.cancel()
+            self._pending_timer = None
+        request = None
+        wait = self._pending_wait
+        if wait is not None:
+            kind = type(wait)
+            if kind is Hold:
+                if wait.acquired:
+                    # Job over: completed, or cancelled mid-job. Waiters are
+                    # woken before the generator runs on, as a ``finally``
+                    # around the job would.
+                    wait.resource._release(mode == "send")
+                elif mode == "send":
+                    # Turn wake-up. They are broadcast, so a same-instant
+                    # arrival may have won: install the hold again (acquire
+                    # or re-queue) without resuming the generator.
+                    request = wait
+            elif kind is MailboxWait:
+                if wait.task is not None:
+                    self._unpark(wait, token)  # timed out
+            elif kind is Task:
+                if wait.exception is not None:
+                    mode = "throw"
+                    payload = wait.exception
+            elif not wait.fired:
+                self._unpark(wait, token)  # timed out
+            self._pending_wait = None
+        if request is None:
+            # -- resume.
+            try:
+                if mode == "send":
+                    request = self._gen.send(payload)
+                else:
+                    request = self._gen.throw(payload)
+            except StopIteration as stop:
+                self._finish(result=stop.value)
+                return
+            except TaskCancelled:
+                self.cancelled = True
+                self._finish(result=None)
+                return
+            except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
+                self._finish(exception=exc)
+                if sim.strict:
+                    raise
+                sim.failures.append(exc)
+                return
+        # -- install the wait the generator asked for.
+        token += 1
+        kind = type(request)
+        if kind is Hold:
+            resource = request.resource
+            if resource._busy:
+                resource._queue.append((self, token))
             else:
-                request = self._gen.throw(payload)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except TaskCancelled:
-            self.cancelled = True
-            self._finish(result=None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
-            self._finish(exception=exc)
-            if self.sim.strict:
-                raise
-            self.sim.failures.append(exc)
-            return
-        self._install_wait(request)
-
-    def _install_wait(self, request: WaitRequest) -> None:
-        token = self._wait_token
-        if isinstance(request, Sleep):
-            self._pending_timer = self.sim.schedule(
+                resource._busy = True
+                resource._busy_since = sim.now
+                request.acquired = True
+                self._pending_timer = sim.schedule(
+                    request.duration, self._step, token, "send", None
+                )
+            self._pending_wait = request
+        elif kind is MailboxWait:
+            request.task = self
+            request.token = token
+            parked = request.waiters.get(request.tag)
+            if parked is None:
+                request.waiters[request.tag] = [request]
+            else:
+                parked.append(request)
+            self._pending_wait = request
+            if request.timeout is not None:
+                # Receive deadlines are overwhelmingly cancelled (the message
+                # arrives first), so they park in the timer wheel.
+                self._pending_timer = sim.schedule_timeout(
+                    request.timeout, self._step, token, "send", TIMEOUT
+                )
+        elif kind is Sleep:
+            self._pending_timer = sim.schedule(
                 request.duration, self._step, token, "send", None
             )
-        elif isinstance(request, WaitSignal):
-            self._install_signal_wait(request.signal, request.timeout, token)
-        elif isinstance(request, Task):
-            self._install_join(request, token)
+        elif kind is WaitSignal:
+            signal = request.signal
+            if signal.fired:
+                sim.schedule_now(self._step, token, "send", signal.value)
+            else:
+                signal._waiters.append((self, token))
+                self._pending_wait = signal
+                if request.timeout is not None:
+                    self._pending_timer = sim.schedule_timeout(
+                        request.timeout, self._step, token, "send", TIMEOUT
+                    )
+        elif kind is Task:
+            if request.done:
+                if request.exception is not None:
+                    sim.schedule_now(self._step, token, "throw", request.exception)
+                else:
+                    sim.schedule_now(self._step, token, "send", request.result)
+            else:
+                request._done_signal._waiters.append((self, token))
+                self._pending_wait = request
         else:
             err = SimulationError(f"task {self.name!r} yielded {request!r}")
-            self.sim.schedule_now(self._step, token, "throw", err)
-
-    def _install_signal_wait(
-        self, signal: Signal, timeout: Optional[float], token: int
-    ) -> None:
-        if signal.fired:
-            self.sim.schedule_now(self._step, token, "send", signal.value)
-            return
-        self._pending_unsub = signal.add_waiter(
-            lambda value: self.sim.schedule_now(self._step, token, "send", value)
-        )
-        if timeout is not None:
-            # Receive deadlines are overwhelmingly cancelled (the signal
-            # fires first), so they park in the timer wheel.
-            self._pending_timer = self.sim.schedule_timeout(
-                timeout, self._step, token, "send", TIMEOUT
-            )
-
-    def _install_join(self, other: "Task", token: int) -> None:
-        def wake(_value: Any) -> None:
-            if other.exception is not None:
-                self.sim.schedule_now(self._step, token, "throw", other.exception)
-            else:
-                self.sim.schedule_now(self._step, token, "send", other.result)
-
-        if other.done:
-            wake(None)
-        else:
-            self._pending_unsub = other._done_signal.add_waiter(wake)
+            sim.schedule_now(self._step, token, "throw", err)
 
     def _finish(
         self, result: Any = None, exception: Optional[BaseException] = None
@@ -244,11 +387,23 @@ class Task:
         """Cancel the task, throwing :class:`TaskCancelled` at its wait point.
 
         Idempotent; cancelling a finished task is a no-op. The cancellation
-        is delivered as an immediate event, not synchronously.
+        is delivered as an immediate event, not synchronously -- but the
+        task's parked entry is withdrawn right here, so from the moment this
+        returns nothing can be handed to it.
         """
         if self.done:
             return
-        self._clear_wait()
+        timer = self._pending_timer
+        if timer is not None:
+            timer.cancel()
+            self._pending_timer = None
+        wait = self._pending_wait
+        # A Hold stays pending: the resource is released by the cancellation
+        # step (where a ``finally`` around the job would run), and a queued
+        # entry dies with its token.
+        if wait is not None and type(wait) is not Hold:
+            self._unpark(wait, self._wait_token)
+            self._pending_wait = None
         self._wait_token += 1  # invalidate any in-flight wakeups
         self.sim.schedule_now(
             self._step, self._wait_token, "throw", TaskCancelled(self.name)

@@ -19,11 +19,12 @@ import pytest
 from repro import Cluster
 from repro.config import NetworkParams
 from repro.net.netem import HomogeneousNetem
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.trace import MessageTrace
 from repro.obs.report import build_report, report_json
 from repro.sim import Simulator
-from repro.sim.process import Signal, spawn
+from repro.sim.process import TIMEOUT, spawn
 from repro.topology.reconfig import swap_scenario
 
 # ---------------------------------------------------------------------------
@@ -269,12 +270,12 @@ class TestInvalidateLinks:
         assert arrivals[0] == pytest.approx(0.001 + 1064 * 8 / 1e9)
 
 
-class TestPurgePrunesDeadWaiters:
-    def test_dead_waiters_dropped_live_kept(self):
-        """Purging a tag prefix prunes waiter entries whose signal already
-        resolved (the same dead entries ``deliver`` prunes in its scan) but
-        leaves live waiters alone -- their tasks are cancelled separately.
-        """
+class TestWaitersWithdrawThemselves:
+    """A receive that timed out, or whose task was cancelled, leaves no
+    entry behind, so neither ``deliver`` nor ``purge`` has anything to
+    prune."""
+
+    def _endpoint(self):
         sim = Simulator()
         net = Network(
             sim,
@@ -282,37 +283,52 @@ class TestPurgePrunesDeadWaiters:
         )
         endpoint = net.register(1)
         net.register(0)
+        return sim, endpoint
 
-        def receiver(tag):
-            yield from endpoint.receive(tag)
+    def test_timed_out_waiter_gone_live_waiter_kept(self):
+        sim, endpoint = self._endpoint()
+        stale, fresh = ("view", 1, "vote"), ("view", 2, "vote")
+        got = []
 
-        spawn(sim, receiver(("view", 1, "vote")))
-        spawn(sim, receiver(("view", 2, "vote")))
-        sim.run(until=0.0005)  # both waiters registered and live
-        # A dead entry on the stale tag, exactly as the deliver/cancel race
-        # leaves one: its signal resolved, but the owning coroutine has not
-        # yet run the ``finally`` that would remove it.
-        dead = Signal()
-        dead.fire(None)
-        endpoint._waiters[("view", 1, "vote")].append((None, dead))
-        assert len(endpoint._waiters[("view", 1, "vote")]) == 2
+        def receiver(tag, timeout=None):
+            got.append((yield from endpoint.receive(tag, timeout=timeout)))
 
-        purged = endpoint.purge(lambda tag: tag[1] < 2)
-        assert purged == 0  # no queued messages, only the dead waiter
-        # Dead entry pruned; the live waiter on the purged tag is kept.
-        assert len(endpoint._waiters[("view", 1, "vote")]) == 1
-        assert not endpoint._waiters[("view", 1, "vote")][0][1].fired
-        assert ("view", 2, "vote") in endpoint._waiters  # untouched tag
+        spawn(sim, receiver(stale, timeout=0.001))
+        spawn(sim, receiver(stale))
+        spawn(sim, receiver(fresh))
+        sim.run(until=0.0005)  # all three parked
+        assert len(endpoint._waiters[stale]) == 2
+        sim.run(until=0.002)  # the first receive timed out
+        assert got == [TIMEOUT]
+        assert len(endpoint._waiters[stale]) == 1
 
-    def test_fully_dead_tag_is_deleted(self):
-        sim = Simulator()
-        net = Network(
-            sim,
-            HomogeneousNetem(NetworkParams("t", rtt=0.002, bandwidth_bps=1e9)),
+        # Purging the stale prefix leaves the live waiter alone (its task
+        # is cancelled separately on view change) ...
+        assert endpoint.purge(lambda tag: tag[1] < 2) == 0
+        assert len(endpoint._waiters[stale]) == 1
+        assert fresh in endpoint._waiters
+        # ... and it still is the one a delivery reaches.
+        endpoint.deliver(
+            Message(src=0, dst=1, tag=stale, payload="late", size=1, sent_at=sim.now)
         )
-        endpoint = net.register(1)
-        dead = Signal()
-        dead.fire(None)
-        endpoint._waiters[("view", 0, "vote")] = [(None, dead)]
-        endpoint.purge(lambda tag: True)
-        assert ("view", 0, "vote") not in endpoint._waiters
+        sim.run(until=0.003)
+        assert [m.payload for m in got[1:]] == ["late"]
+        assert stale not in endpoint._waiters
+        assert endpoint.queued_messages == 0
+
+    def test_tag_key_gone_after_timeout_or_cancel(self):
+        sim, endpoint = self._endpoint()
+
+        def receiver(tag, timeout=None):
+            yield from endpoint.receive(tag, timeout=timeout)
+
+        spawn(sim, receiver("timed", timeout=0.001))
+        doomed = spawn(sim, receiver("cancelled"))
+        sim.run(until=0.0005)
+        assert set(endpoint._waiters) == {"timed", "cancelled"}
+        doomed.cancel()
+        # Withdrawn the moment cancel() returns, before the task even runs.
+        assert set(endpoint._waiters) == {"timed"}
+        sim.run()
+        assert doomed.cancelled
+        assert endpoint._waiters == {}
