@@ -162,12 +162,21 @@ class LatencyHistogram:
         mid = self.low * 2.0 ** ((index + 0.5) / self.buckets_per_octave)
         return min(max(mid, self.min), self.max)
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``; the state afterwards
+        is bit-equal to ``count`` separate adds."""
+        if count < 1:
+            raise ValueError(f"histogram count must be >= 1, got {count}")
         index = self._index(value)
         counts = self.counts
-        counts[index] = counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
+        counts[index] = counts.get(index, 0) + count
+        self.count += count
+        # Float addition rounds at every step: ``value * count`` would not
+        # reproduce the total (hence the mean) of adding one by one.
+        total = self.total
+        for _ in range(count):
+            total += value
+        self.total = total
         if value < self.min:
             self.min = value
         if value > self.max:

@@ -601,23 +601,44 @@ class WorkloadHarness(ClientHarness):
             )
 
     def _on_commit(self, record, block) -> None:
+        """Account the block's transactions one *run* at a time.
+
+        A run is a stretch of consecutive ids of one client inside one
+        tick's ``[submit_seqs[i], submit_seqs[i + 1])`` epoch: its
+        transactions share a submit time, hence a latency, so the lookups
+        happen once per run and the histograms take it as one weighted add.
+        """
         commit_time = record.time
         by_client = self._class_by_client
-        total_hist_add = self._latency_hist.add
-        for tx_id in block.tx_ids:
-            state = by_client.get(tx_id[0])
+        run_client = state = None
+        lo = hi = count = 0  # the run so far: ``count`` ids in [lo, hi)
+        latency = 0.0
+        for client_id, seq in block.tx_ids:
+            if client_id == run_client and lo <= seq < hi:
+                count += 1
+                continue
+            if count:
+                self._account(state, latency, count)
+            run_client, lo, hi, count = client_id, 0, 0, 0
+            state = by_client.get(client_id)
             if state is None:
                 continue
-            # Every tx of one tick shares a submit time; recover it from
-            # the per-tick epoch arrays by sequence number.
-            index = bisect_right(state.submit_seqs, tx_id[1]) - 1
+            seqs = state.submit_seqs
+            index = bisect_right(seqs, seq) - 1
             if index < 0:
                 continue
+            lo = seqs[index]
+            hi = seqs[index + 1] if index + 1 < len(seqs) else math.inf
             latency = commit_time - state.submit_times[index]
-            state.hist.add(latency)
-            if latency <= state.slo_target_s:
-                state.within_slo += 1
-            total_hist_add(latency)
+            count = 1
+        if count:
+            self._account(state, latency, count)
+
+    def _account(self, state: _ClassState, latency: float, count: int) -> None:
+        state.hist.add(latency, count)
+        if latency <= state.slo_target_s:
+            state.within_slo += count
+        self._latency_hist.add(latency, count)
 
     # ------------------------------------------------------------------
     def _mempool_counters(self) -> Tuple[Dict[int, int], Dict[int, int], int]:

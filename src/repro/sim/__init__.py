@@ -7,7 +7,7 @@ The kernel provides:
   processes") that suspend on :class:`~repro.sim.process.Sleep`,
   :class:`~repro.sim.process.WaitSignal`, joins, CPU holds and mailbox
   waits (see :mod:`repro.sim.process` for the five wait requests).
-- :class:`~repro.sim.cpu.Cpu` -- a FIFO busy-server modelling one core of
+- :class:`~repro.sim.cpu.Cpu` -- a busy-server modelling one core of
   compute per replica (used to charge cryptographic processing time).
 - :class:`~repro.sim.timers.Timer` -- restartable one-shot timers (used by
   the consensus pacemaker).

@@ -1,4 +1,4 @@
-"""Single-core CPU resource with FIFO queueing.
+"""Single-core CPU resource: one job at a time, waiters queued in order.
 
 Each replica owns one :class:`Cpu`. Cryptographic work (signing, verifying,
 aggregating) is charged to the CPU via :meth:`Cpu.consume`, so concurrent
@@ -29,11 +29,20 @@ from repro.sim.process import Hold, Task
 
 
 class Cpu:
-    """FIFO busy-server: one unit of work at a time, queued arrivals.
+    """Busy-server: one unit of work at a time, queued arrivals.
 
     Coroutine usage::
 
         yield from node.cpu.consume(cost_model.bls_verify)
+
+    Service order is arrival order *among waiters*, not strict FIFO: a free
+    CPU goes to whoever asks first, and a release frees it one event before
+    the queue is served (:meth:`_turn`). So a task that releases and asks
+    again in the same step keeps the CPU, a task whose wake-up was already
+    due at the release instant takes it ahead of the queue, and whoever
+    queues behind such a barger stands ahead of the waiters the release
+    woke. Simulated throughput depends on this (DESIGN.md, "One turn event
+    per release"); ``tests/test_sim_cpu.py`` pins it.
     """
 
     __slots__ = (
@@ -74,15 +83,23 @@ class Cpu:
             return
         yield Hold(self, seconds)
 
+    def _acquire(self, task: Task, token: int, hold: Hold) -> None:
+        """Start ``hold``'s job now; its timer resumes ``task`` under the
+        token the hold was installed with."""
+        self._busy = True
+        self._busy_since = self.sim.now
+        hold.acquired = True
+        task._pending_timer = self.sim.schedule(
+            hold.duration, task._step, token, "send", None
+        )
+
     def _release(self, completed: bool) -> None:
-        """End the running job now and wake every queued task.
+        """End the running job now and wake the queue with one turn event.
 
         Checkpoints the busy span up to *now*: the full cost on normal
-        completion, the partial cost when cancelled mid-job. Wake-ups are
-        broadcast (one per live waiter, in queue order) rather than handed
-        to the head: a same-instant arrival may win the race and losers
-        re-queue, which makes the queue robust to waiters cancelled while
-        waiting -- their token no longer matches and they are skipped.
+        completion, the partial cost when cancelled mid-job. The CPU is
+        free from here until :meth:`_turn` fires, after every same-instant
+        event already scheduled: whoever asks in between gets it.
         """
         if completed:
             self.jobs_completed += 1
@@ -102,18 +119,40 @@ class Cpu:
                 ends.append(end)
         self._busy = False
         self._busy_since = None
-        queue = self._queue
-        if queue:
-            schedule_now = self.sim.schedule_now
-            for task, token in queue:
-                if task._wait_token == token:
-                    schedule_now(task._step, token, "send", None)
-            queue.clear()
+        woken = self._queue
+        while woken and woken[0][0]._wait_token != woken[0][1]:
+            woken.popleft()  # cancelled while waiting: costs no event
+        if woken:
+            # Detached: whoever arrives before the turn event queues apart.
+            self._queue = deque()
+            self.sim.schedule_now(self._turn, woken)
+
+    def _turn(self, woken: Deque[Tuple[Task, int]]) -> None:
+        """Serve the waiters a release woke.
+
+        If the CPU is still free its first live waiter starts its job;
+        everyone else goes back behind whoever queued since the release.
+        That is what one wake-up per waiter used to compute -- the first
+        to find the CPU free took it, the rest re-queued in order -- in
+        one event and, when nobody queued meanwhile, O(1).
+        """
+        if not self._busy:
+            while woken:
+                task, token = woken.popleft()
+                if task._wait_token == token:  # else cancelled since the release
+                    self._acquire(task, token, task._pending_wait)
+                    break
+        if self._queue:
+            self._queue.extend(woken)
+        else:
+            self._queue = woken
 
     @property
     def queue_length(self) -> int:
-        """Number of jobs waiting (excludes the one running)."""
-        return len(self._queue)
+        """Number of live tasks waiting for a turn (excludes the one
+        running). A cancelled waiter stops counting when ``cancel()``
+        returns, although its entry stays queued until it reaches the head."""
+        return sum(1 for task, token in self._queue if task._wait_token == token)
 
     @property
     def busy(self) -> bool:
@@ -160,4 +199,4 @@ class Cpu:
         return self.busy_in(lo, hi) / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Cpu({self.name!r}, busy={self._busy}, queued={len(self._queue)})"
+        return f"Cpu({self.name!r}, busy={self._busy}, queued={self.queue_length})"

@@ -11,7 +11,7 @@ are five kinds, dispatched on the exact type of the yielded object:
   the sentinel :data:`TIMEOUT` if the signal has not fired within ``d``.
 - ``yield other_task`` -- join: resume when the task finishes; evaluates to
   its return value (re-raising its exception, if any).
-- ``yield Hold(resource, duration)`` -- occupy a FIFO busy-server (a
+- ``yield Hold(resource, duration)`` -- occupy a busy-server (a
   :class:`~repro.sim.cpu.Cpu`) for ``duration``: queue for a turn while it
   is taken, hold it, release it. Callers write ``yield from
   cpu.consume(cost)``, which yields this request.
@@ -26,17 +26,20 @@ blocking pseudocode (Algorithms 1-3) transcribe almost verbatim.
 A parked wait is identified by ``(task, token)``: the token is the task's
 ``_wait_token`` at the time the wait was installed, and every ``_step``
 (and every :meth:`Task.cancel`) bumps it. A wake-up carrying an older token
-is stale and ignored, so racing wake-ups (a signal and its timeout, a turn
-wake-up and a cancellation) need no other arbitration, and a waiter is dead
+is stale and ignored, so racing wake-ups (a signal and its timeout, a
+delivery and a cancellation) need no other arbitration, and a waiter is dead
 the moment :meth:`Task.cancel` returns.
 
-The kernel never adds, drops or reorders a ``Simulator.schedule*`` call
-relative to writing the same wait with signals and sleeps: a hold is one
-``schedule`` per job plus one ``schedule_now`` per waiter per release, a
-mailbox hand-over is one ``schedule_now``. What it saves is host work per
-wait -- no per-wait ``Signal``, closure or ``try/finally`` generator frame,
-and a turn wake-up that finds the resource taken again re-queues without
-resuming the generator (see DESIGN.md, "wait requests").
+Relative to writing the same wait with signals and sleeps, the kernel
+resumes every task with the same value, in the same order, at the same
+simulated instant: a hold is one ``schedule`` per job plus one
+``schedule_now`` per *release* that has waiters (the resource's turn event,
+which starts the next waiter's job itself -- a queued task's ``_step`` runs
+only when its job is over or it is cancelled), a mailbox hand-over is one
+``schedule_now``. What it saves is host work per wait -- no per-wait
+``Signal``, closure or ``try/finally`` generator frame -- and the one
+wake-up per waiter per release the Signal-based CPU fired (see DESIGN.md,
+"Wait requests" and "One turn event per release").
 
 Cancellation throws :class:`~repro.errors.TaskCancelled` inside the
 generator at its current suspension point.
@@ -144,13 +147,15 @@ class WaitSignal:
 class Hold:
     """Wait request: occupy ``resource`` for ``duration`` simulated seconds.
 
-    ``resource`` is a FIFO busy-server exposing ``_busy``, ``_busy_since``,
-    a ``_queue`` deque of ``(task, token)`` pairs and ``_release(completed)``
-    (see :class:`~repro.sim.cpu.Cpu`). The kernel acquires it or queues the
-    task, re-queues on a turn wake-up that lost the race, times the job, and
-    releases on completion or -- with the partial busy span -- when the
-    holder is cancelled mid-job. ``acquired`` tells the two suspended states
-    (queued, holding) apart.
+    ``resource`` is a busy-server exposing ``_busy``, a ``_queue`` deque of
+    ``(task, token)`` pairs, ``_acquire(task, token, hold)`` and
+    ``_release(completed)`` (see :class:`~repro.sim.cpu.Cpu`). The kernel
+    starts the job if the resource is free and queues the task otherwise;
+    the resource starts a queued task's job from its turn event. Either way
+    the job's timer resumes the task, and the kernel releases -- on
+    completion, or with the partial busy span when the holder is cancelled
+    mid-job. ``acquired`` tells the two suspended states (queued, holding)
+    apart.
     """
 
     __slots__ = ("resource", "duration", "acquired")
@@ -270,7 +275,6 @@ class Task:
         if timer is not None:
             timer.cancel()
             self._pending_timer = None
-        request = None
         wait = self._pending_wait
         if wait is not None:
             kind = type(wait)
@@ -280,11 +284,7 @@ class Task:
                     # woken before the generator runs on, as a ``finally``
                     # around the job would.
                     wait.resource._release(mode == "send")
-                elif mode == "send":
-                    # Turn wake-up. They are broadcast, so a same-instant
-                    # arrival may have won: install the hold again (acquire
-                    # or re-queue) without resuming the generator.
-                    request = wait
+                # else cancelled while queued: the entry dies with its token.
             elif kind is MailboxWait:
                 if wait.task is not None:
                     self._unpark(wait, token)  # timed out
@@ -295,26 +295,25 @@ class Task:
             elif not wait.fired:
                 self._unpark(wait, token)  # timed out
             self._pending_wait = None
-        if request is None:
-            # -- resume.
-            try:
-                if mode == "send":
-                    request = self._gen.send(payload)
-                else:
-                    request = self._gen.throw(payload)
-            except StopIteration as stop:
-                self._finish(result=stop.value)
-                return
-            except TaskCancelled:
-                self.cancelled = True
-                self._finish(result=None)
-                return
-            except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
-                self._finish(exception=exc)
-                if sim.strict:
-                    raise
-                sim.failures.append(exc)
-                return
+        # -- resume.
+        try:
+            if mode == "send":
+                request = self._gen.send(payload)
+            else:
+                request = self._gen.throw(payload)
+        except StopIteration as stop:
+            self._finish(result=stop.value)
+            return
+        except TaskCancelled:
+            self.cancelled = True
+            self._finish(result=None)
+            return
+        except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
+            self._finish(exception=exc)
+            if sim.strict:
+                raise
+            sim.failures.append(exc)
+            return
         # -- install the wait the generator asked for.
         token += 1
         kind = type(request)
@@ -323,12 +322,7 @@ class Task:
             if resource._busy:
                 resource._queue.append((self, token))
             else:
-                resource._busy = True
-                resource._busy_since = sim.now
-                request.acquired = True
-                self._pending_timer = sim.schedule(
-                    request.duration, self._step, token, "send", None
-                )
+                resource._acquire(self, token, request)
             self._pending_wait = request
         elif kind is MailboxWait:
             request.task = self

@@ -5,8 +5,12 @@ were written before the kernel learned ``Hold`` and ``MailboxWait``: on top
 of ``Signal`` / ``WaitSignal`` / ``Sleep``, one ``Signal`` per wait and a
 ``try/finally`` generator frame around it. The method bodies are verbatim;
 only the class shells are new. ``tests/test_wait_requests.py`` drives these
-and the native bodies with the same scripts and requires the same events in
-the same order.
+and the native bodies with the same scripts and requires the same resumes
+in the same order at the same instants, the same CPU accounting and busy
+intervals -- in no more events: :class:`SignalCpu` wakes every waiter on
+every release, the native ``Cpu`` fires one turn event that computes what
+those wake-ups computed. That makes this file the oracle of the CPU's
+service order, which is not FIFO (see ``Cpu``'s docstring).
 
 :class:`SignalEndpoint` additionally counts the one defect the native path
 fixes (``lost_to_cancelled``), so the differential test can tell a permitted

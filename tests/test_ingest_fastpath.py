@@ -12,13 +12,18 @@ The load-bearing invariants pinned here:
   deferred_txs`` holds at every step across defer -> release cycles;
 * ``LatencyHistogram`` percentiles track the exact nearest-rank
   percentile within the documented relative-error bound, in O(buckets)
-  memory regardless of sample volume.
+  memory regardless of sample volume;
+* accounting a block's commits per run of equal latency (one weighted
+  ``add`` each) leaves every histogram bit-equal to the per-transaction
+  loop it replaced.
 """
 
 import hashlib
 import math
 import os
 import random
+from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +270,11 @@ def test_release_preserves_arrival_order_with_chunks():
 # ---------------------------------------------------------------------------
 # LatencyHistogram
 # ---------------------------------------------------------------------------
+def hist_state(hist):
+    """Every bit of a histogram's state (``total`` compared exactly)."""
+    return (dict(hist.counts), hist.count, hist.total, hist.min, hist.max)
+
+
 class TestLatencyHistogram:
     def test_empty_summary_matches_exact_shape(self):
         hist = LatencyHistogram()
@@ -375,6 +385,36 @@ class TestLatencyHistogram:
             key = f"p{f'{p:g}'.replace('.', '')}"
             assert summary[key] == hist.percentile(p)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-7, max_value=1e4, allow_nan=False,
+                          allow_infinity=False),
+                st.integers(min_value=1, max_value=60),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_weighted_add_is_bit_equal_to_repeated_adds(self, runs):
+        """``add(value, count)`` leaves the state -- the float total
+        included, so the mean too -- exactly as ``count`` single adds do."""
+        weighted, single = LatencyHistogram(), LatencyHistogram()
+        for value, count in runs:
+            weighted.add(value, count)
+            for _ in range(count):
+                single.add(value)
+        assert hist_state(weighted) == hist_state(single)
+        assert weighted.summary(E2E_PERCENTILES) == single.summary(E2E_PERCENTILES)
+
+    def test_weighted_add_rejects_count_below_one(self):
+        hist = LatencyHistogram()
+        for count in (0, -3):
+            with pytest.raises(ValueError):
+                hist.add(0.5, count)
+        assert len(hist) == 0 and hist.counts == {}
+
 
 # ---------------------------------------------------------------------------
 # Chunked arrival synthesis: byte-identical sequences, any chunk size
@@ -462,3 +502,80 @@ class TestChunkedArrivals:
         assert baseline[1] > 0
         for chunk in (1, 7):
             assert results[chunk] == baseline
+
+
+# ---------------------------------------------------------------------------
+# Commit accounting: one weighted add per run == one add per transaction
+# ---------------------------------------------------------------------------
+class PerTxAccounting:
+    """Oracle: ``WorkloadHarness._on_commit`` as it was before commits were
+    accounted per run -- a dict lookup, a bisect and two histogram adds for
+    every committed transaction. Reads the harness's epoch arrays, keeps
+    its own histograms and SLO counters."""
+
+    def __init__(self, harness):
+        self.harness = harness
+        self.total = LatencyHistogram()
+        self.hists = {state.client_id: LatencyHistogram() for state in harness.classes}
+        self.within_slo = {state.client_id: 0 for state in harness.classes}
+
+    def on_commit(self, record, block):
+        by_client = self.harness._class_by_client
+        for tx_id in block.tx_ids:
+            state = by_client.get(tx_id[0])
+            if state is None:
+                continue
+            index = bisect_right(state.submit_seqs, tx_id[1]) - 1
+            if index < 0:
+                continue
+            latency = record.time - state.submit_times[index]
+            self.hists[tx_id[0]].add(latency)
+            if latency <= state.slo_target_s:
+                self.within_slo[tx_id[0]] += 1
+            self.total.add(latency)
+
+    def assert_matches(self):
+        harness = self.harness
+        assert hist_state(harness._latency_hist) == hist_state(self.total)
+        for state in harness.classes:
+            assert hist_state(state.hist) == hist_state(self.hists[state.client_id])
+            assert state.within_slo == self.within_slo[state.client_id]
+
+
+def test_run_accounting_matches_per_tx_oracle():
+    spec = digest_spec()
+    config = ProtocolConfig()
+    cluster = Cluster(
+        n=7, mode="kauri", scenario="national", config=config, seed=3,
+        workload_factory=make_workload_factory(spec, config),
+    )
+    harness = WorkloadHarness(cluster, spec, seed=3)
+    oracle = PerTxAccounting(harness)
+    cluster.metrics.commit_listeners.append(oracle.on_commit)
+    cluster.start()
+    harness.start()
+    cluster.run(duration=4.0)
+    assert harness.committed_txs > 500
+    # Real blocks mix both classes and cut ticks across block boundaries.
+    assert all(state.hist.count > 0 for state in harness.classes)
+    oracle.assert_matches()
+
+    # A block no proposer would build: ids of a client the harness does not
+    # know, a sequence number before the first tick, epochs visited out of
+    # order, the open-ended last epoch, and the classes interleaved.
+    mobile, api = (state.client_id for state in harness.classes)
+    seqs = harness.classes[0].submit_seqs
+    assert len(seqs) > 3
+    last = seqs[-1]
+    block = SimpleNamespace(tx_ids=(
+        (999, 0), (999, 1), (mobile, -1),
+        (mobile, last), (mobile, last + 1), (mobile, last + 10_000),
+        (mobile, seqs[2]), (mobile, seqs[2] - 1), (mobile, seqs[1]),
+        (api, 0), (mobile, 0), (api, 1), (api, 1),
+    ))
+    record = SimpleNamespace(time=cluster.sim.now + 1.0)
+    before = harness.committed_txs
+    harness._on_commit(record, block)
+    oracle.on_commit(record, block)
+    assert harness.committed_txs == before + 10
+    oracle.assert_matches()
