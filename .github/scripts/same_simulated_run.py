@@ -4,13 +4,23 @@
     same_simulated_run.py BASE.json HEAD.json   # run.py --trace --out files
 
 ``deterministic.sim_digest`` -- height, hash and instant of every first
-commit -- must be equal for every workload. The boundary counts a
-simulator-only change may move on purpose are printed old -> new.
+commit -- must be equal for every workload, and so must every boundary
+count in ``COUNTS``: the simulator is deterministic, so a count that moves
+is a change in the work done, never noise. A PR that moves one on purpose
+names it in ``MOVED`` below, so the exception is a reviewed line of its
+diff. An entry for a count that did not move fails too: it is left over
+from an earlier PR and would hide the next move.
 """
 import json
 import sys
 
-COUNTS = ("sim.events", "sim.sched_now", "sim.cpu.jobs", "net.msgs")
+COUNTS = (
+    "sim.events", "sim.sched_now", "sim.sched_handle", "sim.sched_call",
+    "sim.sched_timeout", "sim.cpu.jobs", "net.msgs",
+)
+
+#: count -> one-line reason it differs from the merge base in this PR.
+MOVED = {}
 
 
 def deterministic(path):
@@ -22,6 +32,7 @@ def deterministic(path):
 def main(base_path, head_path):
     base, head = deterministic(base_path), deterministic(head_path)
     changed = sorted(base.keys() ^ head.keys())
+    moved = set()
     for name in sorted(base.keys() & head.keys()):
         same = base[name]["sim_digest"] == head[name]["sim_digest"]
         print(f"{name}: simulated times {'unchanged' if same else 'CHANGED'}")
@@ -29,9 +40,21 @@ def main(base_path, head_path):
             changed.append(name)
         for key in COUNTS:  # per work unit, as --trace reports them
             old, new = (side[name]["counts"][key] for side in (base, head))
-            print(f"  {key:14} {old:.6g} -> {new:.6g}" + ("" if old == new else "  (moved)"))
+            note = ""
+            if old != new:
+                note = f"  (moved: {MOVED[key]})" if key in MOVED else "  (MOVED, not named)"
+                moved.add(key)
+            print(f"  {key:17} {old:.6g} -> {new:.6g}{note}")
+    problems = []
     if changed:
-        sys.exit(f"simulated run missing or different on: {', '.join(changed)}")
+        problems.append(f"simulated run missing or different on: {', '.join(changed)}")
+    unnamed, stale = sorted(moved - MOVED.keys()), sorted(MOVED.keys() - moved)
+    if unnamed:
+        problems.append(f"counts moved without an entry in MOVED: {', '.join(unnamed)}")
+    if stale:  # left over from an earlier PR: would hide the next move
+        problems.append(f"MOVED names counts that did not move: {', '.join(stale)}")
+    if problems:
+        sys.exit("; ".join(problems))
 
 
 if __name__ == "__main__":

@@ -355,9 +355,9 @@ def fig_depth_scaling(
     Fig. 10 asks which tree height wins at which bandwidth with N fixed
     at 100; this sweep asks the same question along the *size* axis, up
     to N = 1000 on the global scenario -- the regime the bitmap signer
-    sets, flyweight replica state, and batched event dispatch make
-    simulable in minutes. Star-shaped HotStuff-bls rides along as the
-    depth-1 contrast whose leader uplink the trees exist to relieve.
+    sets and flyweight replica state make simulable in minutes.
+    Star-shaped HotStuff-bls rides along as the depth-1 contrast whose
+    leader uplink the trees exist to relieve.
     Rows per system: (n, Ktx/s, p50 latency ms, cpu_saturated).
     """
     systems = [

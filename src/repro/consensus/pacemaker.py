@@ -27,11 +27,10 @@ class Pacemaker:
 
     The restart pattern is extreme: under steady pipelining every committed
     block re-arms the watchdog, so virtually every armed deadline is
-    cancelled and the timeout fires only on genuine stalls. The underlying
-    :class:`~repro.sim.timers.Timer` therefore parks on the simulator's
-    timer wheel (:meth:`Simulator.schedule_timeout`), making each
-    arm/cancel cycle O(1) instead of leaving a lazily-cancelled entry on
-    the event heap per round.
+    cancelled and the timeout fires only on genuine stalls. Each cycle of
+    the underlying :class:`~repro.sim.timers.Timer` leaves one cancelled
+    entry on the event heap, which the simulator skips when popped or
+    sweeps out once such entries outnumber the live ones.
     """
 
     def __init__(

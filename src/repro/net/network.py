@@ -48,8 +48,7 @@ class Endpoint:
         self.messages_delivered = 0
         self.bytes_delivered = 0
         #: Live count of queued (delivered-but-unclaimed) messages, and its
-        #: high-water mark -- maintained incrementally, the per-tag sum in
-        #: :attr:`queued_messages` is too slow for per-delivery bookkeeping.
+        #: high-water mark.
         self._queued = 0
         self.max_queued = 0
 
@@ -157,7 +156,7 @@ class Endpoint:
 
     @property
     def queued_messages(self) -> int:
-        return sum(len(q) for q in self._inbox.values())
+        return self._queued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Endpoint(node={self.node_id}, queued={self.queued_messages})"
@@ -184,10 +183,6 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self._uid = 0
-        #: Route :meth:`multicast` through the batched single-pass path.
-        #: The multicast equivalence property test flips this off to force
-        #: the sequential per-destination reference path.
-        self.multicast_enabled = True
         # Link-parameter memo in front of the shaper: every Netem in the
         # library is static, and the fabric queries per message. Keyed by
         # the shaper's link *class* when it exposes ``link_key`` (one
@@ -337,43 +332,25 @@ class Network:
         instant, so a crash landing mid-fan-out drops exactly the suffix
         it would have dropped under sequential sends.
 
-        Self-sends (``src in dsts``) deliver synchronously mid-sequence,
-        so such batches take the sequential reference path.
+        Self-sends (``src in dsts``) deliver synchronously mid-sequence and
+        a crashed sender's messages never reach its NIC, so both are sent
+        with that loop. What the batched path buys end to end is measured
+        in DESIGN.md ("Event stores", ablation table).
         """
         if not dsts:
             return []
-        if not self.multicast_enabled or src in dsts:
+        faults = self.faults
+        if src in dsts or src in faults.crashed:
             return [self.send(src, dst, tag, payload, size) for dst in dsts]
         nic = self.nics.get(src)
         if nic is None:
             raise NetworkError(f"multicast from unregistered process {src}")
         sim = self.sim
         now = sim.now
-        faults = self.faults
         observers = self.observers
         endpoints = self.endpoints
         uid = self._uid
         msgs: List[Message] = []
-        if src in faults.crashed:
-            for dst in dsts:
-                if dst not in endpoints:
-                    raise NetworkError(
-                        f"send between unregistered processes {src}->{dst}"
-                    )
-                uid += 1
-                msg = Message(
-                    src=src, dst=dst, tag=tag, payload=payload, size=size,
-                    sent_at=now, uid=uid,
-                )
-                msgs.append(msg)
-                self.messages_sent += 1
-                if observers:
-                    self._notify("send", msg)
-                faults.dropped_messages += 1
-                if observers:
-                    self._notify("drop", msg)
-            self._uid = uid
-            return msgs
         netem = self.netem
         if netem is not self._keyed_netem:
             self._rebind_netem()
@@ -404,14 +381,13 @@ class Network:
             bandwidths.append(params.bandwidth_bps)
         self._uid = uid
         done_times = nic.transmit_batch(size + self.header_bytes, bandwidths)
+        schedule_call_at = sim.schedule_call_at
         if faults._armed:
-            schedule_call_at = sim.schedule_call_at
             serialized = self._serialized
             for i, msg in enumerate(msgs):
                 schedule_call_at(done_times[i], serialized, msg, props[i])
         else:
             # Same direct-delivery fast path as ``send``.
-            schedule_call_at = sim.schedule_call_at
             deliver = self._deliver
             for i, msg in enumerate(msgs):
                 schedule_call_at(done_times[i] + props[i], deliver, msg)

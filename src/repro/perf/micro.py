@@ -20,13 +20,13 @@ structurally central (§3.3.2, §7):
   one complete Kauri deployment (N = 31, global scenario), plus
   ``end_to_end_kauri_n100`` / ``end_to_end_kauri_n400`` at the paper's
   large scales -- the headline numbers for the scale-out fast path
-  (fabric multicast + timer-wheel timeouts + direct delivery in
-  fault-free runs) -- and ``end_to_end_kauri_n1000`` beyond them: the
-  barrier the bitmap signer sets, flyweight replica state, and batched
-  event dispatch exist to break. The large-N end-to-end benches also
-  record peak heap memory (``peak_mb``) from a separate *untimed*
-  ``tracemalloc`` pass, because allocation tracing slows the traced run
-  several-fold and must never contaminate the throughput number.
+  (fabric multicast + direct delivery in fault-free runs) -- and
+  ``end_to_end_kauri_n1000`` beyond them: the barrier the bitmap signer
+  sets and flyweight replica state exist to break. The large-N
+  end-to-end benches also record peak heap memory (``peak_mb``) from a
+  separate *untimed* ``tracemalloc`` pass, because allocation tracing
+  slows the traced run several-fold and must never contaminate the
+  throughput number.
 
 Each bench reports the best of ``repeats`` passes -- the standard
 microbench discipline: the minimum-interference pass is the one that

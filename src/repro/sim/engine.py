@@ -1,39 +1,26 @@
 """Event-heap simulator core.
 
-The :class:`Simulator` owns a virtual clock and four event stores that
+The :class:`Simulator` owns a virtual clock and two event stores that
 together hold every scheduled callback. Everything else in the library
 (network links, CPUs, protocol state machines) is built on top of the
 ``schedule*`` family.
 
 The simulator is single-threaded and deterministic: events scheduled for
 the same instant fire in scheduling order (FIFO), enforced by a global
-sequence counter. The four stores exist purely so each scheduling pattern
-pays only for what it needs -- the merged firing order is always exactly
-``(time, seq)``, as if everything lived on one heap:
+sequence counter, so the firing order is exactly ``(time, seq)``.
+:meth:`Simulator.run` holds the only loop that selects and fires:
 
-- **Heap** -- the general store. Entries are plain tuples, either
-  ``(time, seq, handle)`` for cancellable events or handle-free
-  ``(time, seq, fn, args)`` for fire-and-forget callbacks whose time is
-  out of order with the run queue's tail (``seq`` is unique, so ``heapq``
-  never compares beyond it).
+- **Heap** -- every timed event, as a plain tuple: ``(time, seq, handle)``
+  for cancellable ones (``schedule``, ``schedule_at``, ``schedule_timeout``),
+  handle-free ``(time, seq, fn, args)`` for fire-and-forget callbacks
+  (``schedule_call``, ``schedule_call_at``). ``seq`` is unique, so ``heapq``
+  never compares beyond it. Cancellation is lazy: the entry stays as a
+  tombstone that is skipped when popped, and the heap is compacted when
+  tombstones outnumber live entries.
 - **Now-queue** -- a FIFO for :meth:`Simulator.schedule_now`: zero-delay,
-  never-cancelled continuations (task wakeups, signal deliveries). These
-  are appended in ``(time, seq)`` order by construction, so a deque
-  replaces O(log n) heap traffic with O(1) appends/pops.
-- **Run queue** -- a deque whose entries are nondecreasing in
-  ``(time, seq)`` *by invariant*: :meth:`Simulator.schedule_call` /
-  :meth:`schedule_call_at` append here whenever the new callback does not
-  sort before the current tail, which covers the fabric's bread and
-  butter (a multicast's chained serialization completions and deliveries
-  arrive as monotone runs) -- and falls back to the heap otherwise. Timer
-  -wheel flushes absorb whole sorted batches the same way. Popping is
-  O(1), and same-timestamp runs drain in one pass of the firing loop
-  without per-event heap traffic.
-- **Timer wheel** -- :mod:`repro.sim.wheel`, behind
-  :meth:`Simulator.schedule_timeout`: timeouts that are overwhelmingly
-  cancelled (pacemaker watchdogs, impatient receives) park in hashed time
-  slots where cancellation is one dict delete; only survivors are flushed
-  into the run queue or heap, carrying their original ``(time, seq)``.
+  never-cancelled continuations (task wakeups, signal deliveries), appended
+  in ``(time, seq)`` order by construction, so a deque's O(1) replaces
+  O(log n) heap traffic (its ablation: DESIGN.md, "Event stores").
 """
 
 from __future__ import annotations
@@ -44,7 +31,6 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.wheel import TimeoutHandle, TimerWheel
 
 
 class EventHandle:
@@ -65,7 +51,7 @@ class EventHandle:
         seq: int,
         fn: Callable[..., None],
         args: tuple,
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ):
         self.time = time
         self.seq = seq
@@ -82,8 +68,7 @@ class EventHandle:
         self.cancelled = True
         self.fn = None  # break reference cycles early
         self.args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self._sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
@@ -115,11 +100,6 @@ class Simulator:
         self._heap: List[tuple] = []
         #: Zero-delay raw entries (time, seq, fn, args), FIFO == (time, seq).
         self._now_queue: Deque[tuple] = deque()
-        #: Sorted-by-construction entries, nondecreasing (time, seq): raw
-        #: (time, seq, fn, args) appended by the schedule_call fast path
-        #: and (time, seq, handle) batches absorbed from wheel flushes.
-        self._run_queue: Deque[tuple] = deque()
-        self._wheel = TimerWheel(self)
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -160,20 +140,11 @@ class Simulator:
         For fire-and-forget callbacks on hot paths (message deliveries,
         serialization completions) where allocating and tracking a handle
         is pure overhead. Firing order is identical to :meth:`schedule`.
-        When the new callback does not sort before the run queue's tail --
-        the overwhelmingly common case for a multicast's monotone
-        completion/delivery runs -- it is appended there in O(1) instead
-        of paying O(log n) heap traffic.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
         self._seq += 1
-        runq = self._run_queue
-        if not runq or time >= runq[-1][0]:
-            runq.append((time, self._seq, fn, args))
-        else:
-            heapq.heappush(self._heap, (time, self._seq, fn, args))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
         self._pending += 1
 
     def schedule_call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
@@ -183,21 +154,13 @@ class Simulator:
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
         self._seq += 1
-        runq = self._run_queue
-        if not runq or time >= runq[-1][0]:
-            runq.append((time, self._seq, fn, args))
-        else:
-            heapq.heappush(self._heap, (time, self._seq, fn, args))
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._pending += 1
 
     def schedule_now(self, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at the current instant, after already-scheduled
-        same-instant events (plain FIFO semantics, like ``schedule(0.0, ...)``).
-
-        Handle-free and heap-free: entries go on a deque that is ordered by
-        construction (time never decreases, ``seq`` increases), the natural
-        fit for task wakeups and signal deliveries -- continuations that are
-        never cancelled and almost always fire immediately.
+        same-instant events (plain FIFO semantics, like ``schedule(0.0, ...)``);
+        handle-free, and on the now-queue instead of the heap.
         """
         self._seq += 1
         self._now_queue.append((self.now, self._seq, fn, args))
@@ -205,56 +168,27 @@ class Simulator:
 
     def schedule_timeout(
         self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> TimeoutHandle:
-        """Schedule a *probably-cancelled* callback ``delay`` seconds out.
-
-        Same contract as :meth:`schedule` (returns a cancellable handle,
-        fires in exact ``(time, seq)`` order), but the timer parks in the
-        :class:`~repro.sim.wheel.TimerWheel`: cancelling it while parked is
-        one dict delete instead of a lazy heap tombstone. Use for watchdogs
-        and receive deadlines; use :meth:`schedule` for events expected to
-        fire.
+    ) -> EventHandle:
+        """:meth:`schedule` under the name deadlines use (watchdogs, receive
+        timeouts: overwhelmingly cancelled before they fire). Same store,
+        handle and order; written out instead of calling :meth:`schedule`
+        so the perf ledger counts the two apart (``sim.sched_timeout``).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        time = self.now + delay
         self._seq += 1
-        handle = TimeoutHandle(self.now + delay, self._seq, fn, args, self._wheel)
-        self._wheel.insert(handle)
+        handle = EventHandle(time, self._seq, fn, args, sim=self)
+        heapq.heappush(self._heap, (time, self._seq, handle))
         self._pending += 1
         return handle
 
-    def _absorb_timeouts(self, handles: list) -> None:
-        """Take a ``(time, seq)``-sorted batch of flushed wheel survivors.
-
-        Each survivor extends the run queue with an O(1) append when it
-        does not sort before the current tail; out-of-order stragglers
-        (possible when a coarse wheel slot emitted later times before a
-        fine one) fall back to heap pushes. Original firing keys are kept,
-        so the merged pop order is bit-identical to heap-only flushing.
-        """
-        runq = self._run_queue
-        heap = self._heap
-        for handle in handles:
-            if runq:
-                tail = runq[-1]
-                tail_time = tail[0]
-                in_order = handle.time > tail_time or (
-                    handle.time == tail_time and handle.seq > tail[1]
-                )
-            else:
-                in_order = True
-            if in_order:
-                handle._in_runq = True
-                runq.append((handle.time, handle.seq, handle))
-            else:
-                heapq.heappush(heap, (handle.time, handle.seq, handle))
-
     def _note_cancelled(self) -> None:
-        """Bookkeeping hook for lazy (in-heap) cancellations.
+        """Bookkeeping hook for cancellations.
 
         Keeps :attr:`pending_events` O(1) and compacts the heap when
         cancelled entries exceed half of it -- hygiene for runs that cancel
-        heap-resident events faster than they pop.
+        events faster than they pop.
         """
         self._pending -= 1
         self._cancelled_in_heap += 1
@@ -279,156 +213,51 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next_entry(self, pop: bool):
-        """The next live entry across every store, or ``None``.
-
-        Drains lazily-cancelled heap/run-queue tombstones on the way and
-        flushes due wheel slots, so the returned entry is globally next in
-        ``(time, seq)`` order.
-        """
-        heap = self._heap
-        queue = self._now_queue
-        runq = self._run_queue
-        wheel = self._wheel
-        while True:
-            head = queue[0] if queue else None
-            top = heap[0] if heap else None
-            # Tuple comparison decides on (time, seq); seq is unique, so the
-            # heterogeneous third elements are never compared.
-            src = 0  # 0: now-queue, 1: heap, 2: run queue
-            if top is not None and (head is None or top < head):
-                head = top
-                src = 1
-            rtop = runq[0] if runq else None
-            if rtop is not None and (head is None or rtop < head):
-                head = rtop
-                src = 2
-            if wheel._due:
-                # A due slot may hold a timer ordered before `head`.
-                limit = wheel._next_due if head is None else head[0]
-                if wheel._next_due <= limit:
-                    wheel.flush_due(limit)
-                    continue
-            if head is None:
-                return None
-            if src == 1:
-                if len(head) == 3 and head[2].cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if pop:
-                    heapq.heappop(heap)
-            elif src == 2:
-                if len(head) == 3 and head[2].cancelled:
-                    runq.popleft()  # cancel already fixed the counters
-                    continue
-                if pop:
-                    runq.popleft()
-            elif pop:
-                queue.popleft()
-            return head
-
-    def _fire(self, entry: tuple) -> None:
-        """Advance the clock to ``entry`` and run its callback."""
-        time = entry[0]
-        if time < self.now:
-            raise SimulationError("event heap went backwards in time")
-        self.now = time
-        self._pending -= 1
-        self._events_processed += 1
-        if len(entry) == 4:
-            fn = entry[2]
-            args = entry[3]
-        else:
-            handle = entry[2]
-            handle.fired = True
-            fn = handle.fn
-            args = handle.args
-            handle.fn = None
-            handle.args = ()
-        try:
-            fn(*args)
-        except Exception as exc:
-            if self.strict:
-                raise
-            self.failures.append(exc)
-
-    def step(self) -> bool:
-        """Run the next pending event. Returns ``False`` if none fired
-        (every store was empty or held only cancelled entries)."""
-        entry = self._next_entry(pop=True)
-        if entry is None:
-            return False
-        self._fire(entry)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until every store drains, ``until`` is reached, or
-        :meth:`stop` is called.
+        """Run events until both stores drain, ``until`` is reached, the
+        ``max_events`` budget is spent, or :meth:`stop` is called.
 
-        ``until`` advances the clock to exactly ``until`` even if no event
-        fires there, matching the common "simulate T seconds" usage.
-        ``max_events`` counts only events that actually fired: draining
-        lazily cancelled entries never consumes the budget.
+        When nothing at or before ``until`` is left the clock advances to
+        exactly ``until``, matching the common "simulate T seconds" usage; a
+        run cut short by ``max_events`` or :meth:`stop` leaves it at the last
+        event fired, so the next ``run`` resumes there. ``max_events`` counts
+        only events that fired, never lazily cancelled entries drained.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
         processed = 0
-        # The loop below is `step()` (`_next_entry` + `_fire`) unrolled into
-        # one frame: at ~100k+ events per run the two call frames per event
-        # are the single largest fixed cost. The aliases are safe because
-        # nothing rebinds these attributes mid-run (`_compact` mutates the
-        # heap list in place).
+        # The aliases are safe because nothing rebinds these attributes
+        # mid-run (`_compact` mutates the heap list in place).
         heap = self._heap
         queue = self._now_queue
-        runq = self._run_queue
-        wheel = self._wheel
         heappop = heapq.heappop
         try:
             while not self._stopped:
-                # -- select: merged (time, seq) order across all stores.
-                head = queue[0] if queue else None
-                top = heap[0] if heap else None
-                # Tuple comparison decides on (time, seq); seq is unique,
-                # so the heterogeneous third elements are never compared.
-                src = 0  # 0: now-queue, 1: heap, 2: run queue
-                if top is not None and (head is None or top < head):
-                    head = top
-                    src = 1
-                rtop = runq[0] if runq else None
-                if rtop is not None and (head is None or rtop < head):
-                    head = rtop
-                    src = 2
-                if wheel._due:
-                    # A due slot may hold a timer ordered before `head`.
-                    limit = wheel._next_due if head is None else head[0]
-                    if wheel._next_due <= limit:
-                        wheel.flush_due(limit)
-                        continue
-                if head is None:
-                    break
-                raw = True
-                if src == 1:
-                    raw = len(head) == 4
-                    if not raw and head[2].cancelled:
+                # -- select: the smaller (time, seq) of the two heads. Tuple
+                # comparison decides on (time, seq); seq is unique, so the
+                # heterogeneous third elements are never compared.
+                if queue and not (heap and heap[0] < queue[0]):
+                    head = queue[0]
+                    from_heap = False
+                elif heap:
+                    head = heap[0]
+                    from_heap = True
+                    if len(head) == 3 and head[2].cancelled:
                         heappop(heap)
                         self._cancelled_in_heap -= 1
                         continue
-                elif src == 2:
-                    raw = len(head) == 4
-                    if not raw and head[2].cancelled:
-                        runq.popleft()  # cancel already fixed the counters
-                        continue
-                if until is not None and head[0] > until:
+                else:
+                    head = None
+                if head is None or (until is not None and head[0] > until):
+                    if until is not None and until > self.now:
+                        self.now = until
                     break
-                if src == 0:
-                    queue.popleft()
-                elif src == 1:
+                if from_heap:
                     heappop(heap)
                 else:
-                    runq.popleft()
+                    queue.popleft()
                 # -- fire.
                 time = head[0]
                 if time < self.now:
@@ -436,7 +265,7 @@ class Simulator:
                 self.now = time
                 self._pending -= 1
                 self._events_processed += 1
-                if raw:
+                if len(head) == 4:
                     fn = head[2]
                     args = head[3]
                 else:
@@ -455,50 +284,6 @@ class Simulator:
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
-                # -- drain: a same-timestamp run at the head of the run
-                # queue fires in one pass, re-checking only that no other
-                # store's head (all ordered after it by seq at equal time)
-                # slipped in front. Callbacks may append to any store or
-                # stop the clock mid-run; every peek below re-reads live
-                # state, so the drain stays bit-exact with the full select.
-                while runq and not self._stopped:
-                    nxt = runq[0]
-                    if (
-                        nxt[0] != time
-                        or (heap and heap[0] < nxt)
-                        or (queue and queue[0] < nxt)
-                        or wheel._next_due <= time
-                    ):
-                        break
-                    if len(nxt) == 3:
-                        handle = nxt[2]
-                        if handle.cancelled:
-                            runq.popleft()
-                            continue
-                        handle.fired = True
-                        fn = handle.fn
-                        args = handle.args
-                        handle.fn = None
-                        handle.args = ()
-                    else:
-                        fn = nxt[2]
-                        args = nxt[3]
-                    runq.popleft()
-                    self._pending -= 1
-                    self._events_processed += 1
-                    try:
-                        fn(*args)
-                    except Exception as exc:
-                        if self.strict:
-                            raise
-                        self.failures.append(exc)
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        break
-                if max_events is not None and processed >= max_events:
-                    break
-            if until is not None and not self._stopped and self.now < until:
-                self.now = until
         finally:
             self._running = False
 

@@ -51,7 +51,6 @@ from typing import Any, Callable, Generator, Hashable, List, Optional, Union
 
 from repro.errors import SimulationError, TaskCancelled
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.wheel import TimeoutHandle
 
 
 class _Timeout:
@@ -236,7 +235,7 @@ class Task:
         self.exception: Optional[BaseException] = None
         self._gen = gen
         self._done_signal = Signal()
-        self._pending_timer: Optional[Union[EventHandle, TimeoutHandle]] = None
+        self._pending_timer: Optional[EventHandle] = None
         #: What the task is parked on besides a timer: the ``Signal`` of a
         #: signal wait, the ``Task`` being joined, or the ``Hold`` /
         #: ``MailboxWait`` request itself.
@@ -334,8 +333,6 @@ class Task:
                 parked.append(request)
             self._pending_wait = request
             if request.timeout is not None:
-                # Receive deadlines are overwhelmingly cancelled (the message
-                # arrives first), so they park in the timer wheel.
                 self._pending_timer = sim.schedule_timeout(
                     request.timeout, self._step, token, "send", TIMEOUT
                 )

@@ -2,13 +2,8 @@
 
 The consensus pacemaker arms a timer per view; receiving progress restarts
 it, and expiry triggers a view change. :class:`Timer` wraps the simulator's
-timeout handles with restart/cancel semantics and guards against stale
+event handles with restart/cancel semantics and guards against stale
 callbacks from superseded arms.
-
-Timers schedule through :meth:`Simulator.schedule_timeout`, so they park
-in the timer wheel: the dominant restart pattern (arm, progress, cancel,
-re-arm -- the deadline almost never fires) costs O(1) dict traffic per
-cycle instead of accumulating lazily-cancelled event-heap entries.
 """
 
 from __future__ import annotations
@@ -16,8 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.wheel import TimeoutHandle
+from repro.sim.engine import EventHandle, Simulator
 
 
 class Timer:
@@ -32,7 +26,7 @@ class Timer:
         self.sim = sim
         self.callback = callback
         self.name = name
-        self._handle: Optional[TimeoutHandle] = None
+        self._handle: Optional[EventHandle] = None
         self._deadline: Optional[float] = None
         self.fire_count = 0
 

@@ -6,8 +6,9 @@ for bit.
 delivery times and ordering, NIC lane busy intervals and counters, fault
 decisions, observer event streams, and the full RunReport. These are
 property tests over seeds, fanouts, lanes > 1 and crash/omission fault
-configurations; `network.multicast_enabled = False` forces the sequential
-reference path through the very same call sites.
+configurations; the sequential reference is that loop, written here and
+put in `multicast`'s place on the one network instance under test, so it
+runs through the very same call sites.
 
 Also covers the two cache-hygiene satellites on the fabric:
 `Network.invalidate_links` (reconfiguration swaps the shaper) and
@@ -39,12 +40,20 @@ FAULT_CONFIGS = {
 }
 
 
-def _drive(multicast_enabled, *, fanout, lanes, fault, seed):
+def _sequential_multicast(net):
+    """The reference `Network.multicast` promises to equal."""
+    def multicast(src, dsts, tag, payload, size):
+        return [net.send(src, dst, tag, payload, size) for dst in dsts]
+    return multicast
+
+
+def _drive(batched, *, fanout, lanes, fault, seed):
     """One deterministic traffic pattern; returns comparable state."""
     sim = Simulator(seed=seed)
     params = NetworkParams(name="t", rtt=0.004, bandwidth_bps=25_000_000.0)
     net = Network(sim, HomogeneousNetem(params), uplink_lanes=lanes)
-    net.multicast_enabled = multicast_enabled
+    if not batched:
+        net.multicast = _sequential_multicast(net)
     trace = MessageTrace()
     net.observers.append(trace)
     n = fanout + 2
@@ -146,12 +155,13 @@ E2E_CONFIGS = [
 ]
 
 
-def _run_cluster(multicast_enabled, mode, n, lanes, crashes, seed):
+def _run_cluster(batched, mode, n, lanes, crashes, seed):
     cluster = Cluster(
         n=n, mode=mode, scenario="national", seed=seed, crashes=crashes,
         uplink_lanes=lanes, observability=True,
     )
-    cluster.network.multicast_enabled = multicast_enabled
+    if not batched:
+        cluster.network.multicast = _sequential_multicast(cluster.network)
     cluster.start()
     cluster.run(duration=12.0, max_commits=6)
     cluster.check_agreement()

@@ -1,20 +1,17 @@
-"""Timer wheel and merged-event-store semantics.
+"""`schedule_timeout` contract tests.
 
-`schedule_timeout` parks timers in the wheel (`repro.sim.wheel`) instead of
-the event heap, but the observable contract must stay exactly that of
-`schedule`: firing at the precise requested time, global FIFO order for
-same-instant events across *all* scheduling primitives, and exact
-`pending_events` accounting. Cancellation is the whole point: while parked
-it must be O(1) removal with no heap tombstone.
+The contract is that of `schedule`, whatever store is behind it: firing at
+the precise requested time, global FIFO order for same-instant events across
+*all* scheduling primitives, exact `pending_events` accounting, and
+arm/cancel cycles that leave nothing behind. (File and test names date from
+the timer wheel that used to back `schedule_timeout`; they are kept so the
+test ids stay stable.)
 """
-
-import math
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.wheel import _WIDTHS, TimerWheel
 
 
 class TestFiringSemantics:
@@ -26,20 +23,25 @@ class TestFiringSemantics:
         assert fired == [0.35]
 
     def test_same_instant_fifo_across_all_primitives(self):
-        """schedule / schedule_timeout / schedule_call / schedule_now at one
-        instant fire in scheduling order, regardless of backing store."""
+        """All six primitives at one instant fire in scheduling order,
+        regardless of entry kind or backing store."""
         sim = Simulator()
         order = []
-        sim.schedule(1.0, order.append, "heap-1")
-        sim.schedule_timeout(1.0, order.append, "wheel-1")
+        sim.schedule(1.0, order.append, "handle-1")
+        sim.schedule_timeout(1.0, order.append, "timeout-1")
         sim.schedule_call(1.0, order.append, "raw-1")
-        sim.schedule_timeout(1.0, order.append, "wheel-2")
-        sim.schedule(1.0, order.append, "heap-2")
+        sim.schedule_call_at(1.0, order.append, "raw-at-1")
+        sim.schedule_timeout(1.0, order.append, "timeout-2")
+        sim.schedule_at(1.0, order.append, "handle-at-1")
         # A zero-delay continuation scheduled *from* an event at t=1.0 runs
         # after everything already scheduled for t=1.0.
         sim.schedule(1.0, lambda: sim.schedule_now(order.append, "now-1"))
+        sim.schedule(1.0, order.append, "handle-2")
         sim.run()
-        assert order == ["heap-1", "wheel-1", "raw-1", "wheel-2", "heap-2", "now-1"]
+        assert order == [
+            "handle-1", "timeout-1", "raw-1", "raw-at-1", "timeout-2",
+            "handle-at-1", "handle-2", "now-1",
+        ]
 
     def test_timeout_before_later_heap_event(self):
         sim = Simulator()
@@ -50,12 +52,11 @@ class TestFiringSemantics:
         assert order == ["timeout", "late"]
 
     def test_long_delay_cascades_and_fires_once(self):
-        """A coarse-level timer cascades through finer slots and still fires
-        exactly once, at exactly its deadline."""
+        """A deadline far beyond many nearer events still fires exactly
+        once, at exactly its time."""
         sim = Simulator()
         fired = []
         sim.schedule_timeout(100.0, lambda: fired.append(sim.now))
-        # Periodic nearer events force slot-by-slot progression.
         def tick():
             if sim.now < 200.0:
                 sim.schedule(7.0, tick)
@@ -69,7 +70,7 @@ class TestFiringSemantics:
             sim.schedule_timeout(-0.1, lambda: None)
 
     def test_run_until_then_resume(self):
-        """Timers parked past an `until` checkpoint survive into later runs."""
+        """Timeouts pending past an `until` checkpoint survive into later runs."""
         sim = Simulator()
         fired = []
         sim.schedule_timeout(5.0, lambda: fired.append(sim.now))
@@ -82,29 +83,16 @@ class TestFiringSemantics:
 
 class TestCancellation:
     def test_cancel_while_parked_is_wheel_removal(self):
+        """Cancelling before the deadline: the handle is dead and no longer
+        pending the moment `cancel()` returns, and never fires."""
         sim = Simulator()
         handle = sim.schedule_timeout(10.0, lambda: pytest.fail("fired"))
         assert sim.pending_events == 1
-        assert len(sim._wheel) == 1
         handle.cancel()
-        assert handle.cancelled
-        assert sim.pending_events == 0
-        assert len(sim._wheel) == 0
-        # No heap tombstone: the timer never existed outside the wheel.
-        assert sim._cancelled_in_heap == 0 and not sim._heap
-        sim.run()
-
-    def test_cancel_after_flush_is_lazy_heap_cancel(self):
-        """A same-slot earlier event flushes the timer into the heap; a
-        cancellation after that point takes the tombstone path."""
-        sim = Simulator()
-        handle = sim.schedule_timeout(1.002, lambda: pytest.fail("fired"))
-        width = _WIDTHS[0]
-        assert int(1.002 / width) == int(1.0001 / width)  # same fine slot
-        sim.schedule(1.0001, handle.cancel)
-        sim.run()
         assert handle.cancelled and not handle.fired
         assert sim.pending_events == 0
+        sim.run()
+        assert sim.events_processed == 0 and not sim._heap
 
     def test_cancel_idempotent_and_postfire_noop(self):
         sim = Simulator()
@@ -121,13 +109,16 @@ class TestCancellation:
 
     def test_restart_heavy_pattern_leaves_no_debris(self):
         """The pacemaker pattern: thousands of arm/cancel cycles leave the
-        wheel, heap and pending counter all empty."""
+        heap, now-queue and pending counter all empty after the run, and
+        the cancelled entries are popped as their time passes instead of
+        piling up during it."""
         sim = Simulator()
 
         def cycle(remaining):
             handle = sim.schedule_timeout(0.35, lambda: pytest.fail("stalled"))
             def progress():
                 handle.cancel()
+                assert len(sim._heap) < 64
                 if remaining:
                     cycle(remaining - 1)
             sim.schedule(0.01, progress)
@@ -135,23 +126,7 @@ class TestCancellation:
         cycle(2000)
         sim.run()
         assert sim.pending_events == 0
-        assert len(sim._wheel) == 0
         assert not sim._heap and not sim._now_queue
-
-
-class TestWheelInternals:
-    def test_level_placement_boundaries(self):
-        assert TimerWheel._level_for(0.0) == 0
-        assert TimerWheel._level_for(_WIDTHS[1] - 1e-9) == 0
-        assert TimerWheel._level_for(_WIDTHS[1]) == 1
-        assert TimerWheel._level_for(_WIDTHS[2]) == 2
-        assert TimerWheel._level_for(_WIDTHS[3]) == 3
-        assert TimerWheel._level_for(math.inf) == 3
-
-    def test_widths_are_exact_powers_of_two(self):
-        for width in _WIDTHS:
-            mantissa, _ = math.frexp(width)
-            assert mantissa == 0.5  # exact power of two
 
 
 class TestAccounting:
