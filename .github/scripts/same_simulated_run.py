@@ -10,6 +10,10 @@ is a change in the work done, never noise. A PR that moves one on purpose
 names it in ``MOVED`` below, so the exception is a reviewed line of its
 diff. An entry for a count that did not move fails too: it is left over
 from an earlier PR and would hide the next move.
+
+The calls per work unit of the layers in ``LAYERS`` are printed beside
+them, old -> new, and not gated: host-side refactors move them on purpose,
+and the printout says by how much.
 """
 import json
 import sys
@@ -17,7 +21,12 @@ import sys
 COUNTS = (
     "sim.events", "sim.sched_now", "sim.sched_handle", "sim.sched_call",
     "sim.sched_timeout", "sim.cpu.jobs", "net.msgs",
+    "crypto.sign_calls", "crypto.combine_calls", "crypto.verify_calls",
+    "core.wait_for_calls", "net.send_calls", "net.multicast_calls",
 )
+
+#: Printed, not gated (``deterministic.layer_calls_per_unit``).
+LAYERS = ("core", "consensus", "sim.cpu", "sim.process", "other")
 
 #: count -> one-line reason it differs from the merge base in this PR.
 MOVED = {}
@@ -44,7 +53,11 @@ def main(base_path, head_path):
             if old != new:
                 note = f"  (moved: {MOVED[key]})" if key in MOVED else "  (MOVED, not named)"
                 moved.add(key)
-            print(f"  {key:17} {old:.6g} -> {new:.6g}{note}")
+            print(f"  {key:20} {old:.6g} -> {new:.6g}{note}")
+        for layer in LAYERS:
+            old, new = (side[name]["layer_calls_per_unit"][layer] for side in (base, head))
+            change = f"{new / old - 1:+.1%}" if old else "n/a"
+            print(f"  {layer + ' calls':20} {old:.6g} -> {new:.6g}  ({change}, not gated)")
     problems = []
     if changed:
         problems.append(f"simulated run missing or different on: {', '.join(changed)}")

@@ -15,6 +15,7 @@ matching §7.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -43,10 +44,12 @@ class NetworkParams:
     bandwidth_bps: float  # per-process uplink, bits/second
 
     def __post_init__(self) -> None:
-        if self.rtt < 0:
-            raise ConfigError(f"negative RTT: {self.rtt}")
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"non-positive bandwidth: {self.bandwidth_bps}")
+        # Comparisons NaN fails: ``rtt < 0`` would wave NaN through, and a
+        # NaN link stalls a run without an error.
+        if not 0 <= self.rtt < math.inf:
+            raise ConfigError(f"RTT must be finite and non-negative: {self.rtt}")
+        if not self.bandwidth_bps > 0:  # inf: serializes instantly (Fig. 8)
+            raise ConfigError(f"non-positive or NaN bandwidth: {self.bandwidth_bps}")
 
     @property
     def propagation_delay(self) -> float:
@@ -199,10 +202,22 @@ class ProtocolConfig:
             raise ConfigError(f"non-positive block size: {self.block_size}")
         if self.tx_size <= 0:
             raise ConfigError(f"non-positive tx size: {self.tx_size}")
-        if self.stretch is not None and self.stretch < 0:
-            raise ConfigError(f"negative stretch: {self.stretch}")
-        if self.base_timeout <= 0:
-            raise ConfigError(f"non-positive timeout: {self.base_timeout}")
+        # Written as comparisons NaN fails (see NetworkParams).
+        if self.stretch is not None and not 0 <= self.stretch < math.inf:
+            raise ConfigError(
+                f"stretch must be finite and non-negative: {self.stretch}"
+            )
+        if not 0 < self.base_timeout < math.inf:
+            raise ConfigError(
+                f"timeout must be finite and positive: {self.base_timeout}"
+            )
+        if not self.timeout_cap > 0:  # inf: no cap
+            raise ConfigError(f"non-positive or NaN timeout cap: {self.timeout_cap}")
+        if self.delta is not None and not 0 < self.delta < math.inf:
+            raise ConfigError(
+                f"impatient-channel bound delta must be finite and positive: "
+                f"{self.delta}"
+            )
 
     @property
     def txs_per_block(self) -> int:

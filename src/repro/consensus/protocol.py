@@ -38,6 +38,7 @@ from typing import Any, Optional, Tuple
 
 from repro.consensus import tags
 from repro.consensus.vote import Phase, QuorumCert
+from repro.sim.process import Signal, Sleep, WaitSignal
 
 #: The aggregated rounds of the chained protocol (§3.1).
 VOTE_PHASES = (Phase.PREPARE, Phase.PRECOMMIT, Phase.COMMIT)
@@ -94,8 +95,6 @@ class Protocol:
     def pace(self, node, height: int, interval: float):
         """Coroutine: wait before the next proposal, according to the mode
         (§4.1-4.2)."""
-        from repro.sim.process import Signal, Sleep, WaitSignal
-
         if node.mode.pacing == "sequential":
             # Kauri-np / Motor / Omniledger: next instance only after this
             # one fully decides (or dies with the view).
@@ -130,18 +129,20 @@ class Protocol:
     # The vote rounds
     # ------------------------------------------------------------------
     def vote_rule(self, node, view, height, phase, block, can_vote):
-        """Coroutine: this replica's (possibly absent) vote for ``phase``."""
-        own = yield from node._make_vote(view, height, phase, block, can_vote)
-        return own
+        """Coroutine: this replica's (possibly absent) vote for ``phase``.
+
+        Returns the mechanism's coroutine itself rather than delegating to
+        it from a generator of its own, so a parked vote is one frame
+        shallower. An override may do either: the round loop only runs
+        the result with ``yield from``.
+        """
+        return node._make_vote(view, height, phase, block, can_vote)
 
     def qc_rule(self, node, view, height, phase, block, collection, is_leader):
         """Coroutine: resolve ``phase``'s QC from the aggregate (root) or
         from the parent's dissemination (everyone else); None fails the
-        instance."""
-        qc = yield from node._resolve_qc(
-            view, height, phase, block, collection, is_leader
-        )
-        return qc
+        instance. Returns the mechanism's coroutine, as :meth:`vote_rule`."""
+        return node._resolve_qc(view, height, phase, block, collection, is_leader)
 
     def commit_rule(self, node, qc: QuorumCert, block) -> None:
         """React to a verified QC: safety bookkeeping, pacemaker progress,
@@ -213,6 +214,4 @@ class HotStuffProtocol(Protocol):
     def pace(self, node, height: int, interval: float):
         # HotStuff: piggyback round 1 of the next instance on round 2 of
         # this one, i.e. start once the prepare QC is in (§4.1).
-        from repro.sim.process import WaitSignal
-
         yield WaitSignal(node._prepare_signals[height])

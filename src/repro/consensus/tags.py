@@ -29,7 +29,9 @@ PROTOCOL_TAG_KINDS = ("prop", "vote", "qc", "newview")
 
 
 def _phase_name(phase: Union[Phase, str]) -> str:
-    return phase.name if isinstance(phase, Phase) else phase
+    # ``_name_``, not ``.name``: no enum descriptor call per tag (see
+    # :func:`~repro.consensus.vote.vote_value`).
+    return phase._name_ if isinstance(phase, Phase) else phase
 
 
 def prop_tag(view: int) -> Tuple:

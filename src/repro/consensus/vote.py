@@ -44,7 +44,9 @@ class Phase(enum.Enum):
 
 def vote_value(phase: Phase, view: int, height: int, block_hash: str) -> Tuple:
     """The canonical value signed by a vote in ``phase``."""
-    return ("vote", phase.name, view, height, block_hash)
+    # ``_name_`` is the member's plain attribute; ``.name`` would go through
+    # enum's DynamicClassAttribute descriptor on every vote.
+    return ("vote", phase._name_, view, height, block_hash)
 
 
 @dataclass(frozen=True)

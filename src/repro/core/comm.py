@@ -115,10 +115,14 @@ class TreeComm:
         the parent (⊥ on timeout, in which case nothing is forwarded and
         ⊥ is returned). Returns the disseminated value.
         """
-        if self.parent is not None:
-            msg = yield from self.receive_from_parent(tag, timeout)
-            if msg is BOTTOM:
-                return BOTTOM
+        parent = self.parent
+        if parent is not None:
+            endpoint = self._endpoint  # receive's two steps, as in wait_for
+            msg = endpoint.try_receive(tag, None, parent)
+            if msg is None:
+                msg = yield endpoint.wait(tag, timeout, parent)
+                if msg is TIMEOUT:
+                    return BOTTOM
             data, size = msg.payload, msg.size
         self.send_to_children(tag, data, size)
         return data
@@ -159,13 +163,18 @@ class TreeComm:
         start = self.sim.now
         collection: Collection = own if own is not None else scheme.empty()
         kind = type(collection)
+        endpoint = self._endpoint
         merged = 0
         for child in self.children:
-            deadline = start + base_bound * self._child_depth_factor[child]
-            bound = max(0.0, deadline - self.sim.now)
-            msg = yield from self._endpoint.receive(tag, timeout=bound, src=child)
-            if msg is TIMEOUT:
-                continue  # ⊥: faulty or slow child; aggregate what we have
+            # Endpoint.receive's two steps, written out: a parked receive is
+            # then this frame alone, not this one plus receive's.
+            msg = endpoint.try_receive(tag, None, child)
+            if msg is None:
+                deadline = start + base_bound * self._child_depth_factor[child]
+                bound = max(0.0, deadline - self.sim.now)
+                msg = yield endpoint.wait(tag, bound, child)
+                if msg is TIMEOUT:
+                    continue  # ⊥: faulty or slow child; aggregate what we have
             partial = msg.payload
             # Exact-type test first: isinstance on the Collection ABC goes
             # through ABCMeta.__instancecheck__ on every child reply.

@@ -170,7 +170,10 @@ class SmrNode:
         self.pacemaker: Optional[Pacemaker] = None
         self.stopped = False
 
-        self._view_tasks: List[Task] = []
+        #: Live tasks of the current view in spawn order: the view's main
+        #: task (leader loop or proposal pump) under ``None``, each undecided
+        #: instance under its height.
+        self._view_tasks: Dict[Optional[int], Task] = {}
         self._persistent_tasks: List[Task] = []
         self._seen_heights: set = set()
         self._prepare_signals: Dict[int, Signal] = {}
@@ -275,13 +278,23 @@ class SmrNode:
             self.pacemaker.stop()
 
     def _cancel_view_tasks(self) -> None:
-        for task in self._view_tasks:
+        for task in self._view_tasks.values():
             task.cancel()
         self._view_tasks.clear()
 
-    def _spawn(self, gen, name: str) -> Task:
+    def _spawn(self, gen, name: str, height: Optional[int] = None) -> Task:
+        """Start a task that dies with the view: its main task
+        (``height`` is None) or the instance at ``height``.
+
+        An instance removes itself when it ends (``_instance``'s
+        ``finally``), so a long fault-free view does not keep every decided
+        instance's task, generator and done-signal alive until the next
+        view change. The rest keep their spawn order: cancelling them in
+        that order is what allocates the cancellations' event sequence
+        numbers.
+        """
         task = spawn(self.sim, gen, name=f"n{self.node_id}-{name}")
-        self._view_tasks.append(task)
+        self._view_tasks[height] = task
         return task
 
     def _enter_view(self, view: int) -> None:
@@ -362,6 +375,7 @@ class SmrNode:
                 self._spawn(
                     self._instance(view, block, justify_now, is_leader=True),
                     f"inst-{block.height}",
+                    block.height,
                 )
                 parent_hash = block.hash
                 proposed_height = next_height
@@ -456,6 +470,7 @@ class SmrNode:
                     view, block, justify, is_leader=False, parent_meta=parent_meta
                 ),
                 f"inst-{block.height}",
+                block.height,
             )
 
     @staticmethod
@@ -539,6 +554,10 @@ class SmrNode:
         finally:
             if recorder is not None:
                 recorder.finish(height, self.sim.now, decided)
+            if view == self.view:
+                # Over in its own view: nothing left to cancel. (Cancelled
+                # by a view change, it runs this after the new view began.)
+                self._view_tasks.pop(height, None)
             self._inflight.discard(height)
             done = self._prepare_signals.get(("done", height))
             if done is not None:

@@ -117,6 +117,24 @@ class Endpoint:
         self._queued -= 1
         return msg
 
+    def wait(
+        self,
+        tag: Hashable,
+        timeout: Optional[float] = None,
+        src: Optional[int] = None,
+        match: Optional[MatchFn] = None,
+    ) -> MailboxWait:
+        """Wait request for the next message tagged ``tag`` that *arrives*.
+
+        Yielding it evaluates to the :class:`Message`, or to
+        :data:`~repro.sim.TIMEOUT` if ``timeout`` elapses first; the task
+        kernel parks the request on the tag. It does not look at the inbox:
+        ask :meth:`try_receive` first, as :meth:`receive` does. Protocol
+        coroutines on the hot path compose the two themselves, one
+        generator frame shallower than ``yield from receive(...)``.
+        """
+        return MailboxWait(self._waiters, tag, timeout, src, match)
+
     def receive(
         self,
         tag: Hashable,
@@ -132,12 +150,10 @@ class Endpoint:
         Cancellation-safe: a cancelled receiver never consumes a message,
         from the moment ``cancel()`` returns.
         """
-        if tag in self._inbox:
-            msg = self.try_receive(tag, match, src)
-            if msg is not None:
-                return msg
-        # Message or TIMEOUT; the task kernel parks the request on the tag.
-        return (yield MailboxWait(self._waiters, tag, timeout, src, match))
+        msg = self.try_receive(tag, match, src)
+        if msg is None:
+            msg = yield self.wait(tag, timeout, src, match)
+        return msg
 
     # ------------------------------------------------------------------
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:

@@ -118,10 +118,13 @@ def parse_scenario(raw: Any, where: str) -> Scenario:
                 f"(registered: {', '.join(sorted(SCENARIOS))})"
             )
         params = SCENARIOS[base]
-        if "rtt_ms" in raw:
-            params = params.with_rtt(ms(raw["rtt_ms"]))
-        if "bandwidth_mbps" in raw:
-            params = params.with_bandwidth_bps(mbps(raw["bandwidth_mbps"]))
+        try:
+            if "rtt_ms" in raw:
+                params = params.with_rtt(ms(raw["rtt_ms"]))
+            if "bandwidth_mbps" in raw:
+                params = params.with_bandwidth_bps(mbps(raw["bandwidth_mbps"]))
+        except ConfigError as exc:
+            raise PackError(f"{where}: {exc}") from None
         return params
     # name form: a fully explicit netem point
     missing = [key for key in ("rtt_ms", "bandwidth_mbps") if key not in raw]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, Generator, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -68,20 +68,23 @@ class Cpu:
         self.jobs_cancelled = 0
         self._created_at = sim.now
 
-    def consume(self, seconds: float) -> Generator:
+    def consume(self, seconds: float) -> Tuple[Hold, ...]:
         """Occupy the CPU for ``seconds`` of simulated compute time.
 
-        Zero-cost work returns immediately without queueing, so disabled
-        cost models add no events. Everything else is one
-        :class:`~repro.sim.process.Hold`: the task kernel queues the task
+        Returns the wait requests to ``yield from``: none for zero-cost
+        work, so disabled cost models add no events, and otherwise one
+        :class:`~repro.sim.process.Hold` -- the task kernel queues the task
         while the CPU is taken, times the job, and calls :meth:`_release`
-        when it completes or its task is cancelled mid-job.
+        when it completes or its task is cancelled mid-job. A tuple, not a
+        generator: ``yield from`` walks it without a frame of its own. The
+        job's timer resumes the task with ``None``, which ``yield from``
+        passes on as a plain ``next()`` (a tuple iterator has no ``send``).
         """
-        if seconds < 0:
-            raise SimulationError(f"negative CPU time: {seconds}")
+        if not seconds >= 0:  # NaN fails too
+            raise SimulationError(f"negative or NaN CPU time: {seconds}")
         if seconds == 0.0:
-            return
-        yield Hold(self, seconds)
+            return ()
+        return (Hold(self, seconds),)
 
     def _acquire(self, task: Task, token: int, hold: Hold) -> None:
         """Start ``hold``'s job now; its timer resumes ``task`` under the

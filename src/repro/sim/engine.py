@@ -112,7 +112,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # written so that NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # Inlined schedule_at: this is the hottest allocation site in a run.
         time = self.now + delay
@@ -124,7 +124,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
@@ -141,7 +141,7 @@ class Simulator:
         serialization completions) where allocating and tracking a handle
         is pure overhead. Firing order is identical to :meth:`schedule`.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
@@ -149,7 +149,7 @@ class Simulator:
 
     def schedule_call_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Handle-free :meth:`schedule_at` (see :meth:`schedule_call`)."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
@@ -174,7 +174,7 @@ class Simulator:
         handle and order; written out instead of calling :meth:`schedule`
         so the perf ledger counts the two apart (``sim.sched_timeout``).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         self._seq += 1

@@ -14,10 +14,13 @@ are five kinds, dispatched on the exact type of the yielded object:
 - ``yield Hold(resource, duration)`` -- occupy a busy-server (a
   :class:`~repro.sim.cpu.Cpu`) for ``duration``: queue for a turn while it
   is taken, hold it, release it. Callers write ``yield from
-  cpu.consume(cost)``, which yields this request.
+  cpu.consume(cost)``; ``consume`` returns a tuple holding this request
+  (empty for zero cost), so no generator frame of its own.
 - ``yield MailboxWait(...)`` -- park on a tag of a keyed mailbox until its
   owner hands over an item or the timeout elapses (evaluates to
-  :data:`TIMEOUT`). Callers write ``yield from endpoint.receive(tag)``.
+  :data:`TIMEOUT`). Callers write ``yield from endpoint.receive(tag)``, or
+  on hot paths its two steps: ``endpoint.try_receive(tag)`` and, on a
+  miss, ``yield endpoint.wait(tag)``.
 
 Sub-coroutines compose with plain ``yield from``; their ``return`` value is
 the expression value, exactly like real coroutines. This lets the paper's
@@ -74,7 +77,7 @@ class Sleep:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if duration < 0:
+        if not duration >= 0:  # NaN fails too
             raise SimulationError(f"negative sleep: {duration}")
         self.duration = duration
 
@@ -137,7 +140,7 @@ class WaitSignal:
     __slots__ = ("signal", "timeout")
 
     def __init__(self, signal: Signal, timeout: Optional[float] = None):
-        if timeout is not None and timeout < 0:
+        if timeout is not None and not timeout >= 0:
             raise SimulationError(f"negative timeout: {timeout}")
         self.signal = signal
         self.timeout = timeout
@@ -187,7 +190,7 @@ class MailboxWait:
         src: Any = None,
         match: Optional[Callable[[Any], bool]] = None,
     ):
-        if timeout is not None and timeout < 0:
+        if timeout is not None and not timeout >= 0:
             raise SimulationError(f"negative timeout: {timeout}")
         self.waiters = waiters
         self.tag = tag

@@ -32,7 +32,7 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"negative timer delay: {delay}")
         self.cancel()
         self._deadline = self.sim.now + delay

@@ -103,6 +103,41 @@ def test_protocol_config_validation():
         ProtocolConfig(base_timeout=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "rtt, bandwidth_bps",
+    [(NAN, 25e6), (INF, 25e6), (-0.1, 25e6), (0.2, NAN), (0.2, 0.0), (0.2, -1.0)],
+)
+def test_network_params_reject_nan_infinite_rtt_and_bad_bandwidth(rtt, bandwidth_bps):
+    """Regression: a NaN RTT or bandwidth passed ``rtt < 0`` / ``bw <= 0``
+    and a Kauri cluster on it ran with 0 commits and no error."""
+    with pytest.raises(ConfigError):
+        NetworkParams("x", rtt=rtt, bandwidth_bps=bandwidth_bps)
+    with pytest.raises(ConfigError):
+        GLOBAL.with_rtt(rtt).with_bandwidth_bps(bandwidth_bps)
+
+
+def test_infinite_bandwidth_stays_valid():
+    # Fig. 8's analytic floor: serialization takes no time.
+    assert NetworkParams("inf", rtt=0.1, bandwidth_bps=INF).bandwidth_bps == INF
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stretch", NAN), ("stretch", INF),
+        ("base_timeout", NAN), ("base_timeout", INF),
+        ("timeout_cap", NAN), ("timeout_cap", 0.0),
+        ("delta", NAN), ("delta", INF), ("delta", 0.0),
+    ],
+)
+def test_protocol_config_rejects_nan_and_infinite_values(field, value):
+    with pytest.raises(ConfigError, match=str(value)):
+        ProtocolConfig(**{field: value})
+
+
 def test_paper_timeout_calibration():
     # §7.10: 0.35 s for Kauri, 1.7 s for HotStuff-secp
     assert KAURI_TIMEOUT == pytest.approx(0.35)

@@ -7,6 +7,7 @@ from repro.consensus import Block, Phase
 from repro.consensus.block import GENESIS_HASH
 from repro.consensus.vote import QuorumCert, genesis_qc
 from repro.core.node import _is_stale_tag, ProtocolNode
+from tests.test_wait_requests import _fingerprint
 
 
 @pytest.fixture
@@ -156,3 +157,73 @@ class TestNewViewQuorum:
         for n, expected in ((7, 5), (13, 9), (100, 67)):
             cluster = Cluster(n=n, mode="kauri", scenario="national")
             assert cluster.nodes[0].newview_quorum == expected
+
+
+class TestViewTasks:
+    """A decided instance's task leaves ``_view_tasks`` when it finishes;
+    what is left is live and in spawn order (cancellation order)."""
+
+    @staticmethod
+    def assert_only_live_tasks(cluster):
+        for node in cluster.nodes:
+            tasks = list(node._view_tasks.values())
+            assert all(not task.done for task in tasks), node
+            if not node.stopped:
+                # The view's main task (leader loop or proposal pump) first,
+                # then the undecided instances in the order they started.
+                assert "-inst-" not in tasks[0].name
+                assert all("-inst-" in task.name for task in tasks[1:])
+
+    def test_fault_free_run_keeps_no_finished_instance(self):
+        cluster = Cluster(n=31, mode="kauri", scenario="global", seed=0)
+        cluster.start()
+        cluster.run(duration=120.0, max_commits=12)
+        assert cluster.metrics.committed_blocks == 12
+        self.assert_only_live_tasks(cluster)
+        leader = cluster.nodes[cluster.policy.leader_of(0)]
+        assert len(leader._view_tasks) == 1 + len(leader._inflight)
+
+    def test_view_change_keeps_only_the_new_views_live_tasks(self):
+        cluster = Cluster(n=31, mode="kauri", scenario="global", seed=0)
+        crashed = cluster.policy.leader_of(0)
+        cluster.crash_at(crashed, 10.0)
+        cluster.start()
+        cluster.run(duration=30.0)
+        live = [node for node in cluster.nodes if node.node_id != crashed]
+        assert {node.view for node in live} == {1}
+        assert not cluster.nodes[crashed]._view_tasks
+        self.assert_only_live_tasks(cluster)
+
+
+class TestStrategyContract:
+    """DESIGN.md, "Adding a protocol": a rule may return the mechanism's
+    coroutine (the built-in style) or be a generator function delegating
+    to it; both must drive the very same run."""
+
+    class GeneratorRules:
+        def vote_rule(self, node, view, height, phase, block, can_vote):
+            own = yield from node._make_vote(view, height, phase, block, can_vote)
+            return own
+
+        def qc_rule(self, node, view, height, phase, block, collection, is_leader):
+            qc = yield from node._resolve_qc(
+                view, height, phase, block, collection, is_leader
+            )
+            return qc
+
+    @pytest.mark.parametrize("mode", ["kauri", "kudzu"])
+    def test_generator_style_rules_reproduce_the_default_run(self, mode):
+        runs = []
+        for generator_style in (False, True):
+            cluster = Cluster(n=31, mode=mode, scenario="global", seed=0)
+            if generator_style:
+                base = type(cluster.nodes[0].protocol)
+                strategy = type("Generator" + base.__name__, (self.GeneratorRules, base), {})()
+                for node in cluster.nodes:
+                    node.protocol = strategy
+            cluster.start()
+            cluster.run(duration=120.0, max_commits=12)
+            runs.append(_fingerprint(cluster))
+        assert runs[0] == runs[1]
+        if mode == "kauri":  # pinned in tests/test_wait_requests.py too
+            assert runs[0] == (12, 15260, 3337, "da5022e99d8dde80")

@@ -143,6 +143,28 @@ def test_adaptive_duration_rejected_for_cluster_scenarios():
         compile_pack(pack)
 
 
+@pytest.mark.parametrize("key", ["rtt_ms", "bandwidth_mbps"])
+def test_nan_link_parameter_of_a_derived_scenario_names_the_cell(key):
+    """Regression: TOML's ``nan`` in a ``base``-form scenario was accepted
+    and compiled to a deployment that never commits."""
+    text = f"""
+[pack]
+name = "t"
+title = "t"
+schema = 1
+
+[defaults]
+n = 7
+duration = 5.0
+mode = "kauri"
+scenario = {{ base = "global", {key} = nan }}
+
+[[grid]]
+"""
+    with pytest.raises(PackError, match=r"grid .*, cell 0: .*nan"):
+        compile_pack(parse_pack_text(text))
+
+
 def test_unknown_config_key_rejected():
     pack = parse_pack(make_pack(defaults={
         "n": 7, "duration": 5.0, "mode": "kauri", "scenario": "national",

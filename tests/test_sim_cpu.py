@@ -63,15 +63,17 @@ def test_zero_cost_is_free_and_unqueued():
 
 
 def test_negative_cost_rejected():
-    sim = Simulator()
-    cpu = Cpu(sim)
+    for cost in (-1.0, float("nan")):
+        sim = Simulator()
+        cpu = Cpu(sim)
 
-    def bad():
-        yield from cpu.consume(-1.0)
+        def bad():
+            yield from cpu.consume(cost)
 
-    spawn(sim, bad())
-    with pytest.raises(SimulationError):
-        sim.run()
+        spawn(sim, bad())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert not cpu.busy and cpu.jobs_completed == 0
 
 
 def test_busy_time_and_utilization():

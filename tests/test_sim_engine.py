@@ -67,6 +67,18 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+def test_nan_times_rejected_by_every_schedule_call():
+    """Regression: ``delay < 0`` let NaN through, and a NaN-timed entry
+    stalls or reorders the heap without an error."""
+    sim = Simulator()
+    nan = float("nan")
+    for call in (sim.schedule, sim.schedule_at, sim.schedule_call,
+                 sim.schedule_call_at, sim.schedule_timeout):
+        with pytest.raises(SimulationError):
+            call(nan, lambda: None)
+    assert sim.pending_events == 0
+
+
 def test_schedule_at_absolute_time():
     sim = Simulator()
     fired = []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import TaskCancelled
+from repro.errors import SimulationError, TaskCancelled
+from repro.net.network import Endpoint
 from repro.sim import TIMEOUT, Signal, Simulator, Sleep, Task, WaitSignal
 from repro.sim.process import spawn, wait_all
 
@@ -19,6 +20,18 @@ def test_sleep_advances_task_clock():
     spawn(sim, proc())
     sim.run()
     assert times == [0.0, 2.5]
+
+
+def test_nan_durations_rejected():
+    """Regression: ``duration < 0`` let NaN through, a wait that never ends
+    and never errs."""
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        Sleep(nan)
+    with pytest.raises(SimulationError):
+        WaitSignal(Signal(), timeout=nan)
+    with pytest.raises(SimulationError):
+        Endpoint(Simulator(), 0).wait("tag", timeout=nan)
 
 
 def test_task_does_not_run_synchronously_at_spawn():

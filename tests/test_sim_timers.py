@@ -67,8 +67,10 @@ def test_deadline_and_remaining():
 def test_negative_delay_rejected():
     sim = Simulator()
     timer = Timer(sim, lambda: None)
-    with pytest.raises(SimulationError):
-        timer.start(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            timer.start(delay)
+    assert not timer.armed
 
 
 def test_cancel_unarmed_timer_is_noop():
