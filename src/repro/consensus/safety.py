@@ -4,7 +4,10 @@ Safety is independent of the communication topology -- these rules are
 shared by the star (HotStuff) and tree (Kauri) nodes, and they are what the
 Byzantine tests attack:
 
-- A replica votes at most once per (view, height, phase).
+- A replica votes at most once per (view, height, phase). The records of
+  that rule are dropped once their height is committed, so they stay
+  O(instances in flight) instead of growing with the run (see
+  :class:`SafetyRules`).
 - A replica only prepare-votes for a proposal that *safely extends* its
   lock: the proposal's justify QC is at least as recent as the locked QC,
   or the proposal extends the locked block (the HotStuff safeNode rule).
@@ -15,30 +18,58 @@ Byzantine tests attack:
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
 from repro.consensus.block import Block, BlockStore
 from repro.consensus.vote import Phase, QuorumCert, genesis_qc
 
 
 class SafetyRules:
-    """Per-replica voting state machine."""
+    """Per-replica voting state machine.
+
+    Vote-once records live in ``_voted``: ``(height, view)`` -> a bitmask
+    with bit ``phase._value_`` set for each phase voted, so a lookup hashes
+    two ints and never calls the Python-level ``Enum.__hash__``. Records at
+    heights the store has committed are dropped when the next vote is
+    recorded: the keys also sit in a min-heap, which makes that amortised
+    O(1) per vote, with no scan per commit.
+
+    Dropping them changes no answer :meth:`may_vote` is ever asked: an
+    instance asks once per phase, and a view runs at most one instance per
+    height (``SmrNode._seen_heights`` on replicas, a fresh height per
+    proposal on the leader), so no (view, height, phase) is asked twice.
+    That is a different rule from "refuse to vote at a committed height",
+    which would change which votes are cast.
+    """
 
     def __init__(self, store: BlockStore):
         self.store = store
         self.locked_qc: QuorumCert = genesis_qc()  # pre-commit lock
         self.high_prepare_qc: QuorumCert = genesis_qc()  # for new-view messages
-        self._voted: Set[Tuple[int, int, Phase]] = set()
+        self._voted: Dict[Tuple[int, int], int] = {}
+        #: Min-heap of the keys of ``_voted``, lowest height first.
+        self._voted_keys: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Voting guards
     # ------------------------------------------------------------------
     def may_vote(self, view: int, height: int, phase: Phase) -> bool:
         """Vote-once check (does not record)."""
-        return (view, height, phase) not in self._voted
+        return not self._voted.get((height, view), 0) >> phase._value_ & 1
 
     def record_vote(self, view: int, height: int, phase: Phase) -> None:
-        self._voted.add((view, height, phase))
+        voted = self._voted
+        keys = self._voted_keys
+        committed = self.store.committed_height
+        while keys and keys[0][0] <= committed:
+            del voted[heappop(keys)]
+        key = (height, view)
+        phases = voted.get(key)
+        if phases is None:
+            heappush(keys, key)
+            phases = 0
+        voted[key] = phases | 1 << phase._value_
 
     def safe_proposal(self, block: Block, justify: QuorumCert) -> bool:
         """The safeNode predicate for a prepare vote on ``block``.

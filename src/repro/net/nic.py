@@ -10,22 +10,29 @@ message waits behind earlier traffic) is tracked so experiments can observe
 over-pipelining: a proposal interval shorter than the sending time makes
 the backlog grow without bound.
 
-Serialization busy time is checkpointed per lane as coalesced
-``[start, end)`` intervals and bytes are logged as a cumulative series at
-enqueue instants, so the observability layer can ask for the exact link
-busy fraction and bytes carried over an arbitrary measurement window
-(half-open, like every window in this library). Back-to-back traffic
-coalesces, so a saturated uplink costs O(1) interval memory.
+Serialization busy time is checkpointed per lane in a coalesced
+:class:`~repro.sim.cpu.BusyLog` (the CPU's), and bytes are logged as a
+cumulative series at enqueue instants, so the observability layer can ask
+for the exact link busy fraction and bytes carried over an arbitrary
+measurement window (half-open, like every window in this library). Both
+logs are packed ``array`` columns with one entry per busy interval or per
+distinct enqueue instant: back-to-back traffic coalesces, so a saturated
+uplink costs O(1) interval memory, and a fan-out of m messages enqueued in
+one instant costs one byte-log entry, not m. Folding an instant's messages
+into one entry is exact: all of them fall on the same side of any window
+edge, so :meth:`Nic.bytes_in` returns the same integer as a per-message log.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Callable, List, Optional
 
 from repro.errors import NetworkError
+from repro.sim.cpu import BusyLog
 from repro.sim.engine import Simulator
 
 
@@ -43,10 +50,10 @@ class Nic:
     """
 
     __slots__ = (
-        "sim", "name", "lanes", "_lane_busy_until", "_lane_intervals",
-        "_bytes_log", "_inflight_done", "bytes_sent", "messages_sent",
-        "total_queueing_delay", "total_tx_time", "max_backlog",
-        "max_queue_depth", "_created_at",
+        "sim", "name", "lanes", "_lane_busy_until", "_lane_logs",
+        "_byte_times", "_byte_totals", "_inflight_done", "bytes_sent",
+        "messages_sent", "total_queueing_delay", "total_tx_time",
+        "max_backlog", "max_queue_depth", "_created_at",
     )
 
     def __init__(self, sim: Simulator, name: str = "nic", lanes: int = 1):
@@ -57,10 +64,12 @@ class Nic:
         self.lanes = lanes
         self._lane_busy_until = [0.0] * lanes
         #: Per-lane coalesced busy intervals (lanes never overlap themselves).
-        self._lane_intervals: List[List[List[float]]] = [[] for _ in range(lanes)]
-        #: (enqueue time, cumulative bytes including that message); enqueue
-        #: times are nondecreasing, so window queries can bisect.
-        self._bytes_log: List[Tuple[float, int]] = []
+        self._lane_logs = [BusyLog() for _ in range(lanes)]
+        #: Distinct enqueue instants (strictly increasing, so window queries
+        #: can bisect) and the cumulative bytes enqueued up to and including
+        #: each.
+        self._byte_times = array("d")
+        self._byte_totals = array("q")
         #: Heap of in-flight serialization completion times -- sized lazily
         #: at enqueue, giving the exact concurrent queue depth.
         self._inflight_done: List[float] = []
@@ -98,10 +107,10 @@ class Nic:
         callbacks (one per message, carrying the precomputed propagation
         delay) instead of a per-message closure.
         """
-        if size_bytes < 0:
-            raise NetworkError(f"negative transmit size: {size_bytes}")
-        if bandwidth_bps <= 0:
-            raise NetworkError(f"non-positive bandwidth: {bandwidth_bps}")
+        if not size_bytes >= 0:  # NaN fails too
+            raise NetworkError(f"negative or NaN transmit size: {size_bytes}")
+        if not bandwidth_bps > 0:  # inf passes: serializes instantly
+            raise NetworkError(f"non-positive or NaN bandwidth: {bandwidth_bps}")
         now = self.sim.now
         tx_time = 0.0 if math.isinf(bandwidth_bps) else size_bytes * 8.0 / bandwidth_bps
         lane = min(range(self.lanes), key=self._lane_busy_until.__getitem__)
@@ -115,8 +124,8 @@ class Nic:
         self.total_tx_time += tx_time
         self.max_backlog = max(self.max_backlog, done - now)
         if tx_time > 0.0:
-            self._record_busy(lane, start, done)
-        self._bytes_log.append((now, self.bytes_sent))
+            self._lane_logs[lane].add(start, done)
+        self._log_bytes(now)
         inflight = self._inflight_done
         while inflight and inflight[0] <= now:
             heapq.heappop(inflight)
@@ -139,12 +148,17 @@ class Nic:
         in the same order would -- the multicast equivalence property test
         pins this bit-for-bit.
         """
-        if size_bytes < 0:
-            raise NetworkError(f"negative transmit size: {size_bytes}")
+        if not size_bytes >= 0:  # NaN fails too
+            raise NetworkError(f"negative or NaN transmit size: {size_bytes}")
+        # Checked before the first is charged: a rejected batch leaves the
+        # NIC untouched.
+        for bandwidth_bps in bandwidths:
+            if not bandwidth_bps > 0:  # inf passes: serializes instantly
+                raise NetworkError(f"non-positive or NaN bandwidth: {bandwidth_bps}")
         now = self.sim.now
         lanes = self.lanes
         busy = self._lane_busy_until
-        log = self._bytes_log
+        logs = self._lane_logs
         inflight = self._inflight_done
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -153,8 +167,6 @@ class Nic:
         max_backlog = self.max_backlog
         max_depth = self.max_queue_depth
         for bandwidth_bps in bandwidths:
-            if bandwidth_bps <= 0:
-                raise NetworkError(f"non-positive bandwidth: {bandwidth_bps}")
             tx_time = 0.0 if math.isinf(bandwidth_bps) else size_bits / bandwidth_bps
             lane = 0 if lanes == 1 else min(range(lanes), key=busy.__getitem__)
             start = busy[lane]
@@ -162,34 +174,35 @@ class Nic:
                 start = now
             done = start + tx_time
             busy[lane] = done
-            self.bytes_sent += size_bytes
             self.total_queueing_delay += start - now
             self.total_tx_time += tx_time
             if done - now > max_backlog:
                 max_backlog = done - now
             if tx_time > 0.0:
-                self._record_busy(lane, start, done)
-            log.append((now, self.bytes_sent))
+                logs[lane].add(start, done)
             while inflight and inflight[0] <= now:
                 heappop(inflight)
             heappush(inflight, done)
             if len(inflight) > max_depth:
                 max_depth = len(inflight)
             done_times.append(done)
+        if done_times:
+            self.bytes_sent += size_bytes * len(done_times)
+            self._log_bytes(now)  # once: the whole batch shares one instant
         self.messages_sent += len(done_times)
         self.max_backlog = max_backlog
         self.max_queue_depth = max_depth
         return done_times
 
-    def _record_busy(self, lane: int, start: float, end: float) -> None:
-        intervals = self._lane_intervals[lane]
-        # FIFO per lane: a message starting exactly when its predecessor
-        # finished extends the open interval instead of opening a new one.
-        if intervals and start <= intervals[-1][1]:
-            if end > intervals[-1][1]:
-                intervals[-1][1] = end
+    def _log_bytes(self, now: float) -> None:
+        """Log ``bytes_sent`` as the cumulative total enqueued up to ``now``,
+        overwriting the last entry if it is for the same instant."""
+        times = self._byte_times
+        if times and times[-1] == now:
+            self._byte_totals[-1] = self.bytes_sent
         else:
-            intervals.append([start, end])
+            times.append(now)
+            self._byte_totals.append(self.bytes_sent)
 
     @property
     def backlog(self) -> float:
@@ -211,26 +224,22 @@ class Nic:
         if end <= start:
             return 0.0
         total = 0.0
-        for intervals in self._lane_intervals:
-            index = bisect_right(intervals, start, key=lambda iv: iv[1])
-            for i in range(index, len(intervals)):
-                s, e = intervals[i]
-                if s >= end:
-                    break
-                total += min(e, end) - max(s, start)
+        for log in self._lane_logs:
+            total = log.busy_in(start, end, total)
         return total
 
     def bytes_in(self, start: float, end: float) -> int:
         """Bytes enqueued for serialization inside ``[start, end)``."""
-        if end <= start or not self._bytes_log:
+        times = self._byte_times
+        if end <= start or not times:
             return 0
-        log = self._bytes_log
-        lo = bisect_left(log, (start, -1))
-        hi = bisect_left(log, (end, -1))
+        lo = bisect_left(times, start)
+        hi = bisect_left(times, end)
         if hi <= lo:
             return 0
-        before = log[lo - 1][1] if lo else 0
-        return log[hi - 1][1] - before
+        totals = self._byte_totals
+        before = totals[lo - 1] if lo else 0
+        return totals[hi - 1] - before
 
     def utilization(self, since: float = 0.0, until: Optional[float] = None) -> float:
         """Fraction of aggregate lane capacity spent serializing over the

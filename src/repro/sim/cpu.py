@@ -7,25 +7,66 @@ as they would on one core of the paper's testbed machines. Utilization is
 tracked so experiments can flag CPU-saturated data points (the paper marks
 these with red circles).
 
-Busy time is checkpointed as a sorted list of coalesced ``[start, end)``
-intervals, so :meth:`busy_in` -- and therefore :meth:`utilization` over an
-arbitrary measurement window -- is exact: a job straddling the window edge
-contributes only its in-window part, a job cancelled mid-execution still
-contributes the compute it performed before dying, and the job running
-right now contributes up to the current instant. Back-to-back jobs merge
-into one interval, so a saturated CPU costs O(1) memory however many jobs
-it serves.
+Busy time is checkpointed in a :class:`BusyLog` of coalesced ``[start,
+end)`` intervals, so :meth:`busy_in` -- and therefore :meth:`utilization`
+over an arbitrary measurement window -- is exact: a job straddling the
+window edge contributes only its in-window part, a job cancelled
+mid-execution still contributes the compute it performed before dying, and
+the job running right now contributes up to the current instant.
+Back-to-back jobs merge into one interval, so a saturated CPU costs O(1)
+memory however many jobs it serves. Each NIC lane (``net/nic.py``) keeps
+its serialization time in the same :class:`BusyLog`.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.process import Hold, Task
+
+
+class BusyLog:
+    """Coalesced, time-sorted ``[start, end)`` busy intervals of one
+    serial resource (a CPU, or one NIC lane), packed as two ``array('d')``
+    columns: 16 bytes per interval, no per-interval objects.
+
+    Intervals must be added in nondecreasing start order, which a FIFO
+    resource guarantees. One that starts at or before the end of the last
+    extends it in place, so back-to-back work costs no new entry.
+    """
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self):
+        self.starts = array("d")
+        self.ends = array("d")
+
+    def add(self, start: float, end: float) -> None:
+        ends = self.ends
+        if ends and start <= ends[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
+        else:
+            self.starts.append(start)
+            ends.append(end)
+
+    def busy_in(self, start: float, end: float, total: float = 0.0) -> float:
+        """``total`` plus the busy seconds inside ``[start, end)``, for
+        ``start < end``. Accumulating into ``total`` lets a multi-lane NIC
+        sum all its lanes in one running float, in lane order."""
+        starts, ends = self.starts, self.ends
+        # Skip intervals that finished at or before the window start.
+        for i in range(bisect_right(ends, start), len(ends)):
+            s = starts[i]
+            if s >= end:
+                break
+            total += min(ends[i], end) - max(s, start)
+        return total
 
 
 class Cpu:
@@ -46,9 +87,8 @@ class Cpu:
     """
 
     __slots__ = (
-        "sim", "name", "_busy", "_busy_since", "_queue",
-        "_interval_starts", "_interval_ends", "busy_time",
-        "jobs_completed", "jobs_cancelled", "_created_at",
+        "sim", "name", "_busy", "_busy_since", "_queue", "_busy_log",
+        "busy_time", "jobs_completed", "jobs_cancelled", "_created_at",
     )
 
     def __init__(self, sim: Simulator, name: str = "cpu"):
@@ -59,10 +99,8 @@ class Cpu:
         #: ``(task, token)`` of every task waiting for a turn, in arrival
         #: order; an entry whose token is stale belongs to a cancelled task.
         self._queue: Deque[Tuple[Task, int]] = deque()
-        #: Coalesced, time-sorted busy intervals; parallel lists so window
-        #: queries can bisect the end times directly.
-        self._interval_starts: List[float] = []
-        self._interval_ends: List[float] = []
+        #: Finished and cancelled jobs; the running one is ``_busy_since``.
+        self._busy_log = BusyLog()
         self.busy_time = 0.0
         self.jobs_completed = 0
         self.jobs_cancelled = 0
@@ -111,15 +149,7 @@ class Cpu:
         start, end = self._busy_since, self.sim.now
         if end > start:
             self.busy_time += end - start
-            ends = self._interval_ends
-            # Jobs start in nondecreasing time order; a job starting exactly
-            # when its predecessor finished extends that interval in place.
-            if ends and start <= ends[-1]:
-                if end > ends[-1]:
-                    ends[-1] = end
-            else:
-                self._interval_starts.append(start)
-                ends.append(end)
+            self._busy_log.add(start, end)
         self._busy = False
         self._busy_since = None
         woken = self._queue
@@ -169,15 +199,7 @@ class Cpu:
         """
         if end <= start:
             return 0.0
-        total = 0.0
-        # Skip intervals that finished at or before the window start.
-        index = bisect_right(self._interval_ends, start)
-        starts, ends = self._interval_starts, self._interval_ends
-        for i in range(index, len(ends)):
-            s = starts[i]
-            if s >= end:
-                break
-            total += min(ends[i], end) - max(s, start)
+        total = self._busy_log.busy_in(start, end)
         if self._busy_since is not None:
             s = max(self._busy_since, start)
             e = min(self.sim.now, end)

@@ -3,8 +3,9 @@
 ``Cpu.consume`` and ``Endpoint.receive`` / ``deliver`` / ``purge`` as they
 were written before the kernel learned ``Hold`` and ``MailboxWait``: on top
 of ``Signal`` / ``WaitSignal`` / ``Sleep``, one ``Signal`` per wait and a
-``try/finally`` generator frame around it. The method bodies are verbatim;
-only the class shells are new. ``tests/test_wait_requests.py`` drives these
+``try/finally`` generator frame around it. The method bodies are verbatim
+but for where ``_record_busy`` keeps the coalesced interval (now the
+``Cpu``'s packed ``BusyLog`` columns); only the class shells are new. ``tests/test_wait_requests.py`` drives these
 and the native bodies with the same scripts and requires the same resumes
 in the same order at the same instants, the same CPU accounting and busy
 intervals -- in no more events: :class:`SignalCpu` wakes every waiter on
@@ -69,14 +70,14 @@ class SignalCpu(Cpu):
         if end <= start:
             return
         self.busy_time += end - start
-        ends = self._interval_ends
+        ends = self._busy_log.ends
         # Jobs start in nondecreasing time order; a job starting exactly
         # when its predecessor finished extends that interval in place.
         if ends and start <= ends[-1]:
             if end > ends[-1]:
                 ends[-1] = end
         else:
-            self._interval_starts.append(start)
+            self._busy_log.starts.append(start)
             ends.append(end)
 
 

@@ -86,8 +86,8 @@ def _drive(batched, *, fanout, lanes, fault, seed):
         "nics": {
             node: (
                 nic._lane_busy_until,
-                nic._lane_intervals,
-                nic._bytes_log,
+                [(log.starts, log.ends) for log in nic._lane_logs],
+                (nic._byte_times, nic._byte_totals),
                 nic.bytes_sent,
                 nic.messages_sent,
                 nic.total_queueing_delay,

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.net import Nic
 from repro.sim import Simulator
+from tests.reference_nic import ListLogNic
 
 
 def test_single_transmit_takes_size_over_bandwidth():
@@ -158,3 +161,170 @@ def test_queue_depth_high_water_mark():
     nic.transmit(1250, 10_000.0, lambda: None)
     sim.run()
     assert nic.max_queue_depth == 3  # high water, not current depth
+
+
+# ---------------------------------------------------------------------------
+# Bad inputs: rejected before any state changes
+# ---------------------------------------------------------------------------
+NAN = float("nan")
+
+
+def nic_state(nic):
+    return (
+        list(nic._lane_busy_until),
+        list(nic._inflight_done),
+        nic.bytes_in(0.0, 10.0),
+        nic.busy_in(0.0, 10.0),
+        nic.bytes_sent,
+        nic.messages_sent,
+        nic.total_queueing_delay,
+        nic.total_tx_time,
+        nic.max_backlog,
+        nic.max_queue_depth,
+    )
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("size,bandwidth", [
+    (100, NAN), (100, 0.0), (100, -1.0), (NAN, 1e6), (-1, 1e6),
+])
+def test_bad_transmit_raw_leaves_nic_untouched(lanes, size, bandwidth):
+    sim = Simulator()
+    nic = Nic(sim, lanes=lanes)
+    nic.transmit_raw(1000, 1e6)
+    before = nic_state(nic)
+    with pytest.raises(NetworkError):
+        nic.transmit_raw(size, bandwidth)
+    assert nic_state(nic) == before
+
+
+@pytest.mark.parametrize("bandwidths", [
+    [NAN], [1e6, NAN], [1e6, math.inf, -1.0], [1e6, 0.0, 1e6],
+])
+def test_bad_batch_is_rejected_before_the_first_message_is_charged(bandwidths):
+    sim = Simulator()
+    nic = Nic(sim, lanes=2)
+    nic.transmit_raw(1000, 1e6)
+    before = nic_state(nic)
+    with pytest.raises(NetworkError):
+        nic.transmit_batch(1000, bandwidths)
+    assert nic_state(nic) == before
+
+
+def test_nan_size_batch_rejected():
+    nic = Nic(Simulator())
+    with pytest.raises(NetworkError):
+        nic.transmit_batch(NAN, [1e6])
+    assert nic_state(nic) == nic_state(Nic(Simulator()))
+
+
+def test_transmit_with_nan_bandwidth_names_the_bandwidth():
+    """The NIC refuses it itself, instead of corrupting its lanes and
+    leaving the engine to complain about a NaN completion time."""
+    sim = Simulator()
+    nic = Nic(sim)
+    with pytest.raises(NetworkError, match="bandwidth"):
+        nic.transmit(100, NAN, lambda: None)
+    assert sim.pending_events == 0
+    assert nic_state(nic) == nic_state(Nic(Simulator()))
+
+
+def test_infinite_bandwidth_stays_valid_in_a_batch():
+    sim = Simulator()
+    nic = Nic(sim)
+    assert nic.transmit_batch(10**6, [math.inf, math.inf]) == [0.0, 0.0]
+    assert nic.bytes_sent == 2 * 10**6
+
+
+# ---------------------------------------------------------------------------
+# Packed logs: one entry per enqueue instant, exact against the per-message log
+# ---------------------------------------------------------------------------
+def test_byte_log_keeps_one_entry_per_enqueue_instant():
+    sim = Simulator()
+    nic = Nic(sim)
+    nic.transmit_batch(1000, [1e6] * 10)
+    nic.transmit_raw(500, 1e6)
+    sim.run(until=1.0)
+    nic.transmit_raw(250, 1e6)
+    nic.transmit_batch(250, [1e6, 1e6])
+    assert list(nic._byte_times) == [0.0, 1.0]
+    assert list(nic._byte_totals) == [10_500, 11_250]
+    assert nic.bytes_in(0.0, 1.0) == 10_500
+    assert nic.bytes_in(1.0, 2.0) == 750
+
+
+#: Sizes and bandwidths chosen so that serializations chain back to back
+#: exactly (coalescing) as well as leave gaps, with zero-size messages and
+#: infinitely fast links among them.
+SIZES = st.sampled_from([0, 1, 125, 1000, 1250, 3333])
+BANDWIDTHS = st.sampled_from([1e4, 1e6, 8e6, 3.3e5, math.inf])
+GAPS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.001, 0.0125, 0.1]),
+    st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
+)
+STEPS = st.lists(
+    st.tuples(
+        GAPS,
+        st.booleans(),  # batch or single
+        SIZES,
+        st.lists(BANDWIDTHS, min_size=0, max_size=5),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lanes=st.integers(min_value=1, max_value=3),
+    steps=STEPS,
+    extra_edges=st.lists(st.floats(min_value=-0.1, max_value=2.0), max_size=4),
+)
+def test_packed_logs_answer_like_the_per_message_logs(lanes, steps, extra_edges):
+    sim = Simulator()
+    nic = Nic(sim, lanes=lanes)
+    ref = ListLogNic(sim, lanes=lanes)
+    for gap, batch, size, bandwidths in steps:
+        sim.run(until=sim.now + gap)
+        if batch:
+            assert nic.transmit_batch(size, bandwidths) == ref.transmit_batch(
+                size, bandwidths
+            )
+        elif bandwidths:
+            assert nic.transmit_raw(size, bandwidths[0]) == ref.transmit_raw(
+                size, bandwidths[0]
+            )
+    end = sim.now + 1.0
+    sim.run(until=end)
+    # Edges exactly on enqueue instants and on interval ends, plus a few
+    # anywhere, so every window edge case is asked.
+    edges = {0.0, end}
+    edges.update(t for t, _ in ref._bytes_log)
+    for intervals in ref._lane_intervals:
+        for s, e in intervals:
+            edges.update((s, e))
+    edges.update(extra_edges)
+    edges = sorted(edges)
+    for lo in edges:
+        for hi in edges:
+            assert nic.bytes_in(lo, hi) == ref.bytes_in(lo, hi), (lo, hi)
+            assert nic.busy_in(lo, hi) == ref.busy_in(lo, hi), (lo, hi)
+            assert nic.utilization(lo, hi) == ref.utilization(lo, hi), (lo, hi)
+    assert nic.utilization() == ref.utilization()
+    # The same coalesced intervals, and the per-message log folded by instant.
+    assert [
+        (list(log.starts), list(log.ends)) for log in nic._lane_logs
+    ] == [
+        ([s for s, _ in intervals], [e for _, e in intervals])
+        for intervals in ref._lane_intervals
+    ]
+    folded = {}
+    for t, total in ref._bytes_log:
+        folded[t] = total
+    assert list(nic._byte_times) == list(folded)
+    assert list(nic._byte_totals) == list(folded.values())
+    for attr in (
+        "_lane_busy_until", "_inflight_done", "bytes_sent", "messages_sent",
+        "total_queueing_delay", "total_tx_time", "max_backlog", "max_queue_depth",
+    ):
+        assert getattr(nic, attr) == getattr(ref, attr), attr

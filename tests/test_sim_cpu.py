@@ -306,5 +306,5 @@ def test_saturated_cpu_memory_is_bounded_by_coalescing():
     cpu = Cpu(sim)
     run_jobs(sim, cpu, [(0.0, 1.0, i) for i in range(50)])
     sim.run()
-    assert len(cpu._interval_starts) == 1
+    assert len(cpu._busy_log.starts) == 1
     assert cpu.busy_in(0.0, 50.0) == pytest.approx(50.0)

@@ -252,7 +252,7 @@ def play(script, native):
         "finished": [(task.done, task.cancelled) for task in tasks],
         "busy_time": cpu.busy_time,
         "jobs": (cpu.jobs_completed, cpu.jobs_cancelled),
-        "intervals": (list(cpu._interval_starts), list(cpu._interval_ends)),
+        "intervals": (list(cpu._busy_log.starts), list(cpu._busy_log.ends)),
         "windows": [cpu.busy_in(lo, lo + 1.5) for lo in (0.0, 0.625, 1.25, 3.0, 7.0)],
         "cpu_idle": (cpu.busy, cpu.queue_length),
         "delivered": endpoint.messages_delivered,
