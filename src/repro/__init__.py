@@ -38,7 +38,7 @@ from repro.config import (
     quorum_size,
     resilientdb_clusters,
 )
-from repro.core import MODES, PerfModel, ProtocolNode, TreeComm, mode_spec
+from repro.core import MODES, PerfModel, TreeComm, mode_spec
 from repro.runtime import (
     Cluster,
     ExperimentResult,
@@ -57,7 +57,6 @@ __all__ = [
     "ExperimentResult",
     "Metrics",
     "PerfModel",
-    "ProtocolNode",
     "TreeComm",
     "MODES",
     "mode_spec",

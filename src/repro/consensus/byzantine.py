@@ -26,15 +26,17 @@ attack, so runs stay comparable.
 from __future__ import annotations
 
 from repro.consensus.block import Block
+from repro.consensus.tags import prop_tag
 from repro.consensus.vote import QuorumCert, vote_value
 from repro.core.comm import TreeComm
-from repro.core.node import PROPOSAL_OVERHEAD, ProtocolNode, _prop_tag
+from repro.core.perfmodel import PROPOSAL_OVERHEAD
+from repro.core.smr import SmrNode
 from repro.crypto.bls import BlsCollection, BlsScheme
 from repro.crypto.secp import SecpCollection, SecpSignature
 from repro.topology.tree import Tree
 
 
-class EquivocatingLeaderNode(ProtocolNode):
+class EquivocatingLeaderNode(SmrNode):
     """Sends conflicting same-height blocks to the two halves of its
     children whenever it is the root, and signs votes for *both* twins
     (hoping to certify either) -- the double-vote that evidence collection
@@ -78,7 +80,7 @@ class EquivocatingLeaderNode(ProtocolNode):
         # each half still charges the uplink as one §4.3 batch.)
         kids = self.comm.children
         half = len(kids) // 2
-        tag = _prop_tag(view)
+        tag = prop_tag(view)
         self.network.multicast(
             self.node_id, kids[:half], tag, (block, justify, parent_meta), size
         )
@@ -96,7 +98,7 @@ class _VoteDroppingComm(TreeComm):
         super().send_to_parent(tag, payload, size)
 
 
-class VoteWithholdingNode(ProtocolNode):
+class VoteWithholdingNode(SmrNode):
     """Forwards proposals and QCs but never contributes or relays votes."""
 
     __slots__ = ()
@@ -116,7 +118,7 @@ class VoteWithholdingNode(ProtocolNode):
         yield  # pragma: no cover - keeps this a generator
 
 
-class VoteForgingNode(ProtocolNode):
+class VoteForgingNode(SmrNode):
     """Votes with fabricated signatures claiming *other* processes signed.
 
     A correct parent must verify and discard them (collection Integrity);
@@ -146,7 +148,7 @@ class VoteForgingNode(ProtocolNode):
         yield  # pragma: no cover - keeps this a generator
 
 
-class SilentNode(ProtocolNode):
+class SilentNode(SmrNode):
     """Never participates (fail-stop from boot, counted as Byzantine)."""
 
     __slots__ = ()
@@ -164,7 +166,7 @@ class _QcDroppingComm(TreeComm):
         super().send_to_children(tag, payload, size)
 
 
-class QcWithholdingLeaderNode(ProtocolNode):
+class QcWithholdingLeaderNode(SmrNode):
     """A liveness attacker: proposes blocks and collects votes but never
     disseminates the resulting quorum certificates.
 
@@ -208,7 +210,7 @@ class _QcTamperingComm(TreeComm):
         super().send_to_children(tag, payload, size)
 
 
-class QcTamperingNode(ProtocolNode):
+class QcTamperingNode(SmrNode):
     """An internal node that rewrites quorum certificates in flight.
 
     The tampered QC claims the quorum certified a different block; since

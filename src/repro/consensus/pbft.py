@@ -30,22 +30,24 @@ adversarially-tested protocols.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
-from repro.config import ProtocolConfig, quorum_size
 from repro.consensus.block import Block, BlockStore
 from repro.consensus.pacemaker import Pacemaker
-from repro.consensus.tags import is_stale_tag, newview_tag, prop_tag, vote_tag
+from repro.consensus.tags import (
+    CLIENT_TX_TAG,
+    is_stale_tag,
+    newview_tag,
+    prop_tag,
+    vote_tag,
+)
 from repro.consensus.vote import Phase, vote_value
-from repro.core.modes import ModeSpec
 from repro.core.perfmodel import PROPOSAL_OVERHEAD, PerfModel
-from repro.crypto.signature import SignatureScheme
+from repro.core.smr import ReplicaShared
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
 from repro.sim.process import Task, spawn
-from repro.topology.reconfig import ReconfigurationPolicy
-from repro.topology.tree import Tree
 
 
 # PBFT reuses the shared wire-tag vocabulary (repro.consensus.tags): its
@@ -58,37 +60,35 @@ _viewchange_tag = newview_tag
 
 
 class PbftNode:
-    """One PBFT replica. Constructor-compatible with ProtocolNode so the
-    Cluster wiring treats both uniformly."""
+    """One PBFT replica. Constructed like
+    :class:`~repro.core.smr.SmrNode`, from the deployment's
+    :class:`~repro.core.smr.ReplicaShared`, so the Cluster wiring treats
+    both uniformly."""
 
     def __init__(
         self,
         node_id: int,
         sim: Simulator,
         network: Network,
-        scheme: SignatureScheme,
-        policy: ReconfigurationPolicy,
-        config: ProtocolConfig,
-        mode: ModeSpec,
-        model_factory: Callable[[Tree], PerfModel],
-        metrics: Any,
+        shared: ReplicaShared,
         workload: Any = None,
     ):
+        self.shared = shared
         self.node_id = node_id
         self.sim = sim
         self.network = network
-        self.scheme = scheme
-        self.policy = policy
-        self.config = config
-        self.mode = mode
-        self.model_factory = model_factory
-        self.metrics = metrics
+        self.scheme = shared.scheme
+        self.policy = shared.policy
+        self.config = shared.config
+        self.mode = shared.mode
+        self.model_factory = shared.model_factory
+        self.metrics = shared.metrics
         self.workload = workload
 
-        self.n = policy.n
-        self.quorum = quorum_size(self.n)  # 2f+1 for n = 3f+1
+        self.n = shared.n
+        self.quorum = shared.quorum  # 2f+1 for n = 3f+1
         self.f = (self.n - 1) // 3
-        self.keypair = scheme.pki.keypair(node_id)
+        self.keypair = self.scheme.pki.keypair(node_id)
         self.endpoint = network.register(node_id)
         self.cpu = Cpu(sim, name=f"cpu-{node_id}")
         self.store = BlockStore()
@@ -102,7 +102,7 @@ class PbftNode:
         self._voted: Set[Tuple[int, int, str]] = set()
         self._salt = 0
         self.instance_failures = 0
-        self.pacer = None  # interface parity with ProtocolNode
+        self.pacer = None  # interface parity with SmrNode
         self.app: Any = None  # optional state machine on the commit path
         #: Highest block this replica completed the prepare phase for.
         self._last_prepared: Optional[Block] = None
@@ -119,7 +119,7 @@ class PbftNode:
             on_timeout=self._on_timeout,
             cap=self.config.timeout_cap,
         )
-        if self.workload is not None and hasattr(self.workload, "ingest"):
+        if hasattr(self.workload, "admit_batch"):
             self._persistent_tasks.append(
                 spawn(self.sim, self._client_pump(), name=f"pbft{self.node_id}-clients")
             )
@@ -127,12 +127,11 @@ class PbftNode:
 
     def _client_pump(self):
         """Persistent ingress for client transaction batches (§2)."""
-        from repro.core.node import CLIENT_TX_TAG
-
+        admit = self.workload.admit_batch
         while True:
             msg = yield from self.endpoint.receive(CLIENT_TX_TAG)
             if isinstance(msg.payload, list):
-                self.workload.ingest(msg.payload)
+                admit(msg.payload, self.sim.now)
 
     def stop(self) -> None:
         self.stopped = True
@@ -205,7 +204,7 @@ class PbftNode:
                 if self.workload is not None:
                     fill = self.workload.next_fill(self.sim.now)
                     payload_size, num_txs = fill.payload_size, fill.num_txs
-                    tx_ids = getattr(fill, "tx_ids", ())
+                    tx_ids = fill.tx_ids
                 else:
                     payload_size = self.config.block_size
                     num_txs = self.config.txs_per_block

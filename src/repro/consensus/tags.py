@@ -11,7 +11,9 @@ baseline -- share one namespace so view-scoped inbox hygiene
   :class:`~repro.consensus.vote.Phase` name, a string on the wire);
 - ``("qc", view, height, phase)``    -- quorum-certificate dissemination;
 - ``("newview", view)``              -- view-change messages to the next
-  leader.
+  leader;
+- :data:`CLIENT_TX_TAG`              -- client transaction batches to a
+  replica's mempool (not view-scoped).
 
 Purging by :func:`is_stale_tag` on view entry drops every protocol message
 of strictly older views while leaving client traffic and future-view
@@ -26,6 +28,10 @@ from repro.consensus.vote import Phase
 
 #: First elements of every protocol-owned tag (the purge namespace).
 PROTOCOL_TAG_KINDS = ("prop", "vote", "qc", "newview")
+
+#: Client transaction submissions (see ClientHarness); every replica's
+#: client pump receives on it.
+CLIENT_TX_TAG = ("client", "txs")
 
 
 def _phase_name(phase: Union[Phase, str]) -> str:

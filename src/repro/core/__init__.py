@@ -11,9 +11,9 @@ This is the paper's primary contribution (§3-§5):
 - :mod:`repro.core.smr` -- the protocol-agnostic replica base
   (:class:`SmrNode`): view lifecycle, client pump, commit plumbing, and the
   §5/§6 reconfiguration machinery, parameterized by a pluggable
-  :class:`~repro.consensus.protocol.Protocol` strategy.
-- :mod:`repro.core.node` -- the historical ``ProtocolNode`` facade over
-  ``SmrNode``.
+  :class:`~repro.consensus.protocol.Protocol` strategy. Every replica of a
+  deployment, Byzantine behaviours included, is an ``SmrNode`` (or PBFT's
+  standalone node) built from one shared ``ReplicaShared``.
 - :mod:`repro.core.modes` -- the evaluated systems (Kauri, Kauri-np,
   HotStuff-secp, HotStuff-bls, PBFT, Kudzu; §7) and the ``PROTOCOLS``
   strategy registry.
@@ -21,7 +21,6 @@ This is the paper's primary contribution (§3-§5):
 
 from repro.core.comm import TreeComm
 from repro.core.perfmodel import PerfModel
-from repro.core.node import ProtocolNode
 from repro.core.smr import ReplicaShared, SmrNode
 from repro.core.modes import (
     MODES,
@@ -42,7 +41,6 @@ from repro.core.autotune import (
 __all__ = [
     "TreeComm",
     "PerfModel",
-    "ProtocolNode",
     "ReplicaShared",
     "SmrNode",
     "MODES",

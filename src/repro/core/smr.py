@@ -38,9 +38,10 @@ from repro.config import ProtocolConfig, quorum_size
 from repro.consensus.block import Block, BlockStore
 from repro.consensus.pacemaker import Pacemaker
 from repro.consensus.safety import SafetyRules
+from repro.consensus.tags import CLIENT_TX_TAG
 from repro.consensus.vote import Phase, QuorumCert, vote_value
 from repro.core.comm import TreeComm
-from repro.core.modes import ModeSpec, protocol_for
+from repro.core.modes import ModeSpec, protocol_for, protocol_kind
 from repro.core.perfmodel import PROPOSAL_OVERHEAD, PerfModel
 from repro.crypto.collection import Collection
 from repro.crypto.signature import SignatureScheme
@@ -54,9 +55,6 @@ from repro.topology.tree import Tree
 
 #: Extra wire bytes of a new-view message beyond its QC.
 NEWVIEW_OVERHEAD = 256
-
-#: Tag for client transaction submissions (see ClientHarness).
-CLIENT_TX_TAG = ("client", "txs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +71,8 @@ class ReplicaShared:
     Strategies are stateless (they receive the node on every call), which
     is what makes sharing :attr:`protocol` across replicas safe; a node
     that needs a bespoke strategy can still assign ``node.protocol``.
+    :attr:`protocol` is ``None`` in a deployment of a standalone node class
+    (PBFT), which reads the rest of this configuration the same way.
     """
 
     scheme: SignatureScheme
@@ -104,7 +104,9 @@ class ReplicaShared:
             mode=mode,
             model_factory=model_factory,
             metrics=metrics,
-            protocol=protocol_for(mode),
+            protocol=(
+                protocol_for(mode) if protocol_kind(mode.protocol) == "strategy" else None
+            ),
             n=n,
             quorum=quorum_size(n),
             newview_quorum=2 * ((n - 1) // 3) + 1,  # §6: 2f+1
@@ -129,33 +131,17 @@ class SmrNode:
         node_id: int,
         sim: Simulator,
         network: Network,
-        scheme: Optional[SignatureScheme] = None,
-        policy: Optional[ReconfigurationPolicy] = None,
-        config: Optional[ProtocolConfig] = None,
-        mode: Optional[ModeSpec] = None,
-        model_factory: Optional[Callable[[Tree], PerfModel]] = None,
-        metrics: Any = None,
+        shared: ReplicaShared,
         workload: Any = None,
-        shared: Optional[ReplicaShared] = None,
     ):
-        if shared is None:
-            # Direct construction (tests, one-off nodes): build a private
-            # flyweight from the pieces. Deployment builders construct one
-            # ReplicaShared up front and pass it to every node.
-            shared = ReplicaShared.build(
-                scheme=scheme,
-                policy=policy,
-                config=config,
-                mode=mode,
-                model_factory=model_factory,
-                metrics=metrics,
-            )
         self.shared = shared
         self.node_id = node_id
         self.sim = sim
         self.network = network
         self.workload = workload  # None = saturated (always-full blocks)
-        self.protocol = shared.protocol
+        # No strategy means a standalone-node deployment (PBFT), where
+        # protocol_for raises the ConfigError: an SmrNode cannot run there.
+        self.protocol = shared.protocol or protocol_for(shared.mode)
 
         self.keypair = shared.scheme.pki.keypair(node_id)
         self.endpoint = network.register(node_id)
@@ -241,31 +227,21 @@ class SmrNode:
             on_timeout=self._on_timeout,
             cap=self.config.timeout_cap,
         )
-        if self.workload is not None and hasattr(self.workload, "ingest"):
+        if hasattr(self.workload, "admit_batch"):
             self._persistent_tasks.append(
                 spawn(self.sim, self._client_pump(), name=f"n{self.node_id}-clients")
             )
         self._enter_view(0)
 
     def _client_pump(self):
-        """Persistent ingress for client transaction batches (§2).
-
-        Admission-controlled workloads expose ``admit`` (bounded mempool
-        with drop/defer backpressure); plain ones only ``ingest``. Bulk
-        mempools additionally expose ``admit_batch`` (amortised headroom
-        arithmetic over whole batches/chunks) -- preferred when present,
-        since the workload engine ships per-tick arrivals as lazy chunks.
-        """
-        admit = getattr(self.workload, "admit_batch", None)
-        if admit is None:
-            admit = getattr(self.workload, "admit", None)
+        """Persistent ingress for client transaction batches (§2): each
+        batch goes to the mempool's ``admit_batch`` (bounded admission with
+        drop/defer backpressure, amortised over whole batches and chunks)."""
+        admit = self.workload.admit_batch
         while True:
             msg = yield from self.endpoint.receive(CLIENT_TX_TAG)
             if isinstance(msg.payload, list):
-                if admit is not None:
-                    admit(msg.payload, self.sim.now)
-                else:
-                    self.workload.ingest(msg.payload)
+                admit(msg.payload, self.sim.now)
 
     def stop(self) -> None:
         """Halt the replica (crash injection); idempotent."""
@@ -400,7 +376,7 @@ class SmrNode:
         if self.workload is not None:
             fill = self.workload.next_fill(self.sim.now)
             payload_size, num_txs = fill.payload_size, fill.num_txs
-            tx_ids = getattr(fill, "tx_ids", ())
+            tx_ids = fill.tx_ids
         else:
             payload_size, num_txs = self.config.block_size, self.config.txs_per_block
         block = Block.create(

@@ -29,7 +29,7 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import NetworkError
 from repro.sim.cpu import BusyLog
@@ -82,30 +82,15 @@ class Nic:
         self.max_queue_depth = 0
         self._created_at = sim.now
 
-    def transmit(
-        self,
-        size_bytes: int,
-        bandwidth_bps: float,
-        on_serialized: Callable[[], None],
-    ) -> float:
-        """Enqueue ``size_bytes`` for serialization; returns completion time.
-
-        ``on_serialized`` fires when the last bit leaves the interface
-        (propagation is the caller's concern). Infinite bandwidth
-        (``math.inf``) serializes instantly -- used for the paper's
-        "idealized infinite bandwidth" latency floor (§7.6).
-        """
-        done = self.transmit_raw(size_bytes, bandwidth_bps)
-        self.sim.schedule_call_at(done, on_serialized)
-        return done
-
     def transmit_raw(self, size_bytes: int, bandwidth_bps: float) -> float:
-        """:meth:`transmit` minus the completion event: charge the NIC and
-        return the completion time, leaving scheduling to the caller.
+        """Enqueue ``size_bytes`` for serialization: charge the NIC and
+        return the instant the last bit leaves the interface.
 
-        The fabric uses this to schedule its own handle-free completion
-        callbacks (one per message, carrying the precomputed propagation
-        delay) instead of a per-message closure.
+        Scheduling is the caller's: the fabric schedules its own
+        handle-free completion callback per message, carrying the
+        precomputed propagation delay. Infinite bandwidth (``math.inf``)
+        serializes instantly -- used for the paper's "idealized infinite
+        bandwidth" latency floor (§7.6).
         """
         if not size_bytes >= 0:  # NaN fails too
             raise NetworkError(f"negative or NaN transmit size: {size_bytes}")

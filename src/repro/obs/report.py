@@ -67,7 +67,7 @@ def build_report(
     hi = sim.now if end is None else end
     window = max(hi - lo, 0.0)
     metrics = cluster.metrics
-    recorders = getattr(cluster, "recorders", {})
+    recorders = cluster.recorders
 
     nodes: List[Dict[str, Any]] = []
     saturated: List[int] = []
@@ -179,14 +179,10 @@ def build_report(
     # Fast-path protocols only: reports of the six classic modes must stay
     # byte-identical (the golden tests pin them), so the section is
     # strictly conditional.
-    if getattr(cluster.mode, "protocol", None) == "kudzu":
+    if cluster.mode.protocol == "kudzu":
         report["fast_path"] = {
-            "fast_commits": sum(
-                getattr(n, "fast_commits", 0) for n in cluster.nodes
-            ),
-            "fast_fallbacks": sum(
-                getattr(n, "fast_fallbacks", 0) for n in cluster.nodes
-            ),
+            "fast_commits": sum(n.fast_commits for n in cluster.nodes),
+            "fast_fallbacks": sum(n.fast_fallbacks for n in cluster.nodes),
         }
     # Workload-engine runs only (same byte-identity rule as fast_path):
     # a WorkloadHarness registers itself on the cluster; plain runs have

@@ -110,7 +110,7 @@ class MempoolWorkload:
     processes).
 
     Client batches arrive over the network (see :class:`ClientHarness`);
-    the node's client pump calls :meth:`admit`, and each proposal drains
+    the node's client pump calls :meth:`admit_batch`, and each proposal drains
     the oldest transactions up to the block budget -- both the payload-byte
     cap *and* ``config.txs_per_block`` (the per-block transaction count the
     CPU/crypto cost model assumes). Carries transaction ids into blocks so
@@ -146,7 +146,7 @@ class MempoolWorkload:
         self._pending_txs = 0
         self._deferred: deque = deque()
         self._deferred_txs = 0
-        self.ingested = 0  # admitted into the mempool (back-compat name)
+        self.admitted = 0  # accepted into the mempool, releases included
         self.offered = 0
         self.dropped = 0
         #: Per-client admission accounting (client id -> count), letting a
@@ -158,7 +158,7 @@ class MempoolWorkload:
     def _admit_one(self, tx: Tx) -> None:
         self._pending.append(tx)
         self._pending_txs += 1
-        self.ingested += 1
+        self.admitted += 1
         self.admitted_by_client[tx.tx_id[0]] += 1
 
     def _has_room(self) -> bool:
@@ -168,36 +168,6 @@ class MempoolWorkload:
         if self.capacity_txs is None:
             return want
         return min(want, max(0, self.capacity_txs - self._pending_txs))
-
-    def admit(self, txs, now: Optional[float] = None) -> int:
-        """Admission control: accept transactions up to capacity.
-
-        Returns the number admitted; overflow is dropped or deferred per
-        the policy. ``now`` is accepted for symmetry with the client pump
-        (admission is instantaneous in the model, so it is unused).
-
-        This is the per-item reference path (and the oracle the bulk path
-        is differentially tested against); hot callers go through
-        :meth:`admit_batch`.
-        """
-        admitted = 0
-        for tx in txs:
-            if isinstance(tx, TxChunk):
-                admitted += self._admit_chunk(tx)
-                continue
-            if not isinstance(tx, Tx):
-                continue
-            self.offered += 1
-            if self._has_room():
-                self._admit_one(tx)
-                admitted += 1
-            elif self.policy == "defer":
-                self._deferred.append(tx)
-                self._deferred_txs += 1
-            else:
-                self.dropped += 1
-                self.dropped_by_client[tx.tx_id[0]] += 1
-        return admitted
 
     def _admit_chunk(self, chunk: TxChunk) -> int:
         """Admit one lazy run: capacity headroom computed once, overflow
@@ -211,7 +181,7 @@ class MempoolWorkload:
             head = chunk if take == count else chunk.split(take)[0]
             self._pending.append(head)
             self._pending_txs += take
-            self.ingested += take
+            self.admitted += take
             self.admitted_by_client[chunk.client_id] += take
         overflow = count - take
         if overflow:
@@ -234,7 +204,7 @@ class MempoolWorkload:
             accepted = txs if take == count else txs[:take]
             self._pending.extend(accepted)
             self._pending_txs += take
-            self.ingested += take
+            self.admitted += take
             self.admitted_by_client.update(tx.tx_id[0] for tx in accepted)
         if take < count:
             overflow = txs[take:]
@@ -247,13 +217,20 @@ class MempoolWorkload:
         return take
 
     def admit_batch(self, items, now: Optional[float] = None) -> int:
-        """Bulk admission: same outcome as :meth:`admit`, amortised cost.
+        """Admission control: accept transactions up to capacity.
+
+        Returns the number admitted; overflow is dropped or deferred per
+        the policy, and items that are neither ``Tx`` nor ``TxChunk`` are
+        ignored. ``now`` is accepted for symmetry with the client pump
+        (admission is instantaneous in the model, so it is unused).
 
         ``items`` may mix ``TxChunk`` runs (the workload fast path) with
         plain ``Tx`` objects; consecutive ``Tx`` runs are admitted with
-        slice arithmetic. Because headroom is consumed strictly in arrival
-        order, the admit/drop/defer outcome is invariant to how a batch is
-        partitioned into chunks (pinned by test).
+        slice arithmetic. The outcome equals admitting one transaction at a
+        time (the per-item oracle in ``tests/reference_mempool.py``), and
+        because headroom is consumed strictly in arrival order it is
+        invariant to how a batch is partitioned into chunks (both pinned by
+        test).
         """
         admitted = 0
         run: List[Tx] = []
@@ -268,9 +245,6 @@ class MempoolWorkload:
         if run:
             admitted += self._admit_tx_run(run)
         return admitted
-
-    def ingest(self, txs) -> None:
-        self.admit(txs)
 
     def next_fill(self, now: float) -> BlockFill:
         taken_ids: List[Tuple[int, int]] = []
@@ -325,7 +299,7 @@ class MempoolWorkload:
                 self._deferred_txs -= take
                 self._pending.append(chunk)
                 self._pending_txs += take
-                self.ingested += take
+                self.admitted += take
                 self.admitted_by_client[chunk.client_id] += take
             else:
                 deferred.popleft()
@@ -340,11 +314,6 @@ class MempoolWorkload:
     @property
     def deferred_txs(self) -> int:
         return self._deferred_txs
-
-    @property
-    def admitted(self) -> int:
-        """Transactions accepted into the mempool (alias of ``ingested``)."""
-        return self.ingested
 
 
 class _ClientAwareNetem:
@@ -436,7 +405,7 @@ class ClientHarness:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn one submission loop per client (call after wiring)."""
-        from repro.core.node import CLIENT_TX_TAG
+        from repro.consensus.tags import CLIENT_TX_TAG
         from repro.sim.process import Sleep, spawn
 
         per_client_rate = self.rate_txs / self.num_clients

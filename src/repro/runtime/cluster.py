@@ -18,7 +18,6 @@ from repro.config import (
     max_faults,
 )
 from repro.core.modes import ModeSpec, mode_spec, protocol_class, protocol_kind
-from repro.core.node import ProtocolNode
 from repro.core.smr import ReplicaShared, SmrNode
 from repro.core.perfmodel import PerfModel
 from repro.crypto.keys import Pki
@@ -80,7 +79,7 @@ class Cluster:
         root_fanout: Optional[int] = None,
         seed: int = 0,
         crashes: Sequence[Tuple[int, float]] = (),
-        byzantine: Optional[Dict[int, Callable[..., ProtocolNode]]] = None,
+        byzantine: Optional[Dict[int, Callable[..., SmrNode]]] = None,
         workload_factory: Optional[Callable[[int], Any]] = None,
         uplink_lanes: int = 1,
         strict: bool = True,
@@ -116,47 +115,24 @@ class Cluster:
         byzantine = byzantine or {}
         # Strategy protocols all run on the shared SmrNode base; standalone
         # node classes (PBFT's clique flow) come from the registry directly.
-        default_factory: Callable[..., ProtocolNode] = ProtocolNode
+        default_factory: Callable[..., SmrNode] = SmrNode
         if protocol_kind(self.mode.protocol) == "node":
             default_factory = protocol_class(self.mode.protocol)
         #: One flyweight of deployment-wide immutable replica config,
-        #: shared by every SmrNode (built lazily: a pure-PBFT deployment
-        #: never resolves an SmrNode strategy).
-        self.shared: Optional[ReplicaShared] = None
-        self.nodes: List[ProtocolNode] = []
+        #: shared by every replica, honest or Byzantine.
+        self.shared = ReplicaShared.build(
+            scheme=self.scheme,
+            policy=self.policy,
+            config=self.config,
+            mode=self.mode,
+            model_factory=self.model_for,
+            metrics=self.metrics,
+        )
+        self.nodes: List[SmrNode] = []
         for node_id in range(n):
             factory = byzantine.get(node_id, default_factory)
             workload = workload_factory(node_id) if workload_factory else None
-            if isinstance(factory, type) and issubclass(factory, SmrNode):
-                if self.shared is None:
-                    self.shared = ReplicaShared.build(
-                        scheme=self.scheme,
-                        policy=self.policy,
-                        config=self.config,
-                        mode=self.mode,
-                        model_factory=self.model_for,
-                        metrics=self.metrics,
-                    )
-                node = factory(
-                    node_id=node_id,
-                    sim=self.sim,
-                    network=self.network,
-                    workload=workload,
-                    shared=self.shared,
-                )
-            else:
-                node = factory(
-                    node_id=node_id,
-                    sim=self.sim,
-                    network=self.network,
-                    scheme=self.scheme,
-                    policy=self.policy,
-                    config=self.config,
-                    mode=self.mode,
-                    model_factory=self.model_for,
-                    metrics=self.metrics,
-                    workload=workload,
-                )
+            node = factory(node_id, self.sim, self.network, self.shared, workload)
             self.nodes.append(node)
             if node_id in byzantine:
                 self.faults.mark_byzantine(node_id)
@@ -243,9 +219,17 @@ class Cluster:
         max_commits: Optional[int] = None,
     ) -> None:
         """Run until ``duration`` simulated seconds or ``max_commits``
-        committed blocks, whichever comes first."""
-        if duration is None and max_commits is None:
-            raise ConfigError("need a stop condition (duration or max_commits)")
+        committed blocks, whichever comes first.
+
+        ``duration`` is required: a deployment that cannot commit
+        ``max_commits`` blocks (too many crashes, say) never runs out of
+        events, because its pacemakers keep timing out.
+        """
+        if duration is None:
+            raise ConfigError(
+                "Cluster.run needs a duration (simulated seconds); "
+                "max_commits only stops earlier"
+            )
         if max_commits is not None:
             check_interval = 0.25
 
@@ -278,7 +262,7 @@ class Cluster:
                         f"{seen} vs {block.hash}"
                     )
 
-    def correct_nodes(self) -> List[ProtocolNode]:
+    def correct_nodes(self) -> List[SmrNode]:
         """Nodes that are neither crashed nor designated Byzantine."""
         return [
             node

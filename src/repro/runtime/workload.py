@@ -32,7 +32,6 @@ runs and execution backends (the sweep engine's process pool included).
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -56,6 +55,13 @@ __all__ = [
     "make_workload_factory",
     "saturation_knee",
 ]
+
+
+#: Transactions per flyweight chunk: a tick at a very high rate ships one
+#: :class:`~repro.runtime.clients.TxChunk` per this many transactions
+#: (payload partitioning only -- the per-tick network send and its byte
+#: size are unchanged, and so is every admission outcome).
+INGEST_CHUNK_TXS = 8192
 
 
 # ----------------------------------------------------------------------
@@ -517,16 +523,12 @@ class WorkloadHarness(ClientHarness):
             random.Random(f"workload-keys:{seed}"),
         )
         self._latency_hist = _new_histogram()
-        # Ticks at very high rates ship one flyweight chunk per
-        # ``_chunk_txs`` transactions (payload partitioning only -- the
-        # per-tick network send and its byte size are unchanged).
-        self._chunk_txs = max(1, int(os.environ.get("REPRO_INGEST_CHUNK", "8192")))
         cluster.workload_harness = self
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn one submission loop per client class."""
-        from repro.core.node import CLIENT_TX_TAG
+        from repro.consensus.tags import CLIENT_TX_TAG
         from repro.sim.process import Sleep, spawn
 
         def class_loop(state: _ClassState):
@@ -535,7 +537,7 @@ class WorkloadHarness(ClientHarness):
             mmpp = MmppModulator(cls.mmpp, rng) if cls.mmpp else None
             interval = self.spec.batch_interval
             jitter = self.spec.jitter
-            chunk_txs = self._chunk_txs
+            chunk_txs = INGEST_CHUNK_TXS
             tx_size = self.tx_size
             client_id = state.client_id
             sim = self.cluster.sim

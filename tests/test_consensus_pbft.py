@@ -46,6 +46,21 @@ class TestPbftBasics:
                 assert reference[block.height] == block.hash
 
 
+class TestPbftWiring:
+    def test_nodes_share_the_deployment_config(self):
+        cluster = Cluster(n=7, mode="pbft", scenario="national")
+        assert all(node.shared is cluster.shared for node in cluster.nodes)
+        assert cluster.shared.protocol is None  # no SmrNode strategy
+        assert cluster.nodes[0].quorum == cluster.shared.quorum == 5
+
+    def test_smr_node_factory_in_a_pbft_deployment_is_refused(self):
+        from repro.consensus.byzantine import SilentNode
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="standalone node class"):
+            Cluster(n=7, mode="pbft", scenario="national", byzantine={1: SilentNode})
+
+
 class TestPbftComplexity:
     def test_quadratic_message_complexity(self):
         """§1: PBFT's all-to-all pattern is O(n²) per instance; HotStuff's

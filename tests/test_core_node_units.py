@@ -1,12 +1,13 @@
-"""Mechanism-level tests of ProtocolNode internals."""
+"""Mechanism-level tests of SmrNode internals."""
 
 import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.consensus import Block, Phase
 from repro.consensus.block import GENESIS_HASH
+from repro.consensus.tags import is_stale_tag
 from repro.consensus.vote import QuorumCert, genesis_qc
-from repro.core.node import _is_stale_tag, ProtocolNode
+from repro.core.smr import SmrNode
 from tests.test_wait_requests import _fingerprint
 
 
@@ -17,35 +18,35 @@ def cluster():
 
 class TestStaleTagPredicate:
     def test_protocol_tags_of_older_views_are_stale(self):
-        assert _is_stale_tag(("prop", 1), view=2)
-        assert _is_stale_tag(("vote", 0, 5, "PREPARE"), view=1)
-        assert _is_stale_tag(("qc", 1, 5, "COMMIT"), view=2)
-        assert _is_stale_tag(("newview", 1), view=2)
+        assert is_stale_tag(("prop", 1), view=2)
+        assert is_stale_tag(("vote", 0, 5, "PREPARE"), view=1)
+        assert is_stale_tag(("qc", 1, 5, "COMMIT"), view=2)
+        assert is_stale_tag(("newview", 1), view=2)
 
     def test_current_and_future_views_kept(self):
-        assert not _is_stale_tag(("prop", 2), view=2)
-        assert not _is_stale_tag(("newview", 3), view=2)
+        assert not is_stale_tag(("prop", 2), view=2)
+        assert not is_stale_tag(("newview", 3), view=2)
 
     def test_foreign_tags_kept(self):
-        assert not _is_stale_tag("random", view=5)
-        assert not _is_stale_tag(("other", 0), view=5)
-        assert not _is_stale_tag(("prop", "x"), view=5)
+        assert not is_stale_tag("random", view=5)
+        assert not is_stale_tag(("other", 0), view=5)
+        assert not is_stale_tag(("prop", "x"), view=5)
 
 
 class TestParseProposal:
     def test_valid_payload(self, cluster):
         node = cluster.nodes[1]
         block = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0)
-        parsed = ProtocolNode._parse_proposal((block, genesis_qc(), None))
+        parsed = SmrNode._parse_proposal((block, genesis_qc(), None))
         assert parsed == (block, genesis_qc(), None)
 
     def test_garbage_payloads_rejected(self):
         block = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0)
-        assert ProtocolNode._parse_proposal("junk") is None
-        assert ProtocolNode._parse_proposal((block,)) is None
-        assert ProtocolNode._parse_proposal((block, "not-a-qc", None)) is None
-        assert ProtocolNode._parse_proposal(("not-a-block", genesis_qc(), None)) is None
-        assert ProtocolNode._parse_proposal((block, genesis_qc(), "junk")) is None
+        assert SmrNode._parse_proposal("junk") is None
+        assert SmrNode._parse_proposal((block,)) is None
+        assert SmrNode._parse_proposal((block, "not-a-qc", None)) is None
+        assert SmrNode._parse_proposal(("not-a-block", genesis_qc(), None)) is None
+        assert SmrNode._parse_proposal((block, genesis_qc(), "junk")) is None
 
 
 class TestPendingCommits:

@@ -6,9 +6,10 @@ The load-bearing invariants pinned here:
 
 * the chunked client path produces the byte-identical arrival sequence
   the per-``Tx`` path produced (digest pinned below), for any chunk size;
-* ``admit_batch`` is outcome-equivalent to the per-item ``admit`` oracle,
-  and invariant to how a batch is partitioned into chunks;
-* the admission conservation law ``offered == ingested + dropped +
+* ``admit_batch`` is outcome-equivalent to the per-item ``admit`` oracle
+  (``tests/reference_mempool.py``), and invariant to how a batch is
+  partitioned into chunks;
+* the admission conservation law ``offered == admitted + dropped +
   deferred_txs`` holds at every step across defer -> release cycles;
 * ``LatencyHistogram`` percentiles track the exact nearest-rank
   percentile within the documented relative-error bound, in O(buckets)
@@ -20,7 +21,6 @@ The load-bearing invariants pinned here:
 
 import hashlib
 import math
-import os
 import random
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
 from repro.runtime import LatencyHistogram, MempoolWorkload, Tx, TxChunk
+from repro.runtime import workload as workload_module
 from repro.runtime.metrics import (
     E2E_PERCENTILES,
     latency_summary,
@@ -43,6 +44,7 @@ from repro.runtime.workload import (
     WorkloadSpec,
     make_workload_factory,
 )
+from tests.reference_mempool import PerItemMempool
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +71,10 @@ class TestTxChunk:
 # ---------------------------------------------------------------------------
 # Bulk admission: differential vs the per-item oracle
 # ---------------------------------------------------------------------------
-def make_pool(capacity, policy, block_size=64 * KB, tx_size=512):
+def make_pool(capacity, policy, block_size=64 * KB, tx_size=512,
+              mempool=MempoolWorkload):
     config = ProtocolConfig(block_size=block_size, tx_size=tx_size)
-    return MempoolWorkload(config, capacity_txs=capacity, policy=policy)
+    return mempool(config, capacity_txs=capacity, policy=policy)
 
 
 def flatten(items):
@@ -88,7 +91,7 @@ def flatten(items):
 def pool_state(pool):
     return {
         "offered": pool.offered,
-        "ingested": pool.ingested,
+        "admitted": pool.admitted,
         "dropped": pool.dropped,
         "queued": pool.queued_txs,
         "deferred": pool.deferred_txs,
@@ -145,7 +148,7 @@ def build_items(raw):
 def test_admit_batch_matches_per_item_oracle(raw, capacity, policy):
     items = build_items(raw)
     fast = make_pool(capacity, policy)
-    oracle = make_pool(capacity, policy)
+    oracle = make_pool(capacity, policy, mempool=PerItemMempool)
     admitted_fast = fast.admit_batch(items)
     admitted_ref = oracle.admit(flatten(items))
     assert admitted_fast == admitted_ref
@@ -182,10 +185,10 @@ def test_admission_invariant_to_chunk_partition(count, cuts, capacity, policy):
 
 
 def test_admit_accepts_chunks_too():
-    """The reference path understands chunks (used by plain harness code
-    and as the fallback when a workload lacks admit_batch)."""
+    """A chunk larger than the headroom is split: the head is admitted,
+    the rest dropped and charged to its client."""
     pool = make_pool(capacity=5, policy="drop")
-    taken = pool.admit([TxChunk(0, 0, 8, 512, 0.0)])
+    taken = pool.admit_batch([TxChunk(0, 0, 8, 512, 0.0)])
     assert taken == 5
     assert pool.offered == 8 and pool.dropped == 3
     assert pool.dropped_by_client[0] == 3
@@ -212,7 +215,7 @@ def test_chunk_drain_splits_across_blocks():
 # Conservation law across defer -> release cycles
 # ---------------------------------------------------------------------------
 def check_conservation(pool):
-    assert pool.offered == pool.ingested + pool.dropped + pool.deferred_txs
+    assert pool.offered == pool.admitted + pool.dropped + pool.deferred_txs
     if pool.capacity_txs is not None:
         assert pool.queued_txs <= pool.capacity_txs
 
@@ -220,15 +223,16 @@ def check_conservation(pool):
 @pytest.mark.parametrize("policy", ["drop", "defer"])
 @pytest.mark.parametrize("use_batch", [False, True])
 def test_conservation_law_across_release_cycles(policy, use_batch):
-    """offered == ingested + dropped + deferred holds at every step, for
-    both admission paths, across sustained defer -> release cycles.
+    """offered == admitted + dropped + deferred holds at every step, for
+    the bulk path and the per-item oracle, across sustained defer ->
+    release cycles.
 
     Deferred entries are counted as offered at arrival, so the release
     loop inside next_fill must bypass the offered counter; double-counting
     there is exactly what this regression test exists to catch.
     """
     rng = random.Random(11)
-    pool = make_pool(capacity=50, policy=policy)
+    pool = make_pool(capacity=50, policy=policy, mempool=PerItemMempool)
     admit = pool.admit_batch if use_batch else pool.admit
     for step in range(60):
         items = []
@@ -245,13 +249,13 @@ def test_conservation_law_across_release_cycles(policy, use_batch):
         pool.next_fill(float(step))
         check_conservation(pool)
     # Drain to empty: with defer nothing is ever dropped, and everything
-    # offered is eventually ingested.
+    # offered is eventually admitted.
     drain(pool)
     check_conservation(pool)
     assert pool.deferred_txs == 0
     if policy == "defer":
         assert pool.dropped == 0
-        assert pool.ingested == pool.offered
+        assert pool.admitted == pool.offered
 
 
 def test_release_preserves_arrival_order_with_chunks():
@@ -445,8 +449,8 @@ def digest_spec():
 
 def run_arrival_capture(duration, seed=3):
     """Digest of the materialised client arrival stream plus the workload
-    summary, under whatever REPRO_INGEST_CHUNK is currently set."""
-    from repro.core.smr import CLIENT_TX_TAG
+    summary, under whatever INGEST_CHUNK_TXS is currently set."""
+    from repro.consensus.tags import CLIENT_TX_TAG
 
     spec = digest_spec()
     config = ProtocolConfig()
@@ -475,27 +479,30 @@ def run_arrival_capture(duration, seed=3):
     return digest, len(seen), harness.summary()
 
 
+DEFAULT_CHUNK_TXS = workload_module.INGEST_CHUNK_TXS
+
+
 @pytest.fixture
-def chunk_env(monkeypatch):
+def chunk_size(monkeypatch):
     def set_chunk(value):
-        if value is None:
-            monkeypatch.delenv("REPRO_INGEST_CHUNK", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_INGEST_CHUNK", str(value))
+        monkeypatch.setattr(
+            workload_module, "INGEST_CHUNK_TXS",
+            DEFAULT_CHUNK_TXS if value is None else value,
+        )
     return set_chunk
 
 
 class TestChunkedArrivals:
-    def test_arrival_sequence_is_byte_identical_to_per_tx_path(self, chunk_env):
-        chunk_env(None)
+    def test_arrival_sequence_is_byte_identical_to_per_tx_path(self, chunk_size):
+        chunk_size(None)
         digest, count, _ = run_arrival_capture(duration=8.0)
         assert count == ARRIVAL_TXS
         assert digest == ARRIVAL_DIGEST
 
-    def test_arrivals_and_summary_invariant_to_chunk_size(self, chunk_env):
+    def test_arrivals_and_summary_invariant_to_chunk_size(self, chunk_size):
         results = {}
         for chunk in (1, 7, None):
-            chunk_env(chunk)
+            chunk_size(chunk)
             digest, count, summary = run_arrival_capture(duration=3.0)
             results[chunk] = (digest, count, summary)
         baseline = results[None]

@@ -134,11 +134,18 @@ def test_max_commits_stop_condition():
 
 
 def test_run_requires_stop_condition():
+    """``max_commits`` alone is refused: a deployment that cannot commit k
+    blocks never runs out of events (its pacemakers keep timing out), so
+    it would run forever. The cluster is started and healthy, so a run
+    that is wrongly accepted commits its 3 blocks and returns."""
     from repro.errors import ConfigError
 
-    cluster = Cluster(n=7)
-    with pytest.raises(ConfigError):
-        cluster.run()
+    cluster = Cluster(n=7, mode="kauri", scenario="national")
+    cluster.start()
+    for stop in ({}, {"max_commits": 3}):
+        with pytest.raises(ConfigError, match="max_commits only stops earlier"):
+            cluster.run(**stop)
+    assert cluster.metrics.committed_blocks == 0
 
 
 def test_cluster_validation():

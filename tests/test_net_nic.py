@@ -12,12 +12,18 @@ from repro.sim import Simulator
 from tests.reference_nic import ListLogNic
 
 
+# Enqueue on ``nic``; ``on_serialized`` runs when the last bit leaves.
+def transmit(nic, size_bytes, bandwidth_bps, on_serialized):
+    done = nic.transmit_raw(size_bytes, bandwidth_bps)
+    nic.sim.schedule_call_at(done, on_serialized)
+
+
 def test_single_transmit_takes_size_over_bandwidth():
     sim = Simulator()
     nic = Nic(sim)
     done = []
     # 1250 bytes at 10 kb/s = 1250*8/10000 = 1.0 s
-    nic.transmit(1250, 10_000.0, lambda: done.append(sim.now))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(1.0)]
 
@@ -26,9 +32,9 @@ def test_back_to_back_transmits_serialize_fifo():
     sim = Simulator()
     nic = Nic(sim)
     done = []
-    nic.transmit(1250, 10_000.0, lambda: done.append(("a", sim.now)))
-    nic.transmit(1250, 10_000.0, lambda: done.append(("b", sim.now)))
-    nic.transmit(2500, 10_000.0, lambda: done.append(("c", sim.now)))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(("a", sim.now)))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(("b", sim.now)))
+    transmit(nic, 2500, 10_000.0, lambda: done.append(("c", sim.now)))
     sim.run()
     assert done == [
         ("a", pytest.approx(1.0)),
@@ -44,7 +50,7 @@ def test_sending_time_matches_paper_formula():
     fanout, block, bw = 10, 250 * 1024, 25e6  # global scenario, 250 KB
     finished = []
     for _ in range(fanout):
-        nic.transmit(block, bw, lambda: finished.append(sim.now))
+        transmit(nic, block, bw, lambda: finished.append(sim.now))
     sim.run()
     expected = fanout * block * 8 / bw
     assert finished[-1] == pytest.approx(expected)
@@ -54,8 +60,8 @@ def test_idle_gap_resets_queue():
     sim = Simulator()
     nic = Nic(sim)
     done = []
-    nic.transmit(1250, 10_000.0, lambda: done.append(sim.now))
-    sim.schedule(5.0, nic.transmit, 1250, 10_000.0, lambda: done.append(sim.now))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(sim.now))
+    sim.schedule(5.0, transmit, nic, 1250, 10_000.0, lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(1.0), pytest.approx(6.0)]
 
@@ -63,8 +69,8 @@ def test_idle_gap_resets_queue():
 def test_queueing_delay_accounting():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(1250, 10_000.0, lambda: None)  # finishes t=1
-    nic.transmit(1250, 10_000.0, lambda: None)  # queued 1s, finishes t=2
+    transmit(nic, 1250, 10_000.0, lambda: None)  # finishes t=1
+    transmit(nic, 1250, 10_000.0, lambda: None)  # queued 1s, finishes t=2
     sim.run()
     assert nic.total_queueing_delay == pytest.approx(1.0)
     assert nic.total_tx_time == pytest.approx(2.0)
@@ -75,7 +81,7 @@ def test_queueing_delay_accounting():
 def test_backlog_and_busy():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(2500, 10_000.0, lambda: None)  # 2 s of traffic
+    transmit(nic, 2500, 10_000.0, lambda: None)  # 2 s of traffic
     assert nic.busy
     assert nic.backlog == pytest.approx(2.0)
     assert nic.max_backlog == pytest.approx(2.0)
@@ -88,7 +94,7 @@ def test_infinite_bandwidth_is_instant():
     sim = Simulator()
     nic = Nic(sim)
     done = []
-    nic.transmit(10**9, math.inf, lambda: done.append(sim.now))
+    transmit(nic, 10**9, math.inf, lambda: done.append(sim.now))
     sim.run()
     assert done == [0.0]
 
@@ -96,7 +102,7 @@ def test_infinite_bandwidth_is_instant():
 def test_utilization():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(1250, 10_000.0, lambda: None)  # 1 s busy
+    transmit(nic, 1250, 10_000.0, lambda: None)  # 1 s busy
     sim.run(until=4.0)
     assert nic.utilization() == pytest.approx(0.25)
 
@@ -105,9 +111,9 @@ def test_invalid_arguments():
     sim = Simulator()
     nic = Nic(sim)
     with pytest.raises(NetworkError):
-        nic.transmit(-1, 10_000.0, lambda: None)
+        transmit(nic, -1, 10_000.0, lambda: None)
     with pytest.raises(NetworkError):
-        nic.transmit(10, 0.0, lambda: None)
+        transmit(nic, 10, 0.0, lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +122,9 @@ def test_invalid_arguments():
 def test_busy_in_adjacent_windows_partition():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(1250, 10_000.0, lambda: None)  # busy [0, 1)
+    transmit(nic, 1250, 10_000.0, lambda: None)  # busy [0, 1)
     sim.run(until=2.0)
-    nic.transmit(1250, 10_000.0, lambda: None)  # busy [2, 3)
+    transmit(nic, 1250, 10_000.0, lambda: None)  # busy [2, 3)
     sim.run(until=5.0)
     total = nic.busy_in(0.0, 5.0)
     assert total == pytest.approx(2.0)
@@ -131,7 +137,7 @@ def test_busy_in_adjacent_windows_partition():
 def test_windowed_utilization_and_bytes():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(1250, 10_000.0, lambda: None)
+    transmit(nic, 1250, 10_000.0, lambda: None)
     sim.run(until=4.0)
     assert nic.utilization() == pytest.approx(0.25)
     assert nic.utilization(since=0.0, until=1.0) == pytest.approx(1.0)
@@ -145,7 +151,7 @@ def test_windowed_utilization_and_bytes():
 def test_in_flight_transmit_counts_toward_window():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit(12_500, 10_000.0, lambda: None)  # 10 s serialization
+    transmit(nic, 12_500, 10_000.0, lambda: None)  # 10 s serialization
     sim.run(until=4.0)
     assert nic.busy_in(0.0, 4.0) == pytest.approx(4.0)
     assert nic.utilization() == pytest.approx(1.0)
@@ -155,10 +161,10 @@ def test_queue_depth_high_water_mark():
     sim = Simulator()
     nic = Nic(sim)
     for _ in range(3):
-        nic.transmit(1250, 10_000.0, lambda: None)
+        transmit(nic, 1250, 10_000.0, lambda: None)
     assert nic.max_queue_depth == 3
     sim.run()
-    nic.transmit(1250, 10_000.0, lambda: None)
+    transmit(nic, 1250, 10_000.0, lambda: None)
     sim.run()
     assert nic.max_queue_depth == 3  # high water, not current depth
 
@@ -224,7 +230,7 @@ def test_transmit_with_nan_bandwidth_names_the_bandwidth():
     sim = Simulator()
     nic = Nic(sim)
     with pytest.raises(NetworkError, match="bandwidth"):
-        nic.transmit(100, NAN, lambda: None)
+        transmit(nic, 100, NAN, lambda: None)
     assert sim.pending_events == 0
     assert nic_state(nic) == nic_state(Nic(Simulator()))
 

@@ -6,15 +6,16 @@ from repro import Cluster
 from repro.errors import NetworkError
 from repro.net import Nic
 from repro.sim import Simulator
+from tests.test_net_nic import transmit
 
 
 def test_two_lanes_transmit_in_parallel():
     sim = Simulator()
     nic = Nic(sim, lanes=2)
     done = []
-    nic.transmit(1250, 10_000.0, lambda: done.append(("a", sim.now)))
-    nic.transmit(1250, 10_000.0, lambda: done.append(("b", sim.now)))
-    nic.transmit(1250, 10_000.0, lambda: done.append(("c", sim.now)))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(("a", sim.now)))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(("b", sim.now)))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(("c", sim.now)))
     sim.run()
     assert done == [
         ("a", pytest.approx(1.0)),
@@ -27,8 +28,8 @@ def test_single_lane_matches_original_fifo():
     sim = Simulator()
     nic = Nic(sim, lanes=1)
     done = []
-    nic.transmit(1250, 10_000.0, lambda: done.append(sim.now))
-    nic.transmit(1250, 10_000.0, lambda: done.append(sim.now))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(sim.now))
+    transmit(nic, 1250, 10_000.0, lambda: done.append(sim.now))
     sim.run()
     assert done == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -36,16 +37,16 @@ def test_single_lane_matches_original_fifo():
 def test_backlog_is_time_to_first_free_lane():
     sim = Simulator()
     nic = Nic(sim, lanes=2)
-    nic.transmit(2500, 10_000.0, lambda: None)  # lane 0 busy 2s
+    transmit(nic, 2500, 10_000.0, lambda: None)  # lane 0 busy 2s
     assert nic.backlog == 0.0  # lane 1 free
-    nic.transmit(1250, 10_000.0, lambda: None)  # lane 1 busy 1s
+    transmit(nic, 1250, 10_000.0, lambda: None)  # lane 1 busy 1s
     assert nic.backlog == pytest.approx(1.0)
 
 
 def test_utilization_counts_aggregate_capacity():
     sim = Simulator()
     nic = Nic(sim, lanes=2)
-    nic.transmit(1250, 10_000.0, lambda: None)
+    transmit(nic, 1250, 10_000.0, lambda: None)
     sim.run(until=1.0)
     assert nic.utilization() == pytest.approx(0.5)  # 1 of 2 lane-seconds
 

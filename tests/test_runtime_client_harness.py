@@ -32,7 +32,7 @@ class TestMempoolWorkload:
         config = ProtocolConfig(block_size=4096, tx_size=1024)
         assert config.txs_per_block == 4
         pool = MempoolWorkload(config)
-        pool.ingest([Tx((0, k), 100, 0.0) for k in range(20)])
+        pool.admit_batch([Tx((0, k), 100, 0.0) for k in range(20)])
         fill = pool.next_fill(1.0)
         assert fill.num_txs == 4
         assert pool.queued_txs == 16
@@ -41,7 +41,7 @@ class TestMempoolWorkload:
         config = ProtocolConfig(block_size=1024, tx_size=512)
         pool = MempoolWorkload(config)
         txs = [Tx((0, k), 400, 0.0) for k in range(5)]
-        pool.ingest(txs)
+        pool.admit_batch(txs)
         fill = pool.next_fill(1.0)
         assert fill.num_txs == 2  # 2 * 400 <= 1024 < 3 * 400
         assert fill.payload_size == 800
@@ -56,7 +56,7 @@ class TestMempoolWorkload:
 
     def test_non_tx_garbage_ignored(self):
         pool = MempoolWorkload(ProtocolConfig())
-        pool.ingest(["junk", 42])
+        pool.admit_batch(["junk", 42])
         assert pool.queued_txs == 0
 
 
