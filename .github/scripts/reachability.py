@@ -82,8 +82,6 @@ def cli_commands(tmp):
         ["sweep", "--modes", "kauri", "--sizes", "4", *small, "--max-commits", "2",
          *engine],
         ["capacity", "--n", "4", "--users", "100", "--points", "1", *small, *engine],
-        ["perf", "--quick", "--bench", "event_loop",
-         "--out", os.path.join(tmp, "bench.json")],
         ["cache", "stats", "--dir", os.path.join(tmp, "cache")],
         ["cache", "prune", "--dir", os.path.join(tmp, "cache"), "--dry-run"],
         ["report", "--n", "4", *small, "--out", os.path.join(tmp, "report.json"),

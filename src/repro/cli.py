@@ -11,7 +11,6 @@ Commands:
   packs checked in under ``scenarios/``.
 - ``capacity`` -- sweep offered load through the workload engine and
   report how many users fit a topology (the saturation knee).
-- ``perf``   -- run the hot-path microbenchmarks (BENCH_core.json).
 - ``report`` -- run one deployment with observability on and emit its
   RunReport JSON (per-node utilization, saturation flags, phase spans).
 
@@ -24,7 +23,6 @@ Examples::
     python -m repro fig 12a
     python -m repro scenarios validate
     python -m repro scenarios run smoke --report run_report.json
-    python -m repro perf --quick --check BENCH_core.json
     python -m repro report --mode kauri --n 100 --duration 30 --validate
 """
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -813,102 +810,6 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-def _add_perf_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "perf", help="run the hot-path microbenchmarks"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="shrunken workloads for CI smoke runs")
-    p.add_argument("--out", default="BENCH_core.json",
-                   help="where to write results (default: BENCH_core.json)")
-    p.add_argument("--check", default=None, metavar="BASELINE",
-                   help="compare against a committed BENCH json; exit 1 on "
-                        "a regression beyond --tolerance")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional regression for --check "
-                        "(default 0.30; wall-clock benches are noisy)")
-    p.add_argument("--mem-tolerance", type=float, default=0.15,
-                   help="allowed fractional peak-memory growth for --check "
-                        "(default 0.15; traced bytes are stable across "
-                        "machines, so the budget is tighter)")
-    p.add_argument("--bench", action="append", default=None, metavar="NAME",
-                   help="run only this bench (repeatable); default: all")
-    p.add_argument("--profile", action="store_true",
-                   help="run the benches under cProfile and write the "
-                        "top-25 cumulative hotspots next to --out")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _profile_path(out: str) -> str:
-    """``BENCH_core.json`` -> ``BENCH_core.profile.txt`` (same directory)."""
-    root, _ext = os.path.splitext(out)
-    return f"{root}.profile.txt"
-
-
-def _cmd_perf(args) -> int:
-    from repro.perf import (
-        compare_to_baseline,
-        load_results,
-        run_benches,
-        write_results,
-    )
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        results = run_benches(quick=args.quick, seed=args.seed, only=args.bench)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    finally:
-        if profiler is not None:
-            profiler.disable()
-    if profiler is not None:
-        import io
-        import pstats
-
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(25)
-        profile_path = _profile_path(args.out)
-        with open(profile_path, "w") as fh:
-            fh.write(buffer.getvalue())
-        print(f"wrote {profile_path}")
-    rows = [
-        (name, f"{r.value:,.1f}", r.unit, r.n,
-         "-" if r.peak_mb is None else f"{r.peak_mb:,.1f}", r.seed)
-        for name, r in sorted(results.items())
-    ]
-    print(format_table(
-        ("Bench", "Value", "Unit", "N", "Peak MiB", "Seed"),
-        rows,
-        title="Hot-path microbenchmarks" + (" (quick)" if args.quick else ""),
-    ))
-    to_write = results
-    if args.bench and os.path.exists(args.out):
-        # A subset run must not clobber the other benches' entries.
-        to_write = {**load_results(args.out), **results}
-    write_results(to_write, args.out)
-    print(f"wrote {args.out}")
-    if args.check is not None:
-        baseline = load_results(args.check)
-        problems = compare_to_baseline(
-            results, baseline, tolerance=args.tolerance,
-            mem_tolerance=args.mem_tolerance,
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regression beyond {args.tolerance:.0%} "
-              f"(memory {args.mem_tolerance:.0%}) vs {args.check}")
-    return 0
-
-
 def _add_cache_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "cache",
@@ -1052,7 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenarios_parser(subparsers)
     _add_sweep_parser(subparsers)
     _add_capacity_parser(subparsers)
-    _add_perf_parser(subparsers)
     _add_cache_parser(subparsers)
     _add_report_parser(subparsers)
     return parser
@@ -1071,7 +971,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scenarios": _cmd_scenarios,
         "sweep": _cmd_sweep,
         "capacity": _cmd_capacity,
-        "perf": _cmd_perf,
         "cache": _cmd_cache,
         "report": _cmd_report,
     }

@@ -34,7 +34,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import ClusterParams, NetworkParams, ProtocolConfig
 from repro.errors import ConfigError
@@ -358,14 +358,16 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def _execute(
         self, specs: Sequence[ExperimentSpec]
-    ) -> Iterable[ExperimentResult]:
-        if not specs:
-            return []
-        if self.backend == "serial" or len(specs) == 1 or self.jobs == 1:
-            return [spec.run() for spec in specs]
+    ) -> Iterator[ExperimentResult]:
+        """Yield each spec's result in input order as soon as it exists,
+        so :meth:`run` caches a finished cell before a later one can fail."""
+        if self.backend == "serial" or len(specs) <= 1 or self.jobs == 1:
+            for spec in specs:
+                yield spec.run()
+            return
         workers = min(self.jobs, len(specs))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_spec, specs))
+            yield from pool.map(_run_spec, specs)
 
 
 def run_specs(

@@ -188,19 +188,3 @@ def test_cache_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["cache"])
 
-
-def test_perf_profile_writes_hot_path_listing(tmp_path):
-    """--profile drops a cProfile top-25 cumulative listing next to the
-    results file, without disturbing the bench output itself."""
-    out_path = tmp_path / "bench.json"
-    code, out = run_cli(
-        ["perf", "--quick", "--bench", "event_loop",
-         "--out", str(out_path), "--profile"]
-    )
-    assert code == 0
-    profile_path = tmp_path / "bench.profile.txt"
-    assert profile_path.exists()
-    text = profile_path.read_text()
-    assert "cumulative" in text
-    assert str(profile_path) in out
-    assert "event_loop" in json.loads(out_path.read_text())

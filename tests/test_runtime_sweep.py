@@ -139,6 +139,19 @@ class TestCache:
         assert results[0].mode == "kauri"
         assert cache_files(tmp_path) == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_finished_cells_cached_when_a_later_cell_fails(self, tmp_path, jobs):
+        good = ExperimentSpec(
+            scenario="national", n=4, duration=2.0, max_commits=2
+        )
+        bad = ExperimentSpec(scenario="national", n=3, duration=2.0)
+        with pytest.raises(ConfigError, match="n >= 4"):
+            SweepRunner(jobs=jobs, cache=True, cache_dir=tmp_path).run(
+                [good, bad]
+            )
+        assert ResultCache(tmp_path).get(good) is not None
+        assert cache_files(tmp_path) == 1
+
 
 def cache_files(path):
     return len(list(path.glob("*.json")))
