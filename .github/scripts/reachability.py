@@ -73,7 +73,7 @@ def cli_commands(tmp):
         ["model", "--n", "7"],
         ["tune", "--n", "7"],
         ["table", "2"],
-        ["fig", "3", "--scale", "0.05", *engine],
+        ["fig", "3", "--scale", "0.05"],
         ["scenarios", "list"],
         ["scenarios", "show", "smoke"],
         ["scenarios", "validate", "smoke"],

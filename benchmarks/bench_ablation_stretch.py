@@ -9,14 +9,13 @@ over-pipelining, across two scenarios.
 
 from conftest import SCALE, run_grid, run_once
 
-from repro.analysis import adaptive_duration, format_table
+from repro.analysis import format_table
 from repro.config import KB, SCENARIOS
 from repro.runtime import ExperimentSpec
+from repro.runtime.horizon import adaptive_duration, model_for
 
 
 def sweep():
-    from repro.analysis.figures import _model_for
-
     cells, specs = [], []
     for scenario in ("global", "regional"):
         params = SCENARIOS[scenario]
@@ -28,7 +27,7 @@ def sweep():
         ):
             if label.startswith("over"):
                 stretch = 8.0 * max(
-                    0.5, _model_for("kauri", 100, params, 250 * KB).pipelining_stretch
+                    0.5, model_for("kauri", 100, params, 250 * KB).pipelining_stretch
                 )
             cells.append((scenario, label))
             specs.append(

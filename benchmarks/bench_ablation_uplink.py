@@ -12,9 +12,10 @@ substitution while the absolute ratio depends on it.
 
 from conftest import SCALE, run_grid, run_once
 
-from repro.analysis import adaptive_duration, format_table
+from repro.analysis import format_table
 from repro.config import GLOBAL, KB
 from repro.runtime import ExperimentSpec
+from repro.runtime.horizon import adaptive_duration
 
 
 def sweep():

@@ -10,10 +10,10 @@ must be within a small factor of the measured steady state.
 
 from conftest import SCALE, run_grid, run_once
 
-from repro.analysis import adaptive_duration, format_table
-from repro.analysis.figures import _model_for
+from repro.analysis import format_table
 from repro.config import KB, SCENARIOS, ProtocolConfig
 from repro.runtime import ExperimentSpec
+from repro.runtime.horizon import adaptive_duration, model_for
 
 GRID = [
     ("national", "kauri", 100),
@@ -42,7 +42,7 @@ def sweep():
     rows = []
     for (scenario, mode, n), result in zip(GRID, run_grid(specs)):
         params = SCENARIOS[scenario]
-        model = _model_for(mode, n, params, config.block_size)
+        model = model_for(mode, n, params, config.block_size)
         pipelined = mode != "kauri-np"
         predicted = model.expected_throughput_txs(config, pipelined=pipelined)
         rows.append(

@@ -16,11 +16,12 @@ column, closing the loop the projection used to leave open.
 
 from conftest import SCALE, run_grid, run_once
 
-from repro.analysis import adaptive_duration, format_table
+from repro.analysis import format_table
 from repro.config import GLOBAL, KB, ProtocolConfig, default_root_fanout
 from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS, SECP_COSTS
 from repro.runtime import ExperimentSpec
+from repro.runtime.horizon import adaptive_duration
 
 SIZES = (100, 200, 400, 700, 1000)
 MEASURED_HEIGHTS = (2, 3)

@@ -46,58 +46,31 @@ def plan(n: int, rtt_ms: float, bandwidth_mbps: float, block_kb: int = 250):
 
 def measured_plan(users: int, rate_per_user: float) -> None:
     """Measure the saturation knee for a small Kauri deployment."""
-    from repro.runtime.sweep import ExperimentSpec, SweepRunner
-    from repro.runtime.workload import (
-        ClientClassSpec,
-        WorkloadSpec,
-        saturation_knee,
-    )
+    from repro.runtime.sweep import ExperimentSpec
+    from repro.runtime.workload import capacity_sweep
 
     slo_ms = 1000.0
-    populations = [max(1, users * step // 4) for step in (1, 2, 3, 4)]
-    specs = [
-        ExperimentSpec(
-            mode="kauri",
-            scenario="national",
-            n=7,
-            duration=10.0,
-            workload=WorkloadSpec(
-                classes=(
-                    ClientClassSpec(
-                        name="users",
-                        population=population,
-                        rate_per_user=rate_per_user,
-                        slo_ms=slo_ms,
-                    ),
-                ),
-                capacity_txs=1500,
-            ),
+    points, knee, _ = capacity_sweep(
+        ExperimentSpec(mode="kauri", scenario="national", n=7, duration=10.0),
+        users=users,
+        rate_per_user=rate_per_user,
+        levels=4,
+        max_load_factor=1.0,
+        slo_ms=slo_ms,
+        capacity_txs=1500,
+    )
+    rows = [
+        (
+            f"{point['users']:,}",
+            round(point["offered_rate_txs"], 1),
+            point["committed"],
+            round(point["latency"]["p50"] * 1000, 1),
+            round(point["latency"]["p99"] * 1000, 1),
+            round(point["latency"]["p999"] * 1000, 1),
+            f"{point['drop_rate']:.1%}",
         )
-        for population in populations
+        for point in points
     ]
-    results = SweepRunner().run(specs)
-    points = []
-    rows = []
-    for population, result in zip(populations, results):
-        totals = result.workload["totals"]
-        generated = totals["generated"]
-        goodput = totals["committed"] / generated if generated else 0.0
-        latency = totals["latency"]
-        points.append({
-            "goodput": goodput,
-            "slo_met": latency["p99"] <= slo_ms / 1000.0,
-        })
-        rows.append(
-            (
-                f"{population:,}",
-                round(totals["offered_rate_txs"], 1),
-                totals["committed"],
-                round(latency["p50"] * 1000, 1),
-                round(latency["p99"] * 1000, 1),
-                round(latency["p999"] * 1000, 1),
-                f"{totals['drop_rate']:.1%}",
-            )
-        )
     print(format_table(
         ("Users", "Offered tx/s", "Committed", "p50 ms", "p99 ms",
          "p999 ms", "Drops"),
@@ -105,9 +78,8 @@ def measured_plan(users: int, rate_per_user: float) -> None:
         title=f"Measured capacity: kauri n=7 (national), "
               f"SLO p99 <= {slo_ms:.0f} ms",
     ))
-    knee = saturation_knee(points)
     if knee >= 0:
-        print(f"\nMeasured knee: ~{populations[knee]:,} users fit within "
+        print(f"\nMeasured knee: ~{points[knee]['users']:,} users fit within "
               f"the SLO")
     else:
         print("\nMeasured knee: none of the tested loads met the SLO")

@@ -1,9 +1,12 @@
-"""Generators for every table and figure of the paper's evaluation (§7).
+"""Tables, table formatting, the pipelining Gantt view and Figure 12.
 
-Each ``figN_*`` function runs the relevant deployments and returns
-structured rows; each has a matching formatter producing the same
-rows/series the paper reports. The benchmark harness under ``benchmarks/``
-wraps these one-to-one, and EXPERIMENTS.md records paper-vs-measured.
+Tables 1-2 come from :mod:`repro.analysis.tables`, Figures 3-4 from the
+traced spans of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
+:func:`fig12_reconfiguration`, whose fault placement needs the built
+cluster's leader schedule. Every other evaluation figure is a scenario
+pack under ``scenarios/``, run with ``repro scenarios run <pack>`` or
+:func:`repro.scenarios.run_pack`. EXPERIMENTS.md records
+paper-vs-measured.
 """
 
 from repro.analysis.report import format_table
@@ -15,24 +18,12 @@ from repro.analysis.pipeline_viz import (
     render_gantt,
 )
 from repro.analysis.figures import (
-    FIGURES,
     RED_CIRCLE,
-    adaptive_duration,
-    fig5_stretch_sweep,
-    fig6_kudzu_headtohead,
-    fig6_scenarios,
-    saturation_marker,
-    fig7_rtt_sweep,
-    fig8_latency_bandwidth,
-    fig9_throughput_latency,
-    fig10_tree_height,
-    fig11_heterogeneous,
     fig12_reconfiguration,
-    fig_depth_scaling,
+    saturation_marker,
 )
 
 __all__ = [
-    "FIGURES",
     "format_table",
     "table1_rows",
     "table2_rows",
@@ -42,16 +33,6 @@ __all__ = [
     "render_gantt",
     "max_concurrency",
     "RED_CIRCLE",
-    "adaptive_duration",
-    "fig5_stretch_sweep",
-    "fig6_kudzu_headtohead",
-    "fig6_scenarios",
     "saturation_marker",
-    "fig7_rtt_sweep",
-    "fig8_latency_bandwidth",
-    "fig9_throughput_latency",
-    "fig10_tree_height",
-    "fig11_heterogeneous",
     "fig12_reconfiguration",
-    "fig_depth_scaling",
 ]

@@ -187,7 +187,7 @@ def table2_measured_rows(
     :class:`~repro.runtime.sweep.SweepRunner` (``jobs`` workers, optional
     result cache), mirroring the paper's predicted-vs-observed comparison.
     """
-    from repro.analysis.figures import adaptive_duration
+    from repro.runtime.horizon import adaptive_duration
     from repro.runtime.sweep import ExperimentSpec, SweepRunner
 
     if configs is None:

@@ -6,9 +6,10 @@ Commands:
 - ``model``  -- evaluate the §4.3 performance model for a deployment.
 - ``tune``   -- automatic configuration search (§8 future work).
 - ``table``  -- regenerate Table 1 or Table 2.
-- ``fig``    -- regenerate an evaluation figure's series (fig5..fig12).
+- ``fig``    -- the figures that need a built cluster: Figure 3's
+  pipelining Gantt and Figure 12's reconfiguration runs.
 - ``scenarios`` -- list / show / validate / run the declarative scenario
-  packs checked in under ``scenarios/``.
+  packs checked in under ``scenarios/`` (every other evaluation figure).
 - ``capacity`` -- sweep offered load through the workload engine and
   report how many users fit a topology (the saturation knee).
 - ``report`` -- run one deployment with observability on and emit its
@@ -22,6 +23,7 @@ Examples::
     python -m repro table 2
     python -m repro fig 12a
     python -m repro scenarios validate
+    python -m repro scenarios run fig7 --scale 0.3
     python -m repro scenarios run smoke --report run_report.json
     python -m repro report --mode kauri --n 100 --duration 30 --validate
 """
@@ -34,7 +36,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis import FIGURES, format_table
+from repro.analysis import format_table
 from repro.config import KB, SCENARIOS, ProtocolConfig, resilientdb_clusters
 from repro.core.modes import MODES
 
@@ -255,10 +257,10 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-#: Every figure the CLI can regenerate, straight from the FIGURES registry
-#: in :mod:`repro.analysis.figures` -- adding a figure there automatically
-#: surfaces it here, the way ``--mode`` choices derive from MODES.
-FIG_CHOICES = list(FIGURES)
+#: The figures no scenario pack can express: Figure 3 traces a built
+#: cluster's messages and Figure 12 places faults by its leader schedule.
+#: Every other figure runs as ``repro scenarios run <pack>``.
+FIG_CHOICES = ["3", "12a", "12b", "12c"]
 
 
 def _add_engine_args(p) -> None:
@@ -272,40 +274,17 @@ def _add_engine_args(p) -> None:
 
 
 def _add_fig_parser(subparsers) -> None:
-    p = subparsers.add_parser("fig", help="regenerate an evaluation figure")
+    p = subparsers.add_parser(
+        "fig",
+        help="Figure 3 or 12 (the others: `repro scenarios run <pack>`)",
+    )
     p.add_argument("figure", choices=FIG_CHOICES)
     p.add_argument("--scale", type=float, default=0.3,
-                   help="horizon scale; 1.0 = benchmark depth (default 0.3)")
-    _add_engine_args(p)
+                   help="Figure 3 horizon scale; 1.0 = benchmark depth "
+                        "(default 0.3)")
 
 
 def _cmd_fig(args) -> int:
-    from repro.analysis import (
-        fig5_stretch_sweep,
-        fig7_rtt_sweep,
-        fig8_latency_bandwidth,
-        fig9_throughput_latency,
-        fig10_tree_height,
-        fig11_heterogeneous,
-        fig12_reconfiguration,
-        fig_depth_scaling,
-    )
-
-    scale = args.scale
-    engine = {"jobs": args.jobs, "use_cache": not args.no_cache}
-    if args.figure == "depth":
-        data = fig_depth_scaling(scale=scale, **engine)
-        rows = [
-            (label, n, ktx, lat, "SAT" if sat else "")
-            for label, series in data.items()
-            for n, ktx, lat, sat in series
-        ]
-        print(format_table(
-            ("System", "N", "Ktx/s", "p50 lat (ms)", "CPU"),
-            rows,
-            title="Tree-depth scaling to N=1000 (beyond Figure 10)",
-        ))
-        return 0
     if args.figure == "3":
         from repro.analysis import extract_spans, max_concurrency, render_gantt
         from repro.net.trace import MessageTrace
@@ -316,97 +295,26 @@ def _cmd_fig(args) -> int:
             trace = MessageTrace(capacity=300_000)
             cluster.network.observers.append(trace)
             cluster.start()
-            cluster.run(duration=60.0 * max(scale, 0.2), max_commits=30)
+            cluster.run(duration=60.0 * max(args.scale, 0.2), max_commits=30)
             spans = extract_spans(trace, cluster.policy.leader_of(0))
             print(f"\n--- {mode} (peak in-flight: {max_concurrency(spans)}) ---")
             print(render_gantt(spans[2:], max_rows=8))
         return 0
-    if args.figure == "6":
-        from repro.analysis import fig6_kudzu_headtohead, saturation_marker
+    from repro.analysis import fig12_reconfiguration
 
-        results = fig6_kudzu_headtohead(scale=scale, **engine)
-        rows = [
-            (r.mode, r.scenario, r.n,
-             round(r.throughput_txs / 1000, 2),
-             round(r.latency["p50"] * 1000, 0),
-             r.fast_commits or "",
-             saturation_marker(r))
-            for r in results
-        ]
-        print(format_table(
-            ("System", "Scenario", "N", "Ktx/s", "p50 lat (ms)",
-             "Fast commits", "CPU"),
-            rows,
-            title="Figure 6: Kauri vs HotStuff-bls vs Kudzu",
-        ))
-        return 0
-    if args.figure == "5":
-        data = fig5_stretch_sweep(scale=scale, **engine)
-        rows = [
-            (f"{kb}KB", stretch, ktx)
-            for kb, series in sorted(data.items())
-            for stretch, ktx in series
-        ]
-        print(format_table(("Block", "Stretch", "Ktx/s"), rows, title="Figure 5"))
-    elif args.figure == "7":
-        data = fig7_rtt_sweep(scale=scale, **engine)
-        rows = [
-            (mode, rtt, ktx, stretch)
-            for mode, series in data.items()
-            for rtt, ktx, stretch in series
-        ]
-        print(format_table(("System", "RTT (ms)", "Ktx/s", "Stretch"), rows,
-                           title="Figure 7"))
-    elif args.figure == "8":
-        data = fig8_latency_bandwidth(scale=scale, **engine)
-        rows = [
-            (mode, bw, lat)
-            for mode, series in sorted(data.items())
-            for bw, lat in series
-        ]
-        print(format_table(("System", "Mb/s", "p50 latency (ms)"), rows,
-                           title="Figure 8"))
-    elif args.figure == "9":
-        data = fig9_throughput_latency(scale=scale, **engine)
-        rows = [
-            (mode, kb, ktx, lat)
-            for mode, series in data.items()
-            for kb, ktx, lat in series
-        ]
-        print(format_table(("System", "Block (KB)", "Ktx/s", "p50 lat (ms)"),
-                           rows, title="Figure 9"))
-    elif args.figure == "10":
-        data = fig10_tree_height(scale=scale, **engine)
-        rows = [
-            (label, bw, ktx, lat, "SAT" if sat else "")
-            for label, series in data.items()
-            for bw, ktx, lat, sat in series
-        ]
-        print(format_table(("System", "Mb/s", "Ktx/s", "p50 lat (ms)", "CPU"),
-                           rows, title="Figure 10"))
-    elif args.figure == "11":
-        results = fig11_heterogeneous(scale=scale, **engine)
-        rows = [
-            (r.mode, round(r.throughput_txs / 1000, 2),
-             round(r.latency["p50"] * 1000, 0))
-            for r in results
-        ]
-        print(format_table(("System", "Ktx/s", "p50 lat (ms)"), rows,
-                           title="Figure 11"))
-    else:
-        case = {"12a": "leader", "12b": "three-leaders", "12c": "internal+leaders"}[
-            args.figure
-        ]
-        scenario = "national" if args.figure == "12c" else "global"
-        duration = {"12a": 100.0, "12b": 160.0, "12c": 700.0}[args.figure]
-        run = fig12_reconfiguration(
-            case, scenario=scenario, duration=duration, bucket=5.0
-        )
-        print(format_table(("t (s)", "tx/s"), run.timeseries,
-                           title=f"Figure {args.figure}: {case}"))
-        print(f"reconfigurations: {run.max_view}; "
-              f"final topology: {'star' if run.final_is_star else 'tree'}; "
-              f"recovery gap: {run.recovery_gap}")
+    case = {"12a": "leader", "12b": "three-leaders", "12c": "internal+leaders"}[
+        args.figure
+    ]
+    scenario = "national" if args.figure == "12c" else "global"
+    duration = {"12a": 100.0, "12b": 160.0, "12c": 700.0}[args.figure]
+    run = fig12_reconfiguration(
+        case, scenario=scenario, duration=duration, bucket=5.0
+    )
+    print(format_table(("t (s)", "tx/s"), run.timeseries,
+                       title=f"Figure {args.figure}: {case}"))
+    print(f"reconfigurations: {run.max_view}; "
+          f"final topology: {'star' if run.final_is_star else 'tree'}; "
+          f"recovery gap: {run.recovery_gap}")
     return 0
 
 
@@ -429,7 +337,7 @@ def _add_sweep_parser(subparsers) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.analysis.figures import adaptive_duration
+    from repro.runtime.horizon import adaptive_duration
     from repro.runtime.sweep import ExperimentSpec, SweepRunner
 
     params = SCENARIOS[args.scenario]
@@ -489,6 +397,43 @@ def _cmd_sweep(args) -> int:
 def _scenario_label(scenario) -> str:
     """Display name for a spec's scenario (str / NetworkParams / ClusterParams)."""
     return scenario if isinstance(scenario, str) else scenario.name
+
+
+def _axis_value(cell, axis: str) -> str:
+    """One swept axis's value in a compiled cell: a composite axis by the
+    cell's label, a scenario table by its keys, a scalar as written."""
+    from repro.scenarios.loader import CELL_FIELDS
+
+    if axis not in CELL_FIELDS:
+        return cell.label or "-"
+    value = cell.bindings.get(axis, "-")
+    if isinstance(value, dict):
+        return " ".join(f"{key}={item}" for key, item in value.items())
+    return str(value)
+
+
+def _emit_report(report, path: Optional[str], validate: bool = True) -> int:
+    """Write a RunReport's JSON to ``path`` (stdout when None) and, with
+    ``validate``, check it against the schema: 1 on a mismatch. Status
+    lines go to stderr, so stdout stays one JSON document under --json."""
+    from repro.obs import report_json, validate_report
+
+    text = report_json(report)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}", file=sys.stderr)
+    else:
+        print(text, end="")
+    if not validate:
+        return 0
+    problems = validate_report(report)
+    for problem in problems:
+        print(f"SCHEMA: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print("report validates against the schema", file=sys.stderr)
+    return 0
 
 
 def _add_scenarios_parser(subparsers) -> None:
@@ -608,35 +553,35 @@ def _cmd_scenarios(args) -> int:
         return 0
 
     # run
+    from repro.analysis.figures import saturation_marker
     from repro.runtime.sweep import SweepRunner
+    from repro.scenarios import run_pack
 
-    grid = compile_pack(
-        load_pack(args.name),
+    runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
+    grid, results = run_pack(
+        args.name,
         scale=args.scale,
         seed=args.seed,
         observability=True if args.report else None,
+        runner=runner,
     )
-    runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
-    results = runner.run(grid.specs)
     if args.json:
         print(json.dumps(
             [dataclasses.asdict(r) for r in results], indent=2, default=str
         ))
     else:
+        axes = grid.pack.axis_names
         rows = [
             (
-                cell.label or "-",
-                r.mode,
-                _scenario_label(r.scenario),
-                r.n,
+                *(_axis_value(cell, axis) for axis in axes),
                 round(r.throughput_txs / 1000, 2),
                 round(r.latency["p50"] * 1000, 0),
-                "SAT" if r.cpu_saturated else "",
+                saturation_marker(r),
             )
             for cell, r in zip(grid.cells, results)
         ]
         print(format_table(
-            ("Label", "Mode", "Scenario", "N", "Ktx/s", "p50 lat (ms)", "CPU"),
+            (*axes, "Ktx/s", "p50 lat (ms)", "CPU"),
             rows,
             title=f"{grid.pack.title} (scale {args.scale})",
         ))
@@ -644,17 +589,7 @@ def _cmd_scenarios(args) -> int:
         print(f"[{stats.backend} x{stats.jobs}: {stats.executed} simulated, "
               f"{stats.cache_hits} cached]")
     if args.report:
-        from repro.obs import report_json, validate_report
-
-        report = results[0].report
-        with open(args.report, "w") as fh:
-            fh.write(report_json(report))
-        print(f"wrote {args.report}")
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"SCHEMA: {problem}", file=sys.stderr)
-            return 1
+        return _emit_report(results[0].report, args.report)
     return 0
 
 
@@ -698,21 +633,13 @@ def _add_capacity_parser(subparsers) -> None:
 
 def _cmd_capacity(args) -> int:
     from repro.runtime.sweep import ExperimentSpec, SweepRunner
-    from repro.runtime.workload import (
-        ClientClassSpec,
-        WorkloadSpec,
-        saturation_knee,
-    )
+    from repro.runtime.workload import capacity_sweep
 
     if args.points < 1:
         print("error: --points must be >= 1", file=sys.stderr)
         return 2
-    factors = [
-        args.max_load_factor * (index + 1) / args.points
-        for index in range(args.points)
-    ]
-    populations = [max(1, int(args.users * factor)) for factor in factors]
-    specs = [
+    runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
+    points, knee, results = capacity_sweep(
         ExperimentSpec(
             mode=args.mode,
             scenario=args.scenario,
@@ -721,43 +648,17 @@ def _cmd_capacity(args) -> int:
             duration=args.duration,
             seed=args.seed,
             observability=bool(args.report),
-            workload=WorkloadSpec(
-                classes=(
-                    ClientClassSpec(
-                        name="users",
-                        population=population,
-                        rate_per_user=args.rate_per_user,
-                        slo_ms=args.slo_ms,
-                        slo_percentile=99.0,
-                    ),
-                ),
-                capacity_txs=args.capacity_txs,
-                policy=args.policy,
-            ),
-        )
-        for population in populations
-    ]
-    runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
-    results = runner.run(specs)
-
-    points = []
-    for population, result in zip(populations, results):
-        totals = result.workload["totals"]
-        generated = totals["generated"]
-        latency = totals["latency"]
-        goodput = totals["committed"] / generated if generated else 0.0
-        points.append({
-            "users": population,
-            "offered_rate_txs": totals["offered_rate_txs"],
-            "generated": generated,
-            "committed": totals["committed"],
-            "dropped": totals["dropped"],
-            "drop_rate": totals["drop_rate"],
-            "goodput": goodput,
-            "latency": latency,
-            "slo_met": latency["p99"] <= args.slo_ms / 1000.0,
-        })
-    knee = saturation_knee(points, goodput_threshold=args.goodput_threshold)
+        ),
+        users=args.users,
+        rate_per_user=args.rate_per_user,
+        levels=args.points,
+        max_load_factor=args.max_load_factor,
+        slo_ms=args.slo_ms,
+        capacity_txs=args.capacity_txs,
+        policy=args.policy,
+        goodput_threshold=args.goodput_threshold,
+        runner=runner,
+    )
 
     if args.json:
         print(json.dumps({"points": points, "knee": knee}, indent=2))
@@ -796,17 +697,7 @@ def _cmd_capacity(args) -> int:
               f"{stats.cache_hits} cached]")
 
     if args.report:
-        from repro.obs import report_json, validate_report
-
-        report = results[knee if knee >= 0 else 0].report
-        with open(args.report, "w") as fh:
-            fh.write(report_json(report))
-        print(f"wrote {args.report}")
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"SCHEMA: {problem}", file=sys.stderr)
-            return 1
+        return _emit_report(results[knee if knee >= 0 else 0].report, args.report)
     return 0
 
 
@@ -898,7 +789,6 @@ def _add_report_parser(subparsers) -> None:
 
 
 def _cmd_report(args) -> int:
-    from repro.obs import report_json, validate_report
     from repro.runtime.experiment import run_experiment
 
     scenario = (
@@ -917,22 +807,7 @@ def _cmd_report(args) -> int:
         uplink_lanes=args.lanes,
         observability=True,
     )
-    report = result.report
-    text = report_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    if args.validate:
-        problems = validate_report(report)
-        if problems:
-            for problem in problems:
-                print(f"SCHEMA: {problem}", file=sys.stderr)
-            return 1
-        print("report validates against the schema", file=sys.stderr)
-    return 0
+    return _emit_report(result.report, args.out, validate=args.validate)
 
 
 def build_parser() -> argparse.ArgumentParser:

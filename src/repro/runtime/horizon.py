@@ -1,11 +1,11 @@
-"""Adaptive simulation horizons, shared by figures, packs, and the CLI.
+"""Adaptive simulation horizons, shared by packs, tables, and the CLI.
 
-Every grid-shaped artifact (the paper figures, the scenario packs, the
-``sweep`` command) sizes each cell's simulated horizon from the §4.3
-performance model: slow configurations need longer windows to commit a
-meaningful number of blocks, fast ones are capped by ``max_commits``.
-This module is the single home of that rule so the scenario-pack compiler
-and the figure generators lower to *byte-identical*
+Every grid-shaped artifact (the scenario packs behind the paper figures,
+``table 2 --measured``, the ``sweep`` command) sizes each cell's simulated
+horizon from the §4.3 performance model: slow configurations need longer
+windows to commit a meaningful number of blocks, fast ones are capped by
+``max_commits``. This module is the single home of that rule so every
+grid lowers to *byte-identical*
 :class:`~repro.runtime.sweep.ExperimentSpec` durations.
 """
 

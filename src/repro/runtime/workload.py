@@ -54,6 +54,7 @@ __all__ = [
     "WorkloadHarness",
     "make_workload_factory",
     "saturation_knee",
+    "capacity_sweep",
 ]
 
 
@@ -432,6 +433,78 @@ def saturation_knee(
         if point["goodput"] >= goodput_threshold and point["slo_met"]:
             knee = index
     return knee
+
+
+def capacity_sweep(
+    deployment,
+    users: int,
+    rate_per_user: float,
+    levels: int,
+    max_load_factor: float = 2.0,
+    slo_ms: float = 1000.0,
+    capacity_txs: Optional[int] = None,
+    policy: str = "drop",
+    goodput_threshold: float = 0.9,
+    runner=None,
+) -> Tuple[List[Dict[str, Any]], int, List[Any]]:
+    """How many users fit ``deployment``: an offered-load sweep.
+
+    ``deployment`` is an :class:`~repro.runtime.sweep.ExperimentSpec`
+    without a workload. Load level ``i`` of ``levels`` gives it one client
+    class of ``users * max_load_factor * (i + 1) / levels`` users, each
+    offering ``rate_per_user`` tx/s, behind a leader mempool of
+    ``capacity_txs`` with overflow ``policy``. Returns ``(points, knee,
+    results)``: one point per level (offered and committed load, drops,
+    end-to-end latency, ``goodput``, and ``slo_met`` when p99 is within
+    ``slo_ms``), the :func:`saturation_knee` index over them, and the
+    results in level order. ``runner`` is the
+    :class:`~repro.runtime.sweep.SweepRunner` to use (serial, uncached by
+    default).
+    """
+    from dataclasses import replace
+
+    from repro.runtime.sweep import SweepRunner
+
+    populations = []
+    for index in range(levels):
+        factor = max_load_factor * (index + 1) / levels
+        populations.append(max(1, int(users * factor)))
+    specs = [
+        replace(
+            deployment,
+            workload=WorkloadSpec(
+                classes=(
+                    ClientClassSpec(
+                        name="users",
+                        population=population,
+                        rate_per_user=rate_per_user,
+                        slo_ms=slo_ms,
+                    ),
+                ),
+                capacity_txs=capacity_txs,
+                policy=policy,
+            ),
+        )
+        for population in populations
+    ]
+    results = (runner or SweepRunner()).run(specs)
+    points = []
+    for population, result in zip(populations, results):
+        totals = result.workload["totals"]
+        generated = totals["generated"]
+        latency = totals["latency"]
+        points.append({
+            "users": population,
+            "offered_rate_txs": totals["offered_rate_txs"],
+            "generated": generated,
+            "committed": totals["committed"],
+            "dropped": totals["dropped"],
+            "drop_rate": totals["drop_rate"],
+            "goodput": totals["committed"] / generated if generated else 0.0,
+            "latency": latency,
+            "slo_met": latency["p99"] <= slo_ms / 1000.0,
+        })
+    return points, saturation_knee(points, goodput_threshold), results
 
 
 def make_workload_factory(spec: WorkloadSpec, config):

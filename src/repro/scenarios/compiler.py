@@ -4,8 +4,8 @@ The compiler is the proof obligation of the pack subsystem: a pack for an
 existing figure must lower to **byte-identical** specs (same
 ``_encode_scenario`` cache keys) as the pre-pack inline grids, so the
 on-disk result cache and the golden RunReports keep hitting. To that end
-it reuses the exact same building blocks the figure generators always
-used -- :func:`repro.runtime.horizon.adaptive_duration` for model-driven
+it reuses the exact same building blocks the inline grids always used --
+:func:`repro.runtime.horizon.adaptive_duration` for model-driven
 horizons, ``int(blocks * scale) or blocks // 10`` for commit budgets,
 ``SCENARIOS`` / ``with_rtt`` / ``resilientdb_clusters`` for scenarios --
 rather than re-deriving any of them.
@@ -158,8 +158,9 @@ class CompiledCell:
 
     index: int
     label: Optional[str]
-    #: The merged raw cell mapping (defaults + overrides + set + axis
-    #: bindings) -- figure generators use this to key their output series.
+    #: The merged raw cell mapping (defaults + set + axis bindings) --
+    #: benches key their output series by it, and ``repro scenarios run``
+    #: prints each swept axis's value from it.
     bindings: Dict[str, Any]
     spec: ExperimentSpec
 
@@ -401,27 +402,23 @@ def compile_pack(
     seed: Optional[int] = None,
     observability: Optional[bool] = None,
     axes: Optional[Mapping[str, Sequence[Any]]] = None,
-    overrides: Optional[Mapping[str, Any]] = None,
 ) -> CompiledGrid:
     """Expand a pack's grids into a :class:`CompiledGrid`.
 
     ``scale`` shrinks horizons/budgets uniformly (the figures' knob);
     ``seed`` replaces every cell's seed; ``observability`` forces the flag
     on or off; ``axes`` substitutes a declared axis's values (same raw
-    vocabulary as the pack file); ``overrides`` overlays cell fields on
-    top of ``[defaults]`` (but below ``[grid.set]`` and axis bindings).
+    vocabulary as the pack file).
     """
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise PackError(f"pack {pack.name!r}: scale must be positive, got {scale!r}")
-    if overrides:
-        _check_keys(overrides, list(CELL_FIELDS), f"pack {pack.name!r} overrides")
     grids = _apply_axis_overrides(pack, axes) if axes else list(pack.grids)
     if not grids:
         grids = [PackGrid(name="default")]
 
     cells: List[CompiledCell] = []
     for grid in grids:
-        base = {**pack.defaults, **(overrides or {}), **grid.set}
+        base = {**pack.defaults, **grid.set}
         combos: List[Dict[str, Any]] = [{}]
         for axis, values in grid.axes:
             composite = axis not in CELL_FIELDS

@@ -19,7 +19,6 @@ def run_pack(
     cache: bool = False,
     observability: Optional[bool] = None,
     axes: Optional[Mapping[str, Sequence[Any]]] = None,
-    overrides: Optional[Mapping[str, Any]] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Tuple[CompiledGrid, List[ExperimentResult]]:
     """Compile a pack (by name or value) and run it through the sweep
@@ -27,12 +26,7 @@ def run_pack(
     if isinstance(pack, str):
         pack = load_pack(pack)
     grid = compile_pack(
-        pack,
-        scale=scale,
-        seed=seed,
-        observability=observability,
-        axes=axes,
-        overrides=overrides,
+        pack, scale=scale, seed=seed, observability=observability, axes=axes
     )
     engine = runner if runner is not None else SweepRunner(jobs=jobs, cache=cache)
     return grid, engine.run(grid.specs)

@@ -1,18 +1,13 @@
-"""Tests for the analysis layer: tables, formatting, figure generators.
+"""Tests for the analysis layer: tables, formatting, adaptive horizons and
+Figure 12.
 
-Figure generators run at miniature scale here; the full-scale paper
+Figure 12 runs at miniature scale here; the full-scale paper
 reproduction lives in benchmarks/.
 """
-
-import math
 
 import pytest
 
 from repro.analysis import (
-    adaptive_duration,
-    fig5_stretch_sweep,
-    fig8_latency_bandwidth,
-    fig11_heterogeneous,
     fig12_reconfiguration,
     format_table,
     table1_rows,
@@ -20,6 +15,7 @@ from repro.analysis import (
 )
 from repro.analysis.tables import TABLE1_HEADERS, TABLE2_HEADERS
 from repro.config import GLOBAL, KB, NATIONAL
+from repro.runtime.horizon import adaptive_duration
 
 
 class TestFormatTable:
@@ -67,30 +63,6 @@ class TestAdaptiveDuration:
 
 class TestFigureGeneratorsSmoke:
     """Miniature runs: structure and basic sanity only."""
-
-    def test_fig5_shape(self):
-        data = fig5_stretch_sweep(
-            block_sizes_kb=(250,), stretches=(1.0, 2.0), n=31, scale=0.05
-        )
-        assert set(data) == {250}
-        assert [s for s, _ in data[250]] == [1.0, 2.0]
-        assert all(tput >= 0 for _, tput in data[250])
-
-    def test_fig8_includes_analytic_floor(self):
-        data = fig8_latency_bandwidth(
-            bandwidths_mbps=(1000,), modes=("kauri",), n=31, scale=0.05
-        )
-        assert "kauri" in data and "kauri-infinite" in data
-        (bw, floor_ms) = data["kauri-infinite"][0]
-        assert math.isinf(bw)
-        assert floor_ms > 0
-
-    def test_fig11_small(self):
-        results = fig11_heterogeneous(
-            modes=("kauri", "hotstuff-bls"), per_cluster=2, scale=0.2
-        )
-        assert {r.mode for r in results} == {"kauri", "hotstuff-bls"}
-        assert all(r.n == 12 for r in results)
 
     def test_fig12_case_validation(self):
         with pytest.raises(ValueError):

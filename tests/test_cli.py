@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import FIG_CHOICES, build_parser, main
 
 
 def run_cli(args):
@@ -135,11 +135,41 @@ def test_fig3_gantt():
     assert "#" in out
 
 
-@pytest.mark.slow
-def test_fig7_tiny_scale():
-    code, out = run_cli(["fig", "7", "--scale", "0.05"])
+def test_fig_runs_only_the_cluster_built_figures():
+    # Every pack-backed figure runs as `repro scenarios run <pack>`.
+    assert FIG_CHOICES == ["3", "12a", "12b", "12c"]
+    with pytest.raises(SystemExit) as exc:
+        main(["fig", "7"])
+    assert exc.value.code == 2
+
+
+CAPACITY = ["capacity", "--n", "4", "--users", "100", "--points", "2",
+            "--scenario", "national", "--duration", "2", "--no-cache"]
+
+
+def test_capacity_table():
+    code, out = run_cli(CAPACITY)
     assert code == 0
-    assert "RTT" in out
+    assert "Capacity sweep: kauri n=4 (national)" in out
+    assert "100" in out and "200" in out
+    assert "saturation knee" in out
+    assert "simulated" in out  # engine stats line
+
+
+def test_capacity_json():
+    code, out = run_cli([*CAPACITY, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert [point["users"] for point in payload["points"]] == [100, 200]
+    assert -1 <= payload["knee"] < 2
+
+
+def test_capacity_json_with_report_prints_one_json_document(tmp_path):
+    path = tmp_path / "knee.json"
+    code, out = run_cli([*CAPACITY, "--json", "--report", str(path)])
+    assert code == 0
+    assert set(json.loads(out)) == {"points", "knee"}
+    assert json.loads(path.read_text())
 
 
 def test_module_entrypoint():

@@ -9,7 +9,7 @@ import pytest
 from repro import Cluster, ProtocolConfig
 from repro.errors import ConfigError
 from repro.runtime import MempoolWorkload, Tx
-from repro.runtime.sweep import ExperimentSpec
+from repro.runtime.sweep import ExperimentSpec, SweepRunner
 from repro.runtime.workload import (
     ClientClassSpec,
     LoadShape,
@@ -17,6 +17,7 @@ from repro.runtime.workload import (
     WorkloadHarness,
     WorkloadSpec,
     ZipfSampler,
+    capacity_sweep,
     make_workload_factory,
     saturation_knee,
 )
@@ -327,6 +328,31 @@ class TestSaturationKnee:
 
     def test_no_good_point_gives_minus_one(self):
         assert saturation_knee([{"goodput": 0.1, "slo_met": False}]) == -1
+
+    def test_capacity_sweep_specs_pinned(self):
+        # Recorded from `repro capacity --n 4 --users 100 --points 2
+        # --scenario national --duration 2` before the sweep moved here:
+        # the same cells, so cached capacity results keep hitting.
+        class Recording(SweepRunner):
+            def run(self, specs):
+                self.specs = list(specs)
+                return super().run(self.specs)
+
+        runner = Recording()
+        points, knee, results = capacity_sweep(
+            ExperimentSpec(mode="kauri", scenario="national", n=4, duration=2.0),
+            users=100,
+            rate_per_user=0.001,
+            levels=2,
+            runner=runner,
+        )
+        assert [spec.key() for spec in runner.specs] == [
+            "7427a8b856aa5bbe4653d2379c38639bc6edbb1e272ab0429ce721b21e434a2e",
+            "3c29cf5dbc3e1bed297d607e0a3799656b62e9bec6e4d0994e0ab50c32324413",
+        ]
+        assert [point["users"] for point in points] == [100, 200]
+        assert len(results) == 2
+        assert knee == saturation_knee(points)
 
 
 # ---------------------------------------------------------------------------

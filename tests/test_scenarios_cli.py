@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import FIG_CHOICES, build_parser, main
+from repro.cli import build_parser, main
 
 
 def run_cli(args):
@@ -17,11 +17,37 @@ def run_cli(args):
     return code, buffer.getvalue()
 
 
-def test_fig_choices_derive_from_registry():
-    from repro.analysis import FIGURES
+TWO_AXIS_PACK = """
+[pack]
+name = "two-axis"
+title = "Two swept axes"
+schema = 1
 
-    assert FIG_CHOICES == list(FIGURES)
-    assert "depth" in FIG_CHOICES
+[defaults]
+scenario = "national"
+n = 4
+duration = 2.0
+blocks = 10
+
+[[grid]]
+[grid.axes]
+stretch = [1.0, 2.0]
+mode = ["kauri", "kauri-np"]
+"""
+
+
+def test_scenarios_run_table_prints_every_axis_value(tmp_path, monkeypatch):
+    (tmp_path / "two-axis.toml").write_text(TWO_AXIS_PACK)
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path))
+    code, out = run_cli(["scenarios", "run", "two-axis", "--no-cache"])
+    assert code == 0
+    title, header, rule, *rows, stats = out.splitlines()
+    assert header.split()[:2] == ["stretch", "mode"]
+    assert [row.split()[:2] for row in rows] == [
+        ["1.0", "kauri"], ["1.0", "kauri-np"],
+        ["2.0", "kauri"], ["2.0", "kauri-np"],
+    ]
+    assert "simulated" in stats
 
 
 def test_scenarios_requires_subcommand():
@@ -84,3 +110,14 @@ def test_scenarios_run_report_validates(tmp_path):
     assert out_path.exists()
     report = json.loads(out_path.read_text())
     assert report  # non-empty RunReport JSON
+
+
+def test_scenarios_run_json_with_report_prints_one_json_document(tmp_path):
+    out_path = tmp_path / "run_report.json"
+    code, out = run_cli(
+        ["scenarios", "run", "smoke", "--scale", "0.5", "--json",
+         "--report", str(out_path)]
+    )
+    assert code == 0
+    assert {entry["mode"] for entry in json.loads(out)} == {"kauri", "hotstuff-secp"}
+    assert json.loads(out_path.read_text())

@@ -214,13 +214,6 @@ def test_unknown_axis_override_rejected():
         compile_pack(pack, axes={"modes": ["kauri"]})
 
 
-def test_overrides_overlay_cell_fields():
-    pack = parse_pack(make_pack(defaults={"duration": 5.0, "n": 7, "scenario": "national"},
-                                axes={"mode": ["kauri"]}))
-    grid = compile_pack(pack, overrides={"n": 10})
-    assert grid.specs[0].n == 10
-
-
 def test_composite_axis_binds_label_and_fields():
     pack = parse_pack(make_pack(
         defaults={"duration": 5.0, "n": 7, "scenario": "national",

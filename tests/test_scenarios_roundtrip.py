@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from repro.analysis.figures import adaptive_duration
+from repro.runtime.horizon import adaptive_duration
 from repro.config import (
     GLOBAL,
     KB,
