@@ -12,7 +12,8 @@ Run:  python examples/client_workload.py
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
-from repro.runtime import ClientHarness, MempoolWorkload
+from repro.runtime import MempoolWorkload
+from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 N = 13
 CLIENTS = 6
@@ -30,7 +31,15 @@ def main() -> None:
         seed=11,
         workload_factory=lambda node_id: MempoolWorkload(config),
     )
-    harness = ClientHarness(cluster, num_clients=CLIENTS, rate_txs=RATE_TXS)
+    spec = WorkloadSpec(
+        classes=tuple(
+            ClientClassSpec(name=f"client{k}", population=1,
+                            rate_per_user=RATE_TXS / CLIENTS)
+            for k in range(CLIENTS)
+        ),
+        batch_interval=0.2,
+    )
+    harness = WorkloadHarness(cluster, spec)
 
     print(f"{CLIENTS} clients offering {RATE_TXS:,.0f} tx/s to a "
           f"{N}-replica Kauri deployment\n")

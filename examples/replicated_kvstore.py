@@ -10,9 +10,10 @@ Run:  python examples/replicated_kvstore.py
 """
 
 from repro import Cluster, ProtocolConfig
-from repro.app import KvClientHarness, OpRegistry, attach_kv_application
+from repro.app import OpRegistry, attach_kv_application
 from repro.config import KB
 from repro.runtime import MempoolWorkload
+from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 N = 13
 DURATION = 15.0
@@ -29,9 +30,12 @@ def main() -> None:
         workload_factory=lambda node_id: MempoolWorkload(config),
     )
     registry = OpRegistry()
-    harness = KvClientHarness(
-        cluster, registry, keyspace=32, num_clients=4, rate_txs=2000.0
+    spec = WorkloadSpec(
+        classes=(ClientClassSpec(name="kv", population=4, rate_per_user=500.0),),
+        keyspace=32,
+        batch_interval=0.2,
     )
+    harness = WorkloadHarness(cluster, spec, registry=registry)
     machines = attach_kv_application(cluster, registry)
 
     cluster.start()

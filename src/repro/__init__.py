@@ -43,8 +43,6 @@ from repro.runtime import (
     Cluster,
     ExperimentResult,
     Metrics,
-    PoissonWorkload,
-    SaturatedWorkload,
     run_experiment,
 )
 from repro.topology import ReconfigurationPolicy, Tree, build_star, build_tree
@@ -75,7 +73,5 @@ __all__ = [
     "max_faults",
     "quorum_size",
     "resilientdb_clusters",
-    "SaturatedWorkload",
-    "PoissonWorkload",
     "__version__",
 ]

@@ -9,7 +9,6 @@ the tests via state digests.
 """
 
 from repro.app.kvstore import (
-    KvClientHarness,
     KvOp,
     KvStateMachine,
     OpRegistry,
@@ -20,6 +19,5 @@ __all__ = [
     "KvOp",
     "OpRegistry",
     "KvStateMachine",
-    "KvClientHarness",
     "attach_kv_application",
 ]

@@ -1,7 +1,8 @@
 """A replicated key-value store driven by committed blocks.
 
-Clients submit ``set``/``delete`` operations through the normal client
-path (:class:`~repro.runtime.clients.ClientHarness`); operations ride
+Clients submit ``set`` operations through the client path
+(:class:`~repro.runtime.workload.WorkloadHarness` given a ``registry=``
+records one Zipf-keyed write per transaction); operations ride
 inside the blocks' modeled payload bytes. Since the simulator accounts
 payload *sizes* rather than payload *bytes*, the operation contents live
 in an :class:`OpRegistry` shared by construction (the stand-in for block
@@ -21,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.consensus.block import Block
 from repro.errors import ConfigError
-from repro.runtime.clients import ClientHarness, Tx
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,6 @@ class KvStateMachine:
         )
         payload = f"h{self.applied_height}:{canonical}".encode()
         return hashlib.sha256(payload).hexdigest()[:16]
-
-
-class KvClientHarness(ClientHarness):
-    """Clients issuing KV writes: round-robin keys, monotone values."""
-
-    def __init__(self, cluster, registry: OpRegistry, keyspace: int = 64, **kwargs):
-        super().__init__(cluster, **kwargs)
-        self.registry = registry
-        self.keyspace = keyspace
-
-    def _make_tx(self, client_id: int, seq: int, now: float) -> Tx:
-        tx = super()._make_tx(client_id, seq, now)
-        op = KvOp(
-            kind="set",
-            key=f"k{(client_id * 7 + seq) % self.keyspace}",
-            value=f"c{client_id}s{seq}",
-        )
-        self.registry.record(tx.tx_id, op)
-        return tx
 
 
 def attach_kv_application(cluster, registry: OpRegistry) -> Dict[int, KvStateMachine]:

@@ -202,6 +202,11 @@ class ProtocolConfig:
             raise ConfigError(f"non-positive block size: {self.block_size}")
         if self.tx_size <= 0:
             raise ConfigError(f"non-positive tx size: {self.tx_size}")
+        if self.tx_size > self.block_size:
+            raise ConfigError(
+                f"tx_size {self.tx_size} B exceeds block_size "
+                f"{self.block_size} B: no transaction fits in a block"
+            )
         # Written as comparisons NaN fails (see NetworkParams).
         if self.stretch is not None and not 0 <= self.stretch < math.inf:
             raise ConfigError(
@@ -221,7 +226,7 @@ class ProtocolConfig:
 
     @property
     def txs_per_block(self) -> int:
-        return max(1, self.block_size // self.tx_size)
+        return self.block_size // self.tx_size
 
     def with_stretch(self, stretch: Optional[float]) -> "ProtocolConfig":
         return replace(self, stretch=stretch)

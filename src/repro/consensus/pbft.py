@@ -119,7 +119,7 @@ class PbftNode:
             on_timeout=self._on_timeout,
             cap=self.config.timeout_cap,
         )
-        if hasattr(self.workload, "admit_batch"):
+        if self.workload is not None:
             self._persistent_tasks.append(
                 spawn(self.sim, self._client_pump(), name=f"pbft{self.node_id}-clients")
             )

@@ -29,7 +29,7 @@ from repro.consensus.vote import Phase
 #: First elements of every protocol-owned tag (the purge namespace).
 PROTOCOL_TAG_KINDS = ("prop", "vote", "qc", "newview")
 
-#: Client transaction submissions (see ClientHarness); every replica's
+#: Client transaction submissions (see WorkloadHarness); every replica's
 #: client pump receives on it.
 CLIENT_TX_TAG = ("client", "txs")
 

@@ -227,7 +227,7 @@ class SmrNode:
             on_timeout=self._on_timeout,
             cap=self.config.timeout_cap,
         )
-        if hasattr(self.workload, "admit_batch"):
+        if self.workload is not None:
             self._persistent_tasks.append(
                 spawn(self.sim, self._client_pump(), name=f"n{self.node_id}-clients")
             )

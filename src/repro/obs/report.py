@@ -185,11 +185,10 @@ def build_report(
             "fast_fallbacks": sum(n.fast_fallbacks for n in cluster.nodes),
         }
     # Workload-engine runs only (same byte-identity rule as fast_path):
-    # a WorkloadHarness registers itself on the cluster; plain runs have
-    # no such attribute and their reports are unchanged.
-    workload_harness = getattr(cluster, "workload_harness", None)
-    if workload_harness is not None:
-        report["workload"] = workload_harness.summary()
+    # a WorkloadHarness registers itself on the cluster; plain runs keep
+    # ``workload_harness`` None and their reports are unchanged.
+    if cluster.workload_harness is not None:
+        report["workload"] = cluster.workload_harness.summary()
     return _rounded(report)
 
 

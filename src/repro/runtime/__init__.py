@@ -6,17 +6,15 @@ fault plan) and runs it to a stop condition. The experiment helpers on top
 reproduce the paper's measurement methodology: warm-up exclusion,
 throughput over a steady-state window, latency percentiles, and testbed
 saturation flags (the paper's red circles).
+
+Clients: a :class:`~repro.runtime.workload.WorkloadHarness` submits
+:class:`~repro.runtime.clients.TxChunk` runs to per-node
+:class:`~repro.runtime.clients.MempoolWorkload` mempools; a cluster
+without one runs saturated (every block full).
 """
 
 from repro.runtime.metrics import CommitRecord, LatencyHistogram, Metrics
-from repro.runtime.clients import (
-    ClientHarness,
-    MempoolWorkload,
-    PoissonWorkload,
-    SaturatedWorkload,
-    Tx,
-    TxChunk,
-)
+from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.cluster import Cluster, build_cluster_tree
 from repro.runtime.experiment import ExperimentResult, run_experiment
 from repro.runtime.sweep import (
@@ -39,12 +37,8 @@ from repro.runtime.workload import (
 __all__ = [
     "Metrics",
     "CommitRecord",
-    "SaturatedWorkload",
-    "PoissonWorkload",
     "MempoolWorkload",
-    "ClientHarness",
     "LatencyHistogram",
-    "Tx",
     "TxChunk",
     "Cluster",
     "build_cluster_tree",

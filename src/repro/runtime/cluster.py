@@ -137,6 +137,9 @@ class Cluster:
             if node_id in byzantine:
                 self.faults.mark_byzantine(node_id)
 
+        #: The WorkloadHarness driving this cluster's clients, if any (it
+        #: registers itself); None for saturated runs.
+        self.workload_harness: Any = None
         #: node_id -> PhaseRecorder when observability is on (else empty).
         self.recorders: Dict[int, Any] = {}
         if observability:

@@ -20,9 +20,10 @@ Pieces, bottom up:
 - :class:`ClientClassSpec` / :class:`WorkloadSpec` -- frozen, declarative
   descriptions that lower from scenario-pack TOML (``from_mapping``) and
   canonicalise into sweep-engine cache keys.
-- :class:`WorkloadHarness` -- one simulator loop per *class*, submitting
-  through the normal client path (leader mempools, admission control,
-  commit notifications), tracking per-class SLO attainment.
+- :class:`WorkloadHarness` -- the client harness: one simulator loop per
+  *class*, submitting chunked transactions over the network to the
+  leader's mempool (admission control, commit notifications), tracking
+  per-class SLO attainment.
 
 Determinism: every random draw comes from a ``random.Random`` seeded from
 the run seed and the class name, so arrival counts are reproducible across
@@ -40,9 +41,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.runtime.clients import (
     MEMPOOL_POLICIES,
-    ClientHarness,
     MempoolWorkload,
     TxChunk,
+    _ClientAwareNetem,
 )
 
 __all__ = [
@@ -550,39 +551,40 @@ def _new_histogram():
     return LatencyHistogram()
 
 
-class WorkloadHarness(ClientHarness):
-    """Aggregate client populations submitting through the real client path.
+class WorkloadHarness:
+    """Client populations (§2's clients) submitting over the network.
 
     One simulator loop per client *class* (not per user): each tick
     integrates the class's modulated rate into an expected arrival count
     (fractional backlog carried forward, optional gaussian jitter -- the
     N(lambda, lambda) approximation of Poisson counts, exact in
-    distribution as lambda grows), materialises that many transactions,
-    and ships them to the current leader. Commit notifications close the
-    loop per class, so SLO attainment is judged on end-to-end latency.
+    distribution as lambda grows) and ships that many transactions, as
+    :class:`~repro.runtime.clients.TxChunk` runs, to the replica the class
+    currently believes is the leader. Replica mempools
+    (:class:`~repro.runtime.clients.MempoolWorkload`) drain them into
+    blocks; commit notifications close the loop per class, so SLO
+    attainment is judged on end-to-end (submit-to-commit) latency.
+    Transactions addressed to a deposed leader are simply lost -- clients
+    do not retransmit (tracked in :attr:`lost_estimate`).
 
-    When ``registry`` is given, every transaction carries a KV write whose
-    key is Zipf-skewed over the spec's keyspace, driving the
-    ``app/kvstore`` state machine with realistic hot-key traffic.
+    Class ``i`` submits as process ``n + i``. When ``registry`` is given,
+    every transaction carries a KV write whose key is Zipf-skewed over the
+    spec's keyspace, driving the ``app/kvstore`` state machine with
+    realistic hot-key traffic.
 
     The harness registers itself as ``cluster.workload_harness`` so the
     observability layer can attach :meth:`summary` to the run report.
     """
 
     def __init__(self, cluster, spec: WorkloadSpec, registry=None, seed: int = 0):
+        self.cluster = cluster
         self.spec = spec
         self.registry = registry
         self.seed = seed
-        super().__init__(
-            cluster,
-            num_clients=len(spec.classes),
-            rate_txs=spec.total_steady_rate,
-            batch_interval=spec.batch_interval,
-        )
         self.classes: List[_ClassState] = [
             _ClassState(
                 spec=cls,
-                client_id=self._client_ids[index],
+                client_id=cluster.n + index,
                 slo_target_s=cls.slo_ms / 1000.0,
             )
             for index, cls in enumerate(spec.classes)
@@ -596,6 +598,14 @@ class WorkloadHarness(ClientHarness):
             random.Random(f"workload-keys:{seed}"),
         )
         self._latency_hist = _new_histogram()
+        network = cluster.network
+        # Idempotent: a second harness on the same cluster must not re-map
+        # already-mapped client ids.
+        if not isinstance(network.netem, _ClientAwareNetem):
+            network.netem = _ClientAwareNetem(network.netem, cluster.n)
+        for state in self.classes:
+            network.register(state.client_id)
+        cluster.metrics.commit_listeners.append(self._on_commit)
         cluster.workload_harness = self
 
     # ------------------------------------------------------------------
@@ -611,7 +621,7 @@ class WorkloadHarness(ClientHarness):
             interval = self.spec.batch_interval
             jitter = self.spec.jitter
             chunk_txs = INGEST_CHUNK_TXS
-            tx_size = self.tx_size
+            tx_size = self.cluster.config.tx_size
             client_id = state.client_id
             sim = self.cluster.sim
             network_send = self.cluster.network.send
@@ -647,7 +657,7 @@ class WorkloadHarness(ClientHarness):
                 leader = self._current_leader()
                 network_send(
                     client_id, leader, CLIENT_TX_TAG, batch,
-                    size=count * self.tx_size,
+                    size=count * tx_size,
                 )
 
         for state in self.classes:
@@ -656,6 +666,12 @@ class WorkloadHarness(ClientHarness):
                 class_loop(state),
                 name=f"workload-{state.spec.name}",
             )
+
+    def _current_leader(self) -> int:
+        views = [
+            node.view for node in self.cluster.nodes if not node.stopped
+        ] or [0]
+        return self.cluster.policy.leader_of(max(max(views), 0))
 
     def _record_ops(self, state: _ClassState, seq: int, count: int) -> None:
         """Attach one Zipf-keyed KV write per transaction of a tick.
@@ -724,8 +740,8 @@ class WorkloadHarness(ClientHarness):
         dropped: Dict[int, int] = {}
         offered = 0
         for node in self.cluster.nodes:
-            mempool = getattr(node, "workload", None)
-            if mempool is None or not hasattr(mempool, "admitted_by_client"):
+            mempool = node.workload
+            if mempool is None:  # saturated node: no client path
                 continue
             offered += mempool.offered
             for client_id, count in mempool.admitted_by_client.items():
@@ -747,9 +763,10 @@ class WorkloadHarness(ClientHarness):
         return generated - self._latency_hist.count
 
     def e2e_latency_stats(self) -> Dict[str, float]:
-        """Histogram-backed end-to-end latency summary (same key set as
-        the exact path; see :class:`LatencyHistogram` for the error
-        model)."""
+        """End-to-end (submit-to-commit) latency summary with tail
+        percentiles: :func:`~repro.runtime.metrics.latency_summary`'s key
+        set, from the histogram (see :class:`LatencyHistogram` for the
+        error model)."""
         from repro.runtime.metrics import E2E_PERCENTILES
 
         return self._latency_hist.summary(E2E_PERCENTILES)

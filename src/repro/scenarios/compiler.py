@@ -364,6 +364,8 @@ def _build_spec(
         except ConfigError as exc:
             raise PackError(f"{where} [workload]: {exc}") from None
     try:
+        if block_size is not None:  # block_kb against the config's tx_size
+            (config or ProtocolConfig()).with_block_size(block_size)
         return ExperimentSpec(**kwargs)
     except ConfigError as exc:  # e.g. NetworkParams re-validation
         raise PackError(f"{where}: {exc}") from None

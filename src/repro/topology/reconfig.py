@@ -44,7 +44,7 @@ def swap_scenario(network: Any, netem: Any) -> int:
 
     If the current shaper knows how to carry state over to a replacement
     (duck-typed ``rewrap``, e.g. the client-id mapping installed by
-    ``runtime.clients.ClientHarness``), the new shaper is threaded through
+    ``runtime.workload.WorkloadHarness``), the new shaper is threaded through
     it so the swap does not silently strip that layer.
 
     Returns the number of evicted pairs (see

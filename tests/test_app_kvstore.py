@@ -4,7 +4,6 @@ import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.app import (
-    KvClientHarness,
     KvOp,
     KvStateMachine,
     OpRegistry,
@@ -14,6 +13,7 @@ from repro.config import KB
 from repro.consensus.block import GENESIS_HASH, Block
 from repro.errors import ConfigError
 from repro.runtime import MempoolWorkload
+from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 
 def kv_cluster(mode="kauri", n=7, rate=2000.0, seed=0):
@@ -27,7 +27,16 @@ def kv_cluster(mode="kauri", n=7, rate=2000.0, seed=0):
         workload_factory=lambda node_id: MempoolWorkload(config),
     )
     registry = OpRegistry()
-    harness = KvClientHarness(cluster, registry, num_clients=3, rate_txs=rate)
+    spec = WorkloadSpec(
+        classes=tuple(
+            ClientClassSpec(name=f"kv{k}", population=1, rate_per_user=rate / 3)
+            for k in range(3)
+        ),
+        keyspace=64,
+        batch_interval=0.2,
+        jitter=False,
+    )
+    harness = WorkloadHarness(cluster, spec, registry=registry)
     machines = attach_kv_application(cluster, registry)
     return cluster, harness, machines, registry
 

@@ -103,6 +103,17 @@ def test_protocol_config_validation():
         ProtocolConfig(base_timeout=0.0)
 
 
+def test_protocol_config_rejects_tx_larger_than_block():
+    """Regression: ``txs_per_block`` was clamped to 1, so a block smaller
+    than one transaction validated and a mempool run committed blocks
+    carrying no transaction at all."""
+    with pytest.raises(ConfigError, match="tx_size 4096 B exceeds block_size 1024 B"):
+        ProtocolConfig(block_size=1024, tx_size=4096)
+    with pytest.raises(ConfigError, match="tx_size"):
+        ProtocolConfig(tx_size=4096).with_block_size(1024)
+    assert ProtocolConfig(block_size=4096, tx_size=4096).txs_per_block == 1
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -5,10 +5,11 @@ maintenance surface that rides along with them.
 The load-bearing invariants pinned here:
 
 * the chunked client path produces the byte-identical arrival sequence
-  the per-``Tx`` path produced (digest pinned below), for any chunk size;
-* ``admit_batch`` is outcome-equivalent to the per-item ``admit`` oracle
-  (``tests/reference_mempool.py``), and invariant to how a batch is
-  partitioned into chunks;
+  the earlier per-transaction client path produced (digest pinned below),
+  for any chunk size;
+* ``admit_batch`` is outcome-equivalent to the oracle ``admit`` that
+  admits one transaction at a time (``tests/reference_mempool.py``), and
+  invariant to how a batch is partitioned into chunks;
 * the admission conservation law ``offered == admitted + dropped +
   deferred_txs`` holds at every step across defer -> release cycles;
 * ``LatencyHistogram`` percentiles track the exact nearest-rank
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
-from repro.runtime import LatencyHistogram, MempoolWorkload, Tx, TxChunk
+from repro.runtime import LatencyHistogram, MempoolWorkload, TxChunk
 from repro.runtime import workload as workload_module
 from repro.runtime.metrics import (
     E2E_PERCENTILES,
@@ -59,13 +60,10 @@ class TestTxChunk:
         assert tail.count == 5 and tail.start_seq == 12
         assert head.tx_ids() + tail.tx_ids() == chunk.tx_ids()
 
-    def test_materialize_matches_tx_ids(self):
-        chunk = TxChunk(client_id=1, start_seq=0, count=4, size=256,
+    def test_tx_ids_enumerate_the_run(self):
+        chunk = TxChunk(client_id=1, start_seq=5, count=4, size=256,
                         submitted_at=0.25)
-        txs = chunk.materialize()
-        assert [tx.tx_id for tx in txs] == chunk.tx_ids()
-        assert all(isinstance(tx, Tx) for tx in txs)
-        assert all(tx.size == 256 and tx.submitted_at == 0.25 for tx in txs)
+        assert chunk.tx_ids() == [(1, 5), (1, 6), (1, 7), (1, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +73,6 @@ def make_pool(capacity, policy, block_size=64 * KB, tx_size=512,
               mempool=MempoolWorkload):
     config = ProtocolConfig(block_size=block_size, tx_size=tx_size)
     return mempool(config, capacity_txs=capacity, policy=policy)
-
-
-def flatten(items):
-    """Materialise a mixed Tx/TxChunk batch into per-tx objects."""
-    txs = []
-    for item in items:
-        if isinstance(item, TxChunk):
-            txs.extend(item.materialize())
-        else:
-            txs.append(item)
-    return txs
 
 
 def pool_state(pool):
@@ -115,7 +102,7 @@ def drain(pool, rounds=200):
 
 batch_items = st.lists(
     st.tuples(
-        st.booleans(),                      # chunk or single tx
+        st.booleans(),                      # run or single tx
         st.integers(min_value=0, max_value=3),   # client id
         st.integers(min_value=1, max_value=40),  # chunk count
         st.sampled_from([128, 512, 700]),        # tx size
@@ -130,12 +117,10 @@ def build_items(raw):
     items, next_seq = [], {}
     for is_chunk, client, count, size in raw:
         seq = next_seq.get(client, 0)
-        if is_chunk:
-            items.append(TxChunk(client, seq, count, size, 0.125))
-            next_seq[client] = seq + count
-        else:
-            items.append(Tx((client, seq), size, 0.125))
-            next_seq[client] = seq + 1
+        if not is_chunk:
+            count = 1
+        items.append(TxChunk(client, seq, count, size, 0.125))
+        next_seq[client] = seq + count
     return items
 
 
@@ -150,7 +135,7 @@ def test_admit_batch_matches_per_item_oracle(raw, capacity, policy):
     fast = make_pool(capacity, policy)
     oracle = make_pool(capacity, policy, mempool=PerItemMempool)
     admitted_fast = fast.admit_batch(items)
-    admitted_ref = oracle.admit(flatten(items))
+    admitted_ref = oracle.admit(items)
     assert admitted_fast == admitted_ref
     assert pool_state(fast) == pool_state(oracle)
     assert drain(fast) == drain(oracle)
@@ -238,12 +223,9 @@ def test_conservation_law_across_release_cycles(policy, use_batch):
         items = []
         for _ in range(rng.randrange(4)):
             client = rng.randrange(3)
-            if rng.random() < 0.5:
-                items.append(TxChunk(client, step * 1000 + len(items) * 100,
-                                     rng.randrange(1, 40), 512, float(step)))
-            else:
-                items.append(Tx((client, step * 1000 + len(items) * 100),
-                               512, float(step)))
+            count = rng.randrange(1, 40) if rng.random() < 0.5 else 1
+            items.append(TxChunk(client, step * 1000 + len(items) * 100,
+                                 count, 512, float(step)))
         admit(items)
         check_conservation(pool)
         pool.next_fill(float(step))
@@ -262,7 +244,7 @@ def test_release_preserves_arrival_order_with_chunks():
     pool = make_pool(capacity=4, policy="defer", block_size=2 * 512)
     pool.admit_batch([
         TxChunk(0, 0, 3, 512, 0.0),
-        Tx((1, 0), 512, 0.0),
+        TxChunk(1, 0, 1, 512, 0.0),
         TxChunk(2, 0, 3, 512, 0.0),
     ])
     check_conservation(pool)
@@ -423,9 +405,9 @@ class TestLatencyHistogram:
 # ---------------------------------------------------------------------------
 # Chunked arrival synthesis: byte-identical sequences, any chunk size
 # ---------------------------------------------------------------------------
-#: SHA-256 over the fully materialised (src, dst, tx_id, size, submitted_at)
+#: SHA-256 over the per-transaction (src, dst, tx_id, size, submitted_at)
 #: arrival sequence of the reference spec below -- recorded from the
-#: pre-chunking per-Tx client path. The fast path must reproduce it bit
+#: pre-chunking per-transaction client path. The fast path must reproduce it bit
 #: for bit; a change here means simulated behaviour moved.
 ARRIVAL_DIGEST = "7c3bc064f00a0d4c598609250a120674561040e8837c98a322e1c6a6e85463f7"
 ARRIVAL_TXS = 1939
@@ -448,8 +430,8 @@ def digest_spec():
 
 
 def run_arrival_capture(duration, seed=3):
-    """Digest of the materialised client arrival stream plus the workload
-    summary, under whatever INGEST_CHUNK_TXS is currently set."""
+    """Digest of the per-transaction client arrival stream plus the
+    workload summary, under whatever INGEST_CHUNK_TXS is currently set."""
     from repro.consensus.tags import CLIENT_TX_TAG
 
     spec = digest_spec()
@@ -465,11 +447,10 @@ def run_arrival_capture(duration, seed=3):
         if (kind == "send" and msg.tag == CLIENT_TX_TAG
                 and isinstance(msg.payload, list)):
             for item in msg.payload:
-                txs = (item.materialize() if isinstance(item, TxChunk)
-                       else [item])
-                for tx in txs:
-                    seen.append((msg.src, msg.dst, tx.tx_id, tx.size,
-                                 round(tx.submitted_at, 9)))
+                submitted_at = round(item.submitted_at, 9)
+                for tx_id in item.tx_ids():
+                    seen.append((msg.src, msg.dst, tx_id, item.size,
+                                 submitted_at))
 
     cluster.network.observers.append(observer)
     cluster.start()

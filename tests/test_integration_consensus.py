@@ -102,7 +102,8 @@ def test_explicit_stretch_is_respected():
 
 
 def test_poisson_workload_partial_blocks():
-    from repro.runtime import PoissonWorkload
+    from repro.runtime import MempoolWorkload
+    from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
     config = ProtocolConfig(block_size=100 * KB)
     cluster = Cluster(
@@ -110,11 +111,14 @@ def test_poisson_workload_partial_blocks():
         mode="kauri",
         scenario="national",
         config=config,
-        workload_factory=lambda node_id: PoissonWorkload(
-            config, rate_txs=500.0, jitter=False
-        ),
+        workload_factory=lambda node_id: MempoolWorkload(config),
     )
+    spec = WorkloadSpec(classes=(
+        ClientClassSpec(name="poisson", population=1, rate_per_user=500.0),
+    ))
+    harness = WorkloadHarness(cluster, spec)
     cluster.start()
+    harness.start()
     cluster.run(duration=10.0)
     cluster.check_agreement()
     records = cluster.metrics.records()

@@ -1,12 +1,29 @@
 """End-to-end client path: submission over the network, mempools,
 commit notifications, submit-to-commit latency (§2's client processes)."""
 
+import hashlib
+
 import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
 from repro.errors import ConfigError
-from repro.runtime import ClientHarness, MempoolWorkload, Tx
+from repro.runtime import MempoolWorkload, TxChunk
+from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
+
+
+def client_spec(rate=2000.0, clients=4):
+    """``clients`` single-user classes sharing ``rate`` tx/s evenly, each
+    submitting exactly ``rate / clients * 0.2`` txs per 0.2 s tick."""
+    return WorkloadSpec(
+        classes=tuple(
+            ClientClassSpec(name=f"client{k}", population=1,
+                            rate_per_user=rate / clients)
+            for k in range(clients)
+        ),
+        batch_interval=0.2,
+        jitter=False,
+    )
 
 
 def make_client_cluster(n=7, rate=2000.0, clients=4, block_kb=64, seed=0):
@@ -19,7 +36,7 @@ def make_client_cluster(n=7, rate=2000.0, clients=4, block_kb=64, seed=0):
         seed=seed,
         workload_factory=lambda node_id: MempoolWorkload(config),
     )
-    harness = ClientHarness(cluster, num_clients=clients, rate_txs=rate)
+    harness = WorkloadHarness(cluster, client_spec(rate, clients))
     return cluster, harness
 
 
@@ -32,7 +49,7 @@ class TestMempoolWorkload:
         config = ProtocolConfig(block_size=4096, tx_size=1024)
         assert config.txs_per_block == 4
         pool = MempoolWorkload(config)
-        pool.admit_batch([Tx((0, k), 100, 0.0) for k in range(20)])
+        pool.admit_batch([TxChunk(0, 0, 20, 100, 0.0)])
         fill = pool.next_fill(1.0)
         assert fill.num_txs == 4
         assert pool.queued_txs == 16
@@ -40,8 +57,7 @@ class TestMempoolWorkload:
     def test_drains_oldest_first_up_to_block_size(self):
         config = ProtocolConfig(block_size=1024, tx_size=512)
         pool = MempoolWorkload(config)
-        txs = [Tx((0, k), 400, 0.0) for k in range(5)]
-        pool.admit_batch(txs)
+        pool.admit_batch([TxChunk(0, 0, 5, 400, 0.0)])
         fill = pool.next_fill(1.0)
         assert fill.num_txs == 2  # 2 * 400 <= 1024 < 3 * 400
         assert fill.payload_size == 800
@@ -104,21 +120,19 @@ class TestClientHarness:
         cluster.run(duration=30.0)
         cluster.check_agreement()
         # commits resumed with client load after the view change
-        post_fault = [
-            lat for lat in harness.e2e_latencies
-        ]
         assert harness.committed_txs > 0
         assert cluster.metrics.commit_gap_after(6.0) is not None
 
     def test_validation(self):
-        cluster, _ = make_client_cluster()
         with pytest.raises(ConfigError):
-            ClientHarness(cluster, num_clients=0)
+            WorkloadSpec(classes=())  # no clients
         with pytest.raises(ConfigError):
-            ClientHarness(cluster, rate_txs=0)
+            ClientClassSpec(name="c", population=1, rate_per_user=0)
+        with pytest.raises(ConfigError):
+            WorkloadSpec(classes=client_spec().classes, batch_interval=0)
 
     def test_empty_harness_reports_full_e2e_stat_shape(self):
-        """e2e_latency_stats shares latency_summary's key set, including
+        """e2e_latency_stats has latency_summary's key set, including
         the tail percentiles, even before any commit is observed."""
         cluster, harness = make_client_cluster()
         stats = harness.e2e_latency_stats()
@@ -132,7 +146,7 @@ class TestClientHarness:
         from repro.runtime.clients import _ClientAwareNetem
 
         cluster, _ = make_client_cluster()
-        ClientHarness(cluster, num_clients=2, rate_txs=100.0)
+        WorkloadHarness(cluster, client_spec(rate=100.0, clients=2))
         netem = cluster.network.netem
         assert isinstance(netem, _ClientAwareNetem)
         assert not isinstance(netem._base, _ClientAwareNetem)
@@ -166,9 +180,45 @@ class TestClientHarness:
             config=config,
             workload_factory=lambda node_id: MempoolWorkload(config),
         )
-        harness = ClientHarness(cluster, num_clients=2, rate_txs=500.0)
+        harness = WorkloadHarness(cluster, client_spec(rate=500.0, clients=2))
         cluster.start()
         harness.start()
         cluster.run(duration=20.0)
         cluster.check_agreement()
         assert harness.committed_txs > 0
+
+
+class TestPinnedClientPath:
+    """Runs pinned from the per-transaction client harness this one
+    replaced (4 clients at 500 tx/s each, 0.2 s batches): event count,
+    committed and lost transactions, and a SHA-256 over every node's
+    commit log of block tx ids. The chunked path must reproduce them
+    exactly; a change here means simulated behaviour moved."""
+
+    @staticmethod
+    def run_pinned(seed, duration, crash=False):
+        cluster, harness = make_client_cluster(seed=seed)
+        if crash:
+            cluster.crash_at(cluster.policy.leader_of(0), 5.0)
+        cluster.start()
+        harness.start()
+        cluster.run(duration=duration)
+        logs = [
+            [block.tx_ids for block in node.store.commit_log]
+            for node in cluster.nodes
+        ]
+        digest = hashlib.sha256(repr(logs).encode()).hexdigest()
+        return (cluster.sim.events_processed, harness.committed_txs,
+                harness.lost_estimate, digest)
+
+    def test_fault_free_run(self):
+        assert self.run_pinned(seed=0, duration=15.0) == (
+            104_398, 28_400, 1_600,
+            "326e0a305dc56c025a23f517a5cd6d627a74a17dc88e9725da86aeaa52220b24",
+        )
+
+    def test_leader_crash_run(self):
+        assert self.run_pinned(seed=2, duration=30.0, crash=True) == (
+            153_535, 52_800, 7_200,
+            "cf78c723e46c1321d4c243f70cfba3f4bea63f5970aa9c585fec7cd0046880dc",
+        )

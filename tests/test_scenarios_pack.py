@@ -174,6 +174,20 @@ def test_unknown_config_key_rejected():
         compile_pack(pack)
 
 
+def test_block_kb_smaller_than_tx_size_names_the_cell():
+    """Regression: a cell's ``block_kb`` was never checked against its
+    ``[config] tx_size``, so a block no transaction fits compiled."""
+    pack = parse_pack(make_pack(
+        defaults={
+            "n": 7, "duration": 5.0, "mode": "kauri", "scenario": "national",
+            "config": {"tx_size": 4096},
+        },
+        axes={"block_kb": [8, 2]},
+    ))
+    with pytest.raises(PackError, match=r"cell 1: tx_size 4096 B exceeds block_size 2048 B"):
+        compile_pack(pack)
+
+
 def test_fault_times_scale_with_compile_scale():
     pack = parse_pack(make_pack(defaults={
         "n": 7, "duration": 40.0, "mode": "kauri", "scenario": "national",
