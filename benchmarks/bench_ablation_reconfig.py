@@ -12,13 +12,14 @@ topology is the only difference post-fallback).
 from conftest import SCALE, run_once
 
 from repro.analysis import format_table
-from repro.runtime import run_experiment
-from repro.runtime.cluster import Cluster
+from repro.core.modes import mode_spec
+from repro.runtime.cluster import build_policy
+from repro.runtime.experiment import run_experiment
 
 
 def run_case(mode):
-    probe = Cluster(n=100, mode=mode, scenario="global")
-    crashes = [(probe.policy.leader_of(0), 40.0)]
+    policy = build_policy(mode_spec(mode), "global", 100, 2, None)
+    crashes = [(policy.leader_of(0), 40.0)]
     duration = 160.0 * max(SCALE, 0.5)
     result = run_experiment(
         mode=mode,
@@ -28,8 +29,7 @@ def run_case(mode):
         crashes=crashes,
         warmup_fraction=0.0,
     )
-    cluster_policy = probe.policy
-    post_tree = cluster_policy.configuration(result.max_view)
+    post_tree = policy.configuration(result.max_view)
     return result, post_tree
 
 

@@ -10,7 +10,8 @@ O(valid-values) to verify, while signature lists grow with the quorum.
 import pytest
 
 from repro.consensus.vote import Phase, vote_value
-from repro.crypto import Pki, make_scheme
+from repro.crypto.keys import Pki
+from repro.crypto.signature import make_scheme
 
 N = 400
 PKI = Pki(n=N)

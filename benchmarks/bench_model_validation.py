@@ -12,7 +12,7 @@ from conftest import SCALE, run_grid, run_once
 
 from repro.analysis import format_table
 from repro.config import KB, SCENARIOS, ProtocolConfig
-from repro.runtime import ExperimentSpec
+from repro.runtime.sweep import ExperimentSpec
 from repro.runtime.horizon import adaptive_duration, model_for
 
 GRID = [

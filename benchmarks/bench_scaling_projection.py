@@ -20,7 +20,7 @@ from repro.analysis import format_table
 from repro.config import GLOBAL, KB, ProtocolConfig, default_root_fanout
 from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS, SECP_COSTS
-from repro.runtime import ExperimentSpec
+from repro.runtime.sweep import ExperimentSpec
 from repro.runtime.horizon import adaptive_duration
 
 SIZES = (100, 200, 400, 700, 1000)

@@ -10,7 +10,7 @@ from conftest import run_once
 from repro.analysis import format_table
 from repro.analysis.tables import TABLE1_HEADERS, table1_rows
 from repro.config import max_faults
-from repro.topology import ReconfigurationPolicy
+from repro.topology.reconfig import ReconfigurationPolicy
 
 
 def test_table1_system_comparison(benchmark, save_table):

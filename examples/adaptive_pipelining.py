@@ -13,7 +13,7 @@ Run:  python examples/adaptive_pipelining.py      (~1 minute)
 from repro import Cluster, ProtocolConfig
 from repro.analysis import format_table
 from repro.config import GLOBAL, KB
-from repro.core import PerfModel
+from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS
 
 N = 31

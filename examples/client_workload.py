@@ -12,7 +12,7 @@ Run:  python examples/client_workload.py
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
-from repro.runtime import MempoolWorkload
+from repro.runtime.clients import MempoolWorkload
 from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 N = 13

@@ -13,7 +13,7 @@ Run:  python examples/heterogeneous_deployment.py      (~1 minute)
 
 from repro import Cluster, resilientdb_clusters
 from repro.analysis import format_table
-from repro.core import tune_heterogeneous
+from repro.core.autotune import tune_heterogeneous
 from repro.runtime.cluster import build_cluster_tree
 
 REGIONS = ["Oregon", "Iowa", "Montreal", "Belgium", "Taiwan", "Sydney"]

@@ -23,55 +23,51 @@ Public surface:
 - :mod:`repro.net` / :mod:`repro.sim` -- the simulated testbed: NICs,
   links, impatient channels (Alg. 1), fault injection, event kernel.
 - :mod:`repro.analysis` -- generators for every table and figure of §7.
+
+The names below resolve on first access, so ``import repro`` loads no
+simulation code. The run-path subpackages (``sim`` to ``runtime``)
+re-export nothing: import any other name from the module that defines it.
 """
 
-from repro.config import (
-    GLOBAL,
-    KB,
-    MB,
-    NATIONAL,
-    REGIONAL,
-    SCENARIOS,
-    NetworkParams,
-    ProtocolConfig,
-    max_faults,
-    quorum_size,
-    resilientdb_clusters,
-)
-from repro.core import MODES, PerfModel, TreeComm, mode_spec
-from repro.runtime import (
-    Cluster,
-    ExperimentResult,
-    Metrics,
-    run_experiment,
-)
-from repro.topology import ReconfigurationPolicy, Tree, build_star, build_tree
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "run_experiment",
-    "Cluster",
-    "ExperimentResult",
-    "Metrics",
-    "PerfModel",
-    "TreeComm",
-    "MODES",
-    "mode_spec",
-    "Tree",
-    "build_tree",
-    "build_star",
-    "ReconfigurationPolicy",
-    "ProtocolConfig",
-    "NetworkParams",
-    "SCENARIOS",
-    "GLOBAL",
-    "REGIONAL",
-    "NATIONAL",
-    "KB",
-    "MB",
-    "max_faults",
-    "quorum_size",
-    "resilientdb_clusters",
-    "__version__",
-]
+#: Public name -> the module that defines it (PEP 562 lazy attributes).
+_EXPORTS = {
+    "run_experiment": "repro.runtime.experiment",
+    "Cluster": "repro.runtime.cluster",
+    "ExperimentResult": "repro.runtime.experiment",
+    "Metrics": "repro.runtime.metrics",
+    "PerfModel": "repro.core.perfmodel",
+    "TreeComm": "repro.core.comm",
+    "MODES": "repro.core.modes",
+    "mode_spec": "repro.core.modes",
+    "Tree": "repro.topology.tree",
+    "build_tree": "repro.topology.builder",
+    "build_star": "repro.topology.builder",
+    "ReconfigurationPolicy": "repro.topology.reconfig",
+    "ProtocolConfig": "repro.config",
+    "NetworkParams": "repro.config",
+    "SCENARIOS": "repro.config",
+    "GLOBAL": "repro.config",
+    "REGIONAL": "repro.config",
+    "NATIONAL": "repro.config",
+    "KB": "repro.config",
+    "MB": "repro.config",
+    "max_faults": "repro.config",
+    "quorum_size": "repro.config",
+    "resilientdb_clusters": "repro.config",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

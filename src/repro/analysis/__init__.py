@@ -1,4 +1,4 @@
-"""Tables, table formatting, the pipelining Gantt view and Figure 12.
+"""Tables, the pipelining Gantt view and Figure 12.
 
 Tables 1-2 come from :mod:`repro.analysis.tables`, Figures 3-4 from the
 traced spans of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
@@ -6,10 +6,11 @@ traced spans of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
 cluster's leader schedule. Every other evaluation figure is a scenario
 pack under ``scenarios/``, run with ``repro scenarios run <pack>`` or
 :func:`repro.scenarios.run_pack`. EXPERIMENTS.md records
-paper-vs-measured.
+paper-vs-measured. ``format_table`` is the CLI's text renderer
+(:mod:`repro.cli`), re-exported for the benchmark scripts and examples.
 """
 
-from repro.analysis.report import format_table
+from repro.cli import format_table
 from repro.analysis.tables import table1_rows, table2_measured_rows, table2_rows
 from repro.analysis.pipeline_viz import (
     InstanceSpan,

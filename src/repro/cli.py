@@ -34,15 +34,43 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional, Sequence
 
-from repro.analysis import format_table
 from repro.config import KB, SCENARIOS, ProtocolConfig, resilientdb_clusters
 from repro.core.modes import MODES
 
 #: Every registered mode, straight from the registry -- adding a ModeSpec
 #: automatically surfaces it in ``run``/``report`` and in ``repro modes``.
 MODE_CHOICES = sorted(MODES)
+
+
+def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        if abs(value) >= 10:
+            return f"{value:.1f}"
+        return f"{value:.3f}"
+    return str(value)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
+    """Align ``rows`` under ``headers``; floats get sensible precision."""
+    table: List[List[str]] = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in table:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in table:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
 
 
 def _add_run_parser(subparsers) -> None:
@@ -67,20 +95,19 @@ def _add_run_parser(subparsers) -> None:
 
 
 def _cmd_run(args) -> int:
-    from repro.runtime.cluster import Cluster
+    from repro.core.modes import mode_spec
+    from repro.runtime.cluster import build_policy
     from repro.runtime.experiment import run_experiment
 
-    scenario = (
-        resilientdb_clusters() if args.scenario == "heterogeneous" else args.scenario
-    )
+    if args.scenario == "heterogeneous":
+        scenario = resilientdb_clusters()
+        n = scenario.n
+    else:
+        scenario, n = args.scenario, args.n
     crashes = []
     if args.crash_leader_at is not None:
-        probe = Cluster(
-            n=None if args.scenario == "heterogeneous" else args.n,
-            mode=args.mode,
-            scenario=scenario,
-        )
-        crashes = [(probe.policy.leader_of(0), args.crash_leader_at)]
+        policy = build_policy(mode_spec(args.mode), scenario, n, args.height, None)
+        crashes = [(policy.leader_of(0), args.crash_leader_at)]
     config = ProtocolConfig(
         block_size=args.block_size_kb * KB,
         stretch=args.stretch,
@@ -89,7 +116,7 @@ def _cmd_run(args) -> int:
     result = run_experiment(
         mode=args.mode,
         scenario=scenario,
-        n=None if args.scenario == "heterogeneous" else args.n,
+        n=n,
         duration=args.duration,
         max_commits=args.max_commits,
         height=args.height,
@@ -286,7 +313,11 @@ def _add_fig_parser(subparsers) -> None:
 
 def _cmd_fig(args) -> int:
     if args.figure == "3":
-        from repro.analysis import extract_spans, max_concurrency, render_gantt
+        from repro.analysis.pipeline_viz import (
+            extract_spans,
+            max_concurrency,
+            render_gantt,
+        )
         from repro.net.trace import MessageTrace
         from repro.runtime.cluster import Cluster
 
@@ -300,7 +331,7 @@ def _cmd_fig(args) -> int:
             print(f"\n--- {mode} (peak in-flight: {max_concurrency(spans)}) ---")
             print(render_gantt(spans[2:], max_rows=8))
         return 0
-    from repro.analysis import fig12_reconfiguration
+    from repro.analysis.figures import fig12_reconfiguration
 
     case = {"12a": "leader", "12b": "three-leaders", "12c": "internal+leaders"}[
         args.figure
@@ -436,16 +467,26 @@ def _emit_report(report, path: Optional[str], validate: bool = True) -> int:
     return 0
 
 
-def _add_scenarios_parser(subparsers) -> None:
+def _pack_name(name: str) -> str:
+    """argparse ``type`` of a PACK argument: a catalog pack name. The
+    catalog is read only when a ``scenarios`` command parses one."""
     from repro.scenarios import pack_names
 
     try:
         names = sorted(pack_names())
     except Exception:  # unreadable catalog dir: accept any name, fail late
-        names = []
-    # Empty catalog -> no choices restriction; load_pack gives the precise
-    # "unknown pack" error (with the catalog location) at run time.
-    choices = names or None
+        return name
+    # Empty catalog -> any name; load_pack gives the precise "unknown pack"
+    # error (with the catalog location) at run time.
+    if names and name not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} "
+            f"(choose from {', '.join(map(repr, names))})"
+        )
+    return name
+
+
+def _add_scenarios_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "scenarios",
         help="list / show / validate / run declarative scenario packs",
@@ -453,14 +494,14 @@ def _add_scenarios_parser(subparsers) -> None:
     sub = p.add_subparsers(dest="scenarios_command", required=True)
     sub.add_parser("list", help="list every pack in the catalog")
     show = sub.add_parser("show", help="show a pack's axes and compiled cells")
-    show.add_argument("name", choices=choices, metavar="PACK")
+    show.add_argument("name", type=_pack_name, metavar="PACK")
     validate = sub.add_parser(
         "validate", help="dry-run compile packs; exit 1 on any error"
     )
-    validate.add_argument("name", nargs="?", choices=choices, metavar="PACK",
+    validate.add_argument("name", nargs="?", type=_pack_name, metavar="PACK",
                           help="one pack; default: every pack in the catalog")
     run = sub.add_parser("run", help="compile a pack and run its grid")
-    run.add_argument("name", choices=choices, metavar="PACK")
+    run.add_argument("name", type=_pack_name, metavar="PACK")
     run.add_argument("--scale", type=float, default=1.0,
                      help="horizon/budget scale (default 1.0)")
     run.add_argument("--seed", type=int, default=None,

@@ -9,27 +9,4 @@ pluggable :class:`~repro.consensus.protocol.Protocol` strategies consumed
 by :class:`~repro.core.smr.SmrNode` (the chained Kauri/HotStuff rules and
 the Kudzu optimistic fast path) and the shared wire-tag vocabulary
 (:mod:`repro.consensus.tags`).
-
-``Protocol`` subclasses are intentionally *not* re-exported here: they are
-resolved lazily through the ``PROTOCOLS`` registry in
-:mod:`repro.core.modes`, and importing them eagerly would drag the whole
-simulation stack into every ``repro.consensus`` import.
 """
-
-from repro.consensus.block import Block, BlockStore, GENESIS_HASH, make_genesis
-from repro.consensus.vote import Phase, QuorumCert, genesis_qc, vote_value
-from repro.consensus.safety import SafetyRules
-from repro.consensus.pacemaker import Pacemaker
-
-__all__ = [
-    "Block",
-    "BlockStore",
-    "GENESIS_HASH",
-    "make_genesis",
-    "Phase",
-    "QuorumCert",
-    "genesis_qc",
-    "vote_value",
-    "SafetyRules",
-    "Pacemaker",
-]

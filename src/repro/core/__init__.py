@@ -18,40 +18,3 @@ This is the paper's primary contribution (§3-§5):
   HotStuff-secp, HotStuff-bls, PBFT, Kudzu; §7) and the ``PROTOCOLS``
   strategy registry.
 """
-
-from repro.core.comm import TreeComm
-from repro.core.perfmodel import PerfModel
-from repro.core.smr import ReplicaShared, SmrNode
-from repro.core.modes import (
-    MODES,
-    PROTOCOLS,
-    ModeSpec,
-    mode_spec,
-    protocol_class,
-    protocol_kind,
-)
-from repro.core.pipeline import AdaptivePacer
-from repro.core.autotune import (
-    PlacementResult,
-    TuningResult,
-    tune_heterogeneous,
-    tune_homogeneous,
-)
-
-__all__ = [
-    "TreeComm",
-    "PerfModel",
-    "ReplicaShared",
-    "SmrNode",
-    "MODES",
-    "PROTOCOLS",
-    "ModeSpec",
-    "mode_spec",
-    "protocol_class",
-    "protocol_kind",
-    "AdaptivePacer",
-    "TuningResult",
-    "PlacementResult",
-    "tune_homogeneous",
-    "tune_heterogeneous",
-]

@@ -20,28 +20,3 @@ produce a share the PKI validates), the collection laws, wire sizes, and
 CPU costs (taken from :mod:`repro.crypto.costs` and charged to simulated
 CPUs).
 """
-
-from repro.crypto.keys import KeyPair, Pki, canonical_digest
-from repro.crypto.collection import Collection
-from repro.crypto.secp import SecpCollection, SecpScheme, SecpSignature
-from repro.crypto.bls import BlsCollection, BlsScheme, BlsShare
-from repro.crypto.costs import BLS_COSTS, SECP_COSTS, CryptoCostModel
-from repro.crypto.signature import SignatureScheme, make_scheme
-
-__all__ = [
-    "Pki",
-    "KeyPair",
-    "canonical_digest",
-    "Collection",
-    "SecpScheme",
-    "SecpSignature",
-    "SecpCollection",
-    "BlsScheme",
-    "BlsShare",
-    "BlsCollection",
-    "CryptoCostModel",
-    "SECP_COSTS",
-    "BLS_COSTS",
-    "SignatureScheme",
-    "make_scheme",
-]

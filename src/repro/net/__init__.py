@@ -12,28 +12,3 @@ The fabric models what the paper's Grid'5000 + NetEm testbed provides:
   (:mod:`repro.net.impatient`);
 - crash/omission/delay fault injection (:mod:`repro.net.faults`).
 """
-
-from repro.net.message import Message
-from repro.net.netem import ClusterNetem, HomogeneousNetem, Netem
-from repro.net.nic import Nic
-from repro.net.network import Endpoint, Network
-from repro.net.impatient import BOTTOM, ImpatientChannel
-from repro.net.perfect import ReliableLink
-from repro.net.faults import FaultInjector
-from repro.net.trace import MessageTrace, TraceEvent
-
-__all__ = [
-    "MessageTrace",
-    "TraceEvent",
-    "Message",
-    "Netem",
-    "HomogeneousNetem",
-    "ClusterNetem",
-    "Nic",
-    "Network",
-    "Endpoint",
-    "ImpatientChannel",
-    "BOTTOM",
-    "ReliableLink",
-    "FaultInjector",
-]

@@ -127,7 +127,7 @@ class Endpoint:
         """Wait request for the next message tagged ``tag`` that *arrives*.
 
         Yielding it evaluates to the :class:`Message`, or to
-        :data:`~repro.sim.TIMEOUT` if ``timeout`` elapses first; the task
+        :data:`~repro.sim.process.TIMEOUT` if ``timeout`` elapses first; the task
         kernel parks the request on the tag. It does not look at the inbox:
         ask :meth:`try_receive` first, as :meth:`receive` does. Protocol
         coroutines on the hot path compose the two themselves, one
@@ -144,7 +144,7 @@ class Endpoint:
     ):
         """Coroutine: block until a message tagged ``tag`` arrives.
 
-        Returns the :class:`Message`, or :data:`~repro.sim.TIMEOUT` if
+        Returns the :class:`Message`, or :data:`~repro.sim.process.TIMEOUT` if
         ``timeout`` elapses first. ``src`` restricts candidates to one
         sender, ``match`` to those an arbitrary predicate accepts.
         Cancellation-safe: a cancelled receiver never consumes a message,

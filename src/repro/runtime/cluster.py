@@ -66,6 +66,23 @@ def representative_params(clusters: ClusterParams) -> NetworkParams:
     return NetworkParams("representative", rtt=mean_rtt, bandwidth_bps=min_bw)
 
 
+def build_policy(
+    mode: ModeSpec,
+    scenario: Union[str, NetworkParams, ClusterParams],
+    n: int,
+    height: int,
+    root_fanout: Optional[int],
+):
+    """A deployment's topology policy: the §7.9 hand-placed tree on a
+    cluster scenario, a robust tree, or a star. The view-0 leader a run
+    will have is ``build_policy(...).leader_of(0)``, no cluster needed."""
+    if isinstance(scenario, ClusterParams) and mode.uses_tree:
+        return FixedTopologyPolicy(build_cluster_tree(scenario))
+    if mode.uses_tree:
+        return ReconfigurationPolicy(range(n), height=height, root_fanout=root_fanout)
+    return ReconfigurationPolicy.star_policy(range(n))
+
+
 class Cluster:
     """A fully wired deployment, ready to run."""
 
@@ -109,7 +126,7 @@ class Cluster:
         self.pki = Pki(n, seed=seed)
         self.scheme = make_scheme(self.mode.scheme, self.pki)
         self.metrics = Metrics(self.sim)
-        self.policy = self._build_policy(height, root_fanout)
+        self.policy = build_policy(self.mode, self.scenario, n, height, root_fanout)
         self._model_cache: Dict[Tuple[int, int], PerfModel] = {}
 
         byzantine = byzantine or {}
@@ -170,15 +187,6 @@ class Cluster:
         if isinstance(scenario, ClusterParams):
             return scenario, ClusterNetem(scenario), representative_params(scenario)
         raise ConfigError(f"unsupported scenario object: {scenario!r}")
-
-    def _build_policy(self, height: int, root_fanout: Optional[int]):
-        if isinstance(self.scenario, ClusterParams) and self.mode.uses_tree:
-            return FixedTopologyPolicy(build_cluster_tree(self.scenario))
-        if self.mode.uses_tree:
-            return ReconfigurationPolicy(
-                range(self.n), height=height, root_fanout=root_fanout
-            )
-        return ReconfigurationPolicy.star_policy(range(self.n))
 
     def model_for(self, tree: Tree) -> PerfModel:
         """The §4.3 model for ``tree``, cached per (height, root fanout)."""

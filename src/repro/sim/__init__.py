@@ -16,20 +16,3 @@ Determinism: given the same seed and the same sequence of API calls, two runs
 produce byte-identical traces. Ties in the event heap are broken by a
 monotonically increasing sequence number, never by object identity.
 """
-
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.process import TIMEOUT, Signal, Sleep, Task, WaitSignal
-from repro.sim.cpu import Cpu
-from repro.sim.timers import Timer
-
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "Task",
-    "Signal",
-    "Sleep",
-    "WaitSignal",
-    "TIMEOUT",
-    "Cpu",
-    "Timer",
-]

@@ -4,33 +4,3 @@ Implements §3.2 (robust trees), §5 (bin-based evolving graphs with
 t-Bounded Conformity, Algorithm 4) and §5.3 (graceful degradation to a
 star after ``m`` failed tree reconfigurations).
 """
-
-from repro.topology.tree import Tree
-from repro.topology.builder import build_star, build_tree, tree_level_sizes
-from repro.topology.robustness import (
-    all_internals_correct,
-    can_reach_quorum,
-    is_robust,
-    is_robust_star,
-    safe_edges_only,
-)
-from repro.topology.bins import BinPartition
-from repro.topology.evolving import EvolvingGraph, first_robust_index, t_bounded_conformity
-from repro.topology.reconfig import ReconfigurationPolicy
-
-__all__ = [
-    "Tree",
-    "build_tree",
-    "build_star",
-    "tree_level_sizes",
-    "is_robust",
-    "is_robust_star",
-    "all_internals_correct",
-    "can_reach_quorum",
-    "safe_edges_only",
-    "BinPartition",
-    "EvolvingGraph",
-    "t_bounded_conformity",
-    "first_robust_index",
-    "ReconfigurationPolicy",
-]

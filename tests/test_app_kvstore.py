@@ -12,7 +12,7 @@ from repro.app import (
 from repro.config import KB
 from repro.consensus.block import GENESIS_HASH, Block
 from repro.errors import ConfigError
-from repro.runtime import MempoolWorkload
+from repro.runtime.clients import MempoolWorkload
 from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 

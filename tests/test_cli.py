@@ -46,7 +46,17 @@ def test_run_json_output():
     assert payload["committed_blocks"] > 0
 
 
-def test_run_with_crash():
+def test_run_with_crash(monkeypatch):
+    from repro.runtime.cluster import Cluster
+
+    built = []
+    init = Cluster.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cluster, "__init__", counting_init)
     code, out = run_cli(
         ["run", "--mode", "kauri", "--scenario", "national", "--n", "7",
          "--duration", "20", "--crash-leader-at", "5", "--json"]
@@ -54,6 +64,8 @@ def test_run_with_crash():
     assert code == 0
     payload = json.loads(out)
     assert payload["max_view"] >= 1
+    # The view-0 leader comes from the topology policy, not a probe cluster.
+    assert len(built) == 1
 
 
 def test_run_with_lanes_and_stretch():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus import Block, BlockStore, GENESIS_HASH, make_genesis
+from repro.consensus.block import Block, BlockStore, GENESIS_HASH, make_genesis
 from repro.errors import ConsensusError
 
 

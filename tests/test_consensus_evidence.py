@@ -10,7 +10,8 @@ from repro.consensus.evidence import (
     attach_evidence_log,
 )
 from repro.consensus.vote import Phase, vote_value
-from repro.crypto import Pki, make_scheme
+from repro.crypto.keys import Pki
+from repro.crypto.signature import make_scheme
 
 
 class TestEvidenceLogUnit:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.consensus import Pacemaker
+from repro.consensus.pacemaker import Pacemaker
 from repro.errors import ConfigError
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 def make(sim, base=1.0, cap=10.0):

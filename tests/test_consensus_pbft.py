@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster
-from repro.core import mode_spec
+from repro.core.modes import mode_spec
 
 
 def run_pbft(n=7, duration=10.0, seed=0, crashes=(), scenario="national"):

@@ -4,7 +4,9 @@ import pytest
 
 import repro.core.smr
 from repro import Cluster
-from repro.consensus import Block, BlockStore, GENESIS_HASH, Phase, QuorumCert, SafetyRules
+from repro.consensus.block import Block, BlockStore, GENESIS_HASH
+from repro.consensus.safety import SafetyRules
+from repro.consensus.vote import Phase, QuorumCert, genesis_qc, vote_value
 from repro.consensus.byzantine import (
     EquivocatingLeaderNode,
     QcTamperingNode,
@@ -13,8 +15,8 @@ from repro.consensus.byzantine import (
     VoteForgingNode,
     VoteWithholdingNode,
 )
-from repro.consensus.vote import genesis_qc, vote_value
-from repro.crypto import Pki, make_scheme
+from repro.crypto.keys import Pki
+from repro.crypto.signature import make_scheme
 
 PKI = Pki(n=7)
 SCHEME = make_scheme("bls", PKI)

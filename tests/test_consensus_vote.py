@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.consensus import Phase, QuorumCert, genesis_qc, vote_value
-from repro.crypto import Pki, make_scheme
+from repro.consensus.vote import Phase, QuorumCert, genesis_qc, vote_value
+from repro.crypto.keys import Pki
+from repro.crypto.signature import make_scheme
 from repro.errors import ConsensusError
 
 

@@ -5,8 +5,14 @@ import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.config import GLOBAL, KB, NATIONAL, REGIONAL, resilientdb_clusters
-from repro.core import AdaptivePacer, PerfModel, tune_heterogeneous, tune_homogeneous
-from repro.core.autotune import cluster_tree_rooted_at, enumerate_candidates
+from repro.core.autotune import (
+    cluster_tree_rooted_at,
+    enumerate_candidates,
+    tune_heterogeneous,
+    tune_homogeneous,
+)
+from repro.core.perfmodel import PerfModel
+from repro.core.pipeline import AdaptivePacer
 from repro.crypto.costs import BLS_COSTS
 from repro.errors import ConfigError
 

@@ -8,11 +8,16 @@ import pytest
 
 from repro.config import NetworkParams, quorum_size
 from repro.core.comm import TreeComm
-from repro.crypto import Pki, make_scheme
-from repro.net import BOTTOM, HomogeneousNetem, Network
-from repro.sim import Cpu, Simulator
+from repro.crypto.keys import Pki
+from repro.crypto.signature import make_scheme
+from repro.net.impatient import BOTTOM
+from repro.net.netem import HomogeneousNetem
+from repro.net.network import Network
+from repro.sim.cpu import Cpu
+from repro.sim.engine import Simulator
 from repro.sim.process import spawn, wait_all
-from repro.topology import Tree, build_star, build_tree
+from repro.topology.builder import build_star, build_tree
+from repro.topology.tree import Tree
 
 PARAMS = NetworkParams("test", rtt=0.020, bandwidth_bps=1e9)
 DELTA = 1.0

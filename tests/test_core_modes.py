@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MODES, mode_spec
+from repro.core.modes import MODES, mode_spec
 from repro.errors import ConfigError
 
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro import Cluster, ProtocolConfig
-from repro.consensus import Block, Phase
-from repro.consensus.block import GENESIS_HASH
+from repro.consensus.block import Block, GENESIS_HASH
+from repro.consensus.vote import Phase, QuorumCert, genesis_qc
 from repro.consensus.tags import is_stale_tag
-from repro.consensus.vote import QuorumCert, genesis_qc
 from repro.core.smr import SmrNode
 from tests.test_wait_requests import _fingerprint
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GLOBAL, KB, NATIONAL, REGIONAL, ProtocolConfig
-from repro.core import PerfModel
+from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS, SECP_COSTS
 from repro.errors import ConfigError
 

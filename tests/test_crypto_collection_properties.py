@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import Pki, make_scheme
+from repro.crypto.keys import Pki, canonical_digest
+from repro.crypto.signature import make_scheme
 from repro.crypto.bls import BlsCollection
-from repro.crypto.keys import canonical_digest
 from repro.crypto.secp import SecpCollection, SecpSignature
 
 N = 8

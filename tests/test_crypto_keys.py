@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import Pki, canonical_digest
+from repro.crypto.keys import Pki, canonical_digest
 from repro.errors import CryptoError
 
 

@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.crypto import (
-    BLS_COSTS,
-    SECP_COSTS,
-    BlsScheme,
-    CryptoCostModel,
-    Pki,
-    SecpScheme,
-    make_scheme,
-)
-from repro.crypto.costs import bitmap_size
+from repro.crypto.bls import BlsScheme
+from repro.crypto.costs import BLS_COSTS, SECP_COSTS, CryptoCostModel, bitmap_size
+from repro.crypto.keys import Pki
+from repro.crypto.secp import SecpScheme
+from repro.crypto.signature import make_scheme
 from repro.errors import ConfigError, CryptoError
 
 

@@ -32,13 +32,14 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
-from repro.runtime import LatencyHistogram, MempoolWorkload, TxChunk
-from repro.runtime import workload as workload_module
+from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.metrics import (
     E2E_PERCENTILES,
+    LatencyHistogram,
     latency_summary,
     percentile,
 )
+from repro.runtime import workload as workload_module
 from repro.runtime.workload import (
     ClientClassSpec,
     WorkloadHarness,

@@ -102,7 +102,7 @@ def test_explicit_stretch_is_respected():
 
 
 def test_poisson_workload_partial_blocks():
-    from repro.runtime import MempoolWorkload
+    from repro.runtime.clients import MempoolWorkload
     from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
     config = ProtocolConfig(block_size=100 * KB)

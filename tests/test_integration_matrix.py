@@ -4,7 +4,7 @@ agrees. Broad behavioural coverage at small scale."""
 import pytest
 
 from repro import Cluster
-from repro.core import MODES
+from repro.core.modes import MODES
 
 SCENARIOS = ("national", "regional", "global")
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.block import GENESIS_HASH, Block
-from repro.runtime import Metrics
-from repro.sim import Simulator
+from repro.runtime.metrics import Metrics
+from repro.sim.engine import Simulator
 
 commit_specs = st.lists(
     st.tuples(

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.config import NetworkParams
-from repro.net import BOTTOM, FaultInjector, HomogeneousNetem, ImpatientChannel, Network
-from repro.sim import Simulator
+from repro.net.faults import FaultInjector
+from repro.net.impatient import BOTTOM, ImpatientChannel
+from repro.net.netem import HomogeneousNetem
+from repro.net.network import Network
+from repro.sim.engine import Simulator
 from repro.sim.process import spawn
 
 PARAMS = NetworkParams("test", rtt=0.100, bandwidth_bps=1e9)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import FaultInjector, Message
-from repro.sim import Simulator
+from repro.net.faults import FaultInjector
+from repro.net.message import Message
+from repro.sim.engine import Simulator
 
 
 class TestMessage:

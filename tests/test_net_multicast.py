@@ -24,7 +24,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.trace import MessageTrace
 from repro.obs.report import build_report, report_json
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import TIMEOUT, spawn
 from repro.topology.reconfig import swap_scenario
 

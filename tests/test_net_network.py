@@ -4,10 +4,11 @@ import pytest
 
 from repro.config import NetworkParams
 from repro.errors import NetworkError
-from repro.net import FaultInjector, HomogeneousNetem, Network
-from repro.net.network import HEADER_BYTES
-from repro.sim import TIMEOUT, Simulator
-from repro.sim.process import spawn
+from repro.net.faults import FaultInjector
+from repro.net.netem import HomogeneousNetem
+from repro.net.network import Network, HEADER_BYTES
+from repro.sim.engine import Simulator
+from repro.sim.process import TIMEOUT, spawn
 
 PARAMS = NetworkParams("test", rtt=0.100, bandwidth_bps=8_000_000.0)  # 1 MB/s
 

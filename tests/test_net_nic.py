@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.net import Nic
-from repro.sim import Simulator
+from repro.net.nic import Nic
+from repro.sim.engine import Simulator
 from tests.reference_nic import ListLogNic
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro import Cluster
 from repro.errors import NetworkError
-from repro.net import Nic
-from repro.sim import Simulator
+from repro.net.nic import Nic
+from repro.sim.engine import Simulator
 from tests.test_net_nic import transmit
 
 
@@ -83,7 +83,7 @@ def test_lanes_shrink_hotstuff_sending_time_end_to_end():
 
 def test_model_accounts_for_lanes():
     from repro.config import GLOBAL, KB
-    from repro.core import PerfModel
+    from repro.core.perfmodel import PerfModel
     from repro.crypto.costs import BLS_COSTS
 
     one = PerfModel.for_topology(100, 2, 10, GLOBAL, 250 * KB, BLS_COSTS)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkParams
-from repro.net import HomogeneousNetem, Network
-from repro.sim import Simulator
+from repro.net.netem import HomogeneousNetem
+from repro.net.network import Network
+from repro.sim.engine import Simulator
 from repro.sim.process import spawn
 
 PARAMS = NetworkParams("t", rtt=0.02, bandwidth_bps=1e6)

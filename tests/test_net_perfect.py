@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config import NetworkParams
-from repro.net import HomogeneousNetem, Network, ReliableLink
-from repro.sim import Simulator
+from repro.net.netem import HomogeneousNetem
+from repro.net.network import Network
+from repro.net.perfect import ReliableLink
+from repro.sim.engine import Simulator
 
 PARAMS = NetworkParams("test", rtt=0.020, bandwidth_bps=1e9)
 

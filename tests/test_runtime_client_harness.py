@@ -8,7 +8,7 @@ import pytest
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
 from repro.errors import ConfigError
-from repro.runtime import MempoolWorkload, TxChunk
+from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 

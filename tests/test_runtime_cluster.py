@@ -76,8 +76,7 @@ class TestHeterogeneous:
 
 class TestAgreementCheck:
     def test_detects_cross_replica_conflict(self):
-        from repro.consensus import Block
-        from repro.consensus.block import GENESIS_HASH
+        from repro.consensus.block import Block, GENESIS_HASH
 
         cluster = Cluster(n=7)
         a = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0, salt=1)
@@ -90,8 +89,7 @@ class TestAgreementCheck:
             cluster.check_agreement()
 
     def test_byzantine_nodes_excluded_from_check(self):
-        from repro.consensus import Block
-        from repro.consensus.block import GENESIS_HASH
+        from repro.consensus.block import Block, GENESIS_HASH
         from repro.consensus.byzantine import SilentNode
 
         cluster = Cluster(n=7, byzantine={6: SilentNode})

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.consensus import Block
-from repro.consensus.block import GENESIS_HASH
-from repro.runtime import Metrics
-from repro.runtime.metrics import percentile
-from repro.sim import Simulator
+from repro.consensus.block import Block, GENESIS_HASH
+from repro.runtime.metrics import Metrics, percentile
+from repro.sim.engine import Simulator
 
 
 def block(height, created_at=0.0, num_txs=10, salt=0):

@@ -8,7 +8,7 @@ import pytest
 
 from repro import Cluster, ProtocolConfig
 from repro.errors import ConfigError
-from repro.runtime import MempoolWorkload
+from repro.runtime.clients import MempoolWorkload
 from repro.runtime.sweep import ExperimentSpec, SweepRunner
 from repro.runtime.workload import (
     ClientClassSpec,

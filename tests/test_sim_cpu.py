@@ -4,8 +4,9 @@
 import pytest
 
 from repro.errors import SimulationError, TaskCancelled
-from repro.sim import Cpu, Simulator, Sleep
-from repro.sim.process import spawn
+from repro.sim.cpu import Cpu
+from repro.sim.engine import Simulator
+from repro.sim.process import Sleep, spawn
 
 
 def run_jobs(sim, cpu, jobs):

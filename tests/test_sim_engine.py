@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 def test_clock_starts_at_zero():

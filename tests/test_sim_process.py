@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SimulationError, TaskCancelled
 from repro.net.network import Endpoint
-from repro.sim import TIMEOUT, Signal, Simulator, Sleep, Task, WaitSignal
-from repro.sim.process import spawn, wait_all
+from repro.sim.engine import Simulator
+from repro.sim.process import TIMEOUT, Signal, Sleep, Task, WaitSignal, spawn, wait_all
 
 
 def test_sleep_advances_task_clock():

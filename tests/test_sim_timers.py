@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator, Timer
+from repro.sim.engine import Simulator
+from repro.sim.timers import Timer
 
 
 def test_timer_fires_after_delay():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import build_star, build_tree, tree_level_sizes
+from repro.topology.builder import build_star, build_tree, tree_level_sizes
 
 
 class TestLevelSizes:

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from repro.config import max_faults
 from repro.errors import TopologyError
-from repro.topology import (
-    BinPartition,
+from repro.topology.bins import BinPartition
+from repro.topology.evolving import (
     EvolvingGraph,
-    ReconfigurationPolicy,
-    all_internals_correct,
     first_robust_index,
-    is_robust,
     t_bounded_conformity,
 )
+from repro.topology.reconfig import ReconfigurationPolicy
+from repro.topology.robustness import all_internals_correct, is_robust
 
 
 class TestBinPartition:

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology import (
-    Tree,
+from repro.topology.builder import build_star, build_tree
+from repro.topology.robustness import (
     all_internals_correct,
-    build_star,
-    build_tree,
     can_reach_quorum,
     is_robust,
     is_robust_star,
+    reachable_correct,
 )
-from repro.topology.robustness import reachable_correct
+from repro.topology.tree import Tree
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Tree
+from repro.topology.tree import Tree
 
 
 @pytest.fixture

@@ -10,8 +10,9 @@ from repro import Cluster
 from repro.errors import TaskCancelled
 from repro.net.message import Message
 from repro.net.network import Endpoint
-from repro.sim import TIMEOUT, Cpu, Signal, Simulator, Sleep, WaitSignal
-from repro.sim.process import spawn
+from repro.sim.cpu import Cpu
+from repro.sim.engine import Simulator
+from repro.sim.process import TIMEOUT, Signal, Sleep, WaitSignal, spawn
 from tests.reference_waits import SignalCpu, SignalEndpoint
 
 
