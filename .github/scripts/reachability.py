@@ -80,13 +80,10 @@ def cli_commands(tmp):
         ["scenarios", "validate", "smoke"],
         ["scenarios", "run", "smoke", "--scale", str(PACK_SCALE), *engine,
          "--report", os.path.join(tmp, "smoke_report.json")],
-        ["sweep", "--modes", "kauri", "--sizes", "4", *small, "--max-commits", "2",
-         *engine],
         ["capacity", "--n", "4", "--users", "100", "--points", "1", *small, *engine],
         ["cache", "stats", "--dir", os.path.join(tmp, "cache")],
         ["cache", "prune", "--dir", os.path.join(tmp, "cache"), "--dry-run"],
-        ["report", "--n", "4", *small, "--out", os.path.join(tmp, "report.json"),
-         "--validate"],
+        ["run", "--n", "4", *small, "--report", os.path.join(tmp, "report.json")],
     ]
 
 

@@ -2,7 +2,9 @@
 
 Commands:
 
-- ``run``    -- run one deployment and print (or emit as JSON) its metrics.
+- ``run``    -- run one deployment and print (or emit as JSON) its metrics;
+  ``--report PATH`` also writes its schema-validated RunReport JSON
+  (per-node utilization, saturation flags, phase spans).
 - ``model``  -- evaluate the §4.3 performance model for a deployment.
 - ``tune``   -- automatic configuration search (§8 future work).
 - ``table``  -- regenerate Table 1 or Table 2.
@@ -12,8 +14,6 @@ Commands:
   packs checked in under ``scenarios/`` (every other evaluation figure).
 - ``capacity`` -- sweep offered load through the workload engine and
   report how many users fit a topology (the saturation knee).
-- ``report`` -- run one deployment with observability on and emit its
-  RunReport JSON (per-node utilization, saturation flags, phase spans).
 
 Examples::
 
@@ -25,7 +25,7 @@ Examples::
     python -m repro scenarios validate
     python -m repro scenarios run fig7 --scale 0.3
     python -m repro scenarios run smoke --report run_report.json
-    python -m repro report --mode kauri --n 100 --duration 30 --validate
+    python -m repro run --mode kauri --n 100 --duration 30 --report run_report.json
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.config import KB, SCENARIOS, ProtocolConfig, resilientdb_clusters
 from repro.core.modes import MODES
 
 #: Every registered mode, straight from the registry -- adding a ModeSpec
-#: automatically surfaces it in ``run``/``report`` and in ``repro modes``.
+#: automatically surfaces it in ``run``/``capacity`` and in ``repro modes``.
 MODE_CHOICES = sorted(MODES)
 
 
@@ -92,6 +92,9 @@ def _add_run_parser(subparsers) -> None:
                    help="crash the view-0 leader at this time")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the result as JSON")
+    p.add_argument("--report", default=None, metavar="PATH",
+                   help="run with observability on and write the "
+                        "schema-validated RunReport JSON here")
 
 
 def _cmd_run(args) -> int:
@@ -124,23 +127,27 @@ def _cmd_run(args) -> int:
         config=config,
         crashes=crashes,
         uplink_lanes=args.lanes,
+        observability=bool(args.report),
     )
     if args.json:
         print(json.dumps(dataclasses.asdict(result), indent=2, default=str))
-        return 0
-    print(f"mode={result.mode} scenario={result.scenario} n={result.n}")
-    print(f"simulated {result.duration:.1f}s, committed {result.committed_blocks} blocks")
-    print(f"throughput : {result.throughput_txs:,.0f} tx/s "
-          f"({result.throughput_blocks:.2f} blocks/s)")
-    print(f"latency    : p50 {result.latency['p50']:.3f}s, "
-          f"p95 {result.latency['p95']:.3f}s")
-    print(f"view changes: {result.view_changes} (max view {result.max_view})")
-    if result.fast_commits or result.fast_fallbacks:
-        print(f"fast path  : {result.fast_commits} fast commits, "
-              f"{result.fast_fallbacks} fallbacks")
-    if result.cpu_saturated:
-        print("NOTE: leader CPU saturated "
-              f"(utilization {result.leader_cpu_utilization:.0%})")
+    else:
+        print(f"mode={result.mode} scenario={result.scenario} n={result.n}")
+        print(f"simulated {result.duration:.1f}s, "
+              f"committed {result.committed_blocks} blocks")
+        print(f"throughput : {result.throughput_txs:,.0f} tx/s "
+              f"({result.throughput_blocks:.2f} blocks/s)")
+        print(f"latency    : p50 {result.latency['p50']:.3f}s, "
+              f"p95 {result.latency['p95']:.3f}s")
+        print(f"view changes: {result.view_changes} (max view {result.max_view})")
+        if result.fast_commits or result.fast_fallbacks:
+            print(f"fast path  : {result.fast_commits} fast commits, "
+                  f"{result.fast_fallbacks} fallbacks")
+        if result.cpu_saturated:
+            print("NOTE: leader CPU saturated "
+                  f"(utilization {result.leader_cpu_utilization:.0%})")
+    if args.report:
+        return _emit_report(result.report, args.report)
     return 0
 
 
@@ -349,82 +356,6 @@ def _cmd_fig(args) -> int:
     return 0
 
 
-def _add_sweep_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "sweep", help="grid of runs over modes / sizes / block sizes"
-    )
-    p.add_argument("--modes", default="kauri,hotstuff-secp",
-                   help="comma-separated mode list")
-    p.add_argument("--sizes", default="31", help="comma-separated N list")
-    p.add_argument("--block-sizes-kb", default="250",
-                   help="comma-separated block sizes (KB)")
-    p.add_argument("--scenario", default="global", choices=list(SCENARIOS))
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per cell; default adapts per cell")
-    p.add_argument("--max-commits", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    _add_engine_args(p)
-
-
-def _cmd_sweep(args) -> int:
-    from repro.runtime.horizon import adaptive_duration
-    from repro.runtime.sweep import ExperimentSpec, SweepRunner
-
-    params = SCENARIOS[args.scenario]
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    sizes = [int(s) for s in args.sizes.split(",")]
-    blocks = [int(b) for b in args.block_sizes_kb.split(",")]
-    specs = [
-        ExperimentSpec(
-            mode=mode,
-            scenario=args.scenario,
-            n=n,
-            block_size=block_kb * KB,
-            duration=(
-                args.duration
-                if args.duration is not None
-                else adaptive_duration(mode, n, params, block_kb * KB)
-            ),
-            max_commits=args.max_commits,
-            seed=args.seed,
-        )
-        for n in sizes
-        for mode in modes
-        for block_kb in blocks
-    ]
-    runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
-    results = runner.run(specs)
-    if args.json:
-        print(json.dumps(
-            [dataclasses.asdict(r) for r in results], indent=2, default=str
-        ))
-        return 0
-    rows = [
-        (
-            r.scenario,
-            r.n,
-            r.mode,
-            r.block_size // KB,
-            round(r.throughput_txs, 1),
-            round(r.latency["p50"], 3),
-            "SAT" if r.cpu_saturated else "",
-        )
-        for r in results
-    ]
-    print(
-        format_table(
-            ("Scenario", "N", "System", "Block KB", "tx/s", "p50 (s)", "CPU"),
-            rows,
-            title="Sweep",
-        )
-    )
-    stats = runner.last_stats
-    print(f"[{stats.backend} x{stats.jobs}: {stats.executed} simulated, "
-          f"{stats.cache_hits} cached]")
-    return 0
-
-
 def _scenario_label(scenario) -> str:
     """Display name for a spec's scenario (str / NetworkParams / ClusterParams)."""
     return scenario if isinstance(scenario, str) else scenario.name
@@ -443,21 +374,15 @@ def _axis_value(cell, axis: str) -> str:
     return str(value)
 
 
-def _emit_report(report, path: Optional[str], validate: bool = True) -> int:
-    """Write a RunReport's JSON to ``path`` (stdout when None) and, with
-    ``validate``, check it against the schema: 1 on a mismatch. Status
-    lines go to stderr, so stdout stays one JSON document under --json."""
+def _emit_report(report, path: str) -> int:
+    """Write a RunReport's JSON to ``path`` and check it against the
+    schema: 1 on a mismatch. Status lines go to stderr, so stdout stays
+    one JSON document under --json."""
     from repro.obs import report_json, validate_report
 
-    text = report_json(report)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        print(text, end="")
-    if not validate:
-        return 0
+    with open(path, "w") as fh:
+        fh.write(report_json(report))
+    print(f"wrote {path}", file=sys.stderr)
     problems = validate_report(report)
     for problem in problems:
         print(f"SCHEMA: {problem}", file=sys.stderr)
@@ -807,50 +732,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _add_report_parser(subparsers) -> None:
-    p = subparsers.add_parser(
-        "report",
-        help="run one deployment with observability on; emit RunReport JSON",
-    )
-    p.add_argument("--mode", default="kauri", choices=MODE_CHOICES)
-    p.add_argument("--scenario", default="global",
-                   choices=[*SCENARIOS, "heterogeneous"])
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--max-commits", type=int, default=None)
-    p.add_argument("--block-size-kb", type=int, default=250)
-    p.add_argument("--height", type=int, default=2)
-    p.add_argument("--lanes", type=int, default=1, help="uplink lanes per process")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report here instead of stdout")
-    p.add_argument("--validate", action="store_true",
-                   help="check the report against the checked-in schema; "
-                        "exit 1 on mismatch")
-
-
-def _cmd_report(args) -> int:
-    from repro.runtime.experiment import run_experiment
-
-    scenario = (
-        resilientdb_clusters() if args.scenario == "heterogeneous" else args.scenario
-    )
-    config = ProtocolConfig(block_size=args.block_size_kb * KB)
-    result = run_experiment(
-        mode=args.mode,
-        scenario=scenario,
-        n=None if args.scenario == "heterogeneous" else args.n,
-        duration=args.duration,
-        max_commits=args.max_commits,
-        height=args.height,
-        seed=args.seed,
-        config=config,
-        uplink_lanes=args.lanes,
-        observability=True,
-    )
-    return _emit_report(result.report, args.out, validate=args.validate)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -867,10 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_parser(subparsers)
     _add_fig_parser(subparsers)
     _add_scenarios_parser(subparsers)
-    _add_sweep_parser(subparsers)
     _add_capacity_parser(subparsers)
     _add_cache_parser(subparsers)
-    _add_report_parser(subparsers)
     return parser
 
 
@@ -885,10 +764,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "table": _cmd_table,
         "fig": _cmd_fig,
         "scenarios": _cmd_scenarios,
-        "sweep": _cmd_sweep,
         "capacity": _cmd_capacity,
         "cache": _cmd_cache,
-        "report": _cmd_report,
     }
     try:
         return handlers[args.command](args)

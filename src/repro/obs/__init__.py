@@ -6,7 +6,7 @@ CPU-saturation convention, Fig. 6), per-round dissemination / aggregation /
 wait spans (the measured analogue of §4.3's decomposition), and one
 deterministic :func:`build_report` JSON document joining them with the
 commit metrics. Enable per run via ``run_experiment(observability=True)``,
-``ExperimentSpec(observability=True)``, or the ``repro report`` CLI.
+``ExperimentSpec(observability=True)``, or ``repro run --report PATH``.
 """
 
 from repro.obs.recorder import PhaseRecorder, SPAN_KINDS

@@ -14,6 +14,10 @@ window into the paper's evaluation vocabulary:
   analogue of §4.3's t_s / t_p / t_r);
 - pacemaker, view-change and fault-injector counters.
 
+:func:`report_sections` builds the run-level sections alone, for every
+run: they are the run's result record. :func:`assemble_report` adds the
+per-node rows and rounds.
+
 Reports are deterministic: every number is a function of the simulation
 (no wall clock, no dict-order dependence), floats are rounded to a fixed
 precision, and :func:`report_json` serializes with sorted keys -- the same
@@ -62,82 +66,35 @@ def build_report(
     ``start`` defaults to 0 (whole run), ``end`` to the current simulated
     time. Call after :meth:`~repro.runtime.cluster.Cluster.run` returns.
     """
+    sections = report_sections(cluster, start, end, saturation_threshold)
+    return assemble_report(cluster, sections, top_k_nics)
+
+
+def report_sections(
+    cluster: Any,
+    start: Optional[float] = None,
+    end: Optional[float] = None,
+    saturation_threshold: float = 0.95,
+) -> Dict[str, Any]:
+    """The run's result record over ``[start, end)``, unrounded.
+
+    Holds the report's ``run``, ``window``, ``totals``, ``saturation`` and
+    ``faults`` sections, plus ``fast_path`` and ``workload`` when they
+    apply. :func:`~repro.runtime.experiment.run_experiment` reads every
+    :class:`~repro.runtime.experiment.ExperimentResult` number from it;
+    :func:`assemble_report` adds the per-node detail and rounds.
+    """
     sim = cluster.sim
     lo = 0.0 if start is None else start
     hi = sim.now if end is None else end
-    window = max(hi - lo, 0.0)
     metrics = cluster.metrics
-    recorders = cluster.recorders
-
-    nodes: List[Dict[str, Any]] = []
-    saturated: List[int] = []
-    nic_heat: List[Dict[str, Any]] = []
-    for node in cluster.nodes:
-        node_id = node.node_id
-        cpu = node.cpu
-        nic = cluster.network.nic(node_id)
-        endpoint = cluster.network.endpoint(node_id)
-        cpu_utilization = cpu.utilization(since=lo, until=hi)
-        cpu_saturated = cpu_utilization >= saturation_threshold
-        if cpu_saturated:
-            saturated.append(node_id)
-        nic_row = {
-            "bytes_sent": nic.bytes_sent,
-            "bytes_in_window": nic.bytes_in(lo, hi),
-            "busy_fraction": nic.utilization(since=lo, until=hi),
-            "max_backlog_s": nic.max_backlog,
-            "max_queue_depth": nic.max_queue_depth,
-            "messages_sent": nic.messages_sent,
-        }
-        nic_heat.append({"id": node_id, **nic_row})
-        pacemaker = node.pacemaker
-        entry: Dict[str, Any] = {
-            "id": node_id,
-            "crashed": node_id in cluster.faults.crashed,
-            "cpu": {
-                "utilization": cpu_utilization,
-                "busy_in_window": cpu.busy_in(lo, hi),
-                "busy_time": cpu.busy_time,
-                "jobs_completed": cpu.jobs_completed,
-                "jobs_cancelled": cpu.jobs_cancelled,
-                "saturated": cpu_saturated,
-            },
-            "nic": nic_row,
-            "endpoint": {
-                "messages_delivered": endpoint.messages_delivered,
-                "max_queued": endpoint.max_queued,
-            },
-            "pacemaker": {
-                "timeouts_fired": 0 if pacemaker is None else pacemaker.timeouts_fired,
-            },
-            "instance_failures": node.instance_failures,
-        }
-        recorder = recorders.get(node_id)
-        if recorder is not None:
-            entry["phases"] = recorder.summary(lo, hi)
-        nodes.append(entry)
-
-    # Hottest NICs by traffic actually carried inside the window; node id
-    # breaks ties so the ordering (and thus the JSON) is deterministic.
-    nic_heat.sort(key=lambda row: (-row["bytes_in_window"], row["id"]))
-
     root = cluster.policy.leader_of(0)
-    rounds: List[Dict[str, Any]] = []
-    root_recorder = recorders.get(root)
-    if root_recorder is not None:
-        for rec in root_recorder.instances(lo, hi):
-            rounds.append(
-                {
-                    "height": rec["height"],
-                    "node": root,
-                    "start": rec["start"],
-                    "end": rec["end"],
-                    "decided": rec["decided"],
-                    **{kind: rec[kind] for kind in SPAN_KINDS},
-                }
-            )
-
-    report: Dict[str, Any] = {
+    saturated = [
+        node.node_id
+        for node in cluster.nodes
+        if node.cpu.utilization(since=lo, until=hi) >= saturation_threshold
+    ]
+    sections: Dict[str, Any] = {
         "schema": REPORT_SCHEMA_VERSION,
         "run": {
             "mode": cluster.mode.name,
@@ -146,7 +103,7 @@ def build_report(
             "simulated_seconds": sim.now,
             "events_processed": sim.events_processed,
         },
-        "window": {"start": lo, "end": hi, "duration": window},
+        "window": {"start": lo, "end": hi, "duration": max(hi - lo, 0.0)},
         "totals": {
             "committed_blocks": metrics.committed_blocks,
             "throughput_txs": metrics.throughput_txs(lo, hi),
@@ -167,9 +124,6 @@ def build_report(
                 since=lo, until=hi
             ),
         },
-        "nodes": nodes,
-        "hot_nics": nic_heat[: max(top_k_nics, 0)],
-        "rounds": rounds,
         "faults": {
             "dropped_messages": cluster.faults.dropped_messages,
             "crashed": sorted(cluster.faults.crashed),
@@ -180,7 +134,7 @@ def build_report(
     # byte-identical (the golden tests pin them), so the section is
     # strictly conditional.
     if cluster.mode.protocol == "kudzu":
-        report["fast_path"] = {
+        sections["fast_path"] = {
             "fast_commits": sum(n.fast_commits for n in cluster.nodes),
             "fast_fallbacks": sum(n.fast_fallbacks for n in cluster.nodes),
         }
@@ -188,8 +142,91 @@ def build_report(
     # a WorkloadHarness registers itself on the cluster; plain runs keep
     # ``workload_harness`` None and their reports are unchanged.
     if cluster.workload_harness is not None:
-        report["workload"] = cluster.workload_harness.summary()
-    return _rounded(report)
+        sections["workload"] = cluster.workload_harness.summary()
+    return sections
+
+
+def assemble_report(
+    cluster: Any, sections: Dict[str, Any], top_k_nics: int = 5
+) -> Dict[str, Any]:
+    """The rounded RunReport: :func:`report_sections`' record plus the
+    per-node rows, the ``top_k_nics`` hottest NICs and the root's rounds,
+    over the record's own window and saturation threshold."""
+    lo = sections["window"]["start"]
+    hi = sections["window"]["end"]
+    saturation_threshold = sections["saturation"]["threshold"]
+    recorders = cluster.recorders
+
+    nodes: List[Dict[str, Any]] = []
+    nic_heat: List[Dict[str, Any]] = []
+    for node in cluster.nodes:
+        node_id = node.node_id
+        cpu = node.cpu
+        nic = cluster.network.nic(node_id)
+        endpoint = cluster.network.endpoint(node_id)
+        cpu_utilization = cpu.utilization(since=lo, until=hi)
+        nic_row = {
+            "bytes_sent": nic.bytes_sent,
+            "bytes_in_window": nic.bytes_in(lo, hi),
+            "busy_fraction": nic.utilization(since=lo, until=hi),
+            "max_backlog_s": nic.max_backlog,
+            "max_queue_depth": nic.max_queue_depth,
+            "messages_sent": nic.messages_sent,
+        }
+        nic_heat.append({"id": node_id, **nic_row})
+        pacemaker = node.pacemaker
+        entry: Dict[str, Any] = {
+            "id": node_id,
+            "crashed": node_id in cluster.faults.crashed,
+            "cpu": {
+                "utilization": cpu_utilization,
+                "busy_in_window": cpu.busy_in(lo, hi),
+                "busy_time": cpu.busy_time,
+                "jobs_completed": cpu.jobs_completed,
+                "jobs_cancelled": cpu.jobs_cancelled,
+                "saturated": cpu_utilization >= saturation_threshold,
+            },
+            "nic": nic_row,
+            "endpoint": {
+                "messages_delivered": endpoint.messages_delivered,
+                "max_queued": endpoint.max_queued,
+            },
+            "pacemaker": {
+                "timeouts_fired": 0 if pacemaker is None else pacemaker.timeouts_fired,
+            },
+            "instance_failures": node.instance_failures,
+        }
+        recorder = recorders.get(node_id)
+        if recorder is not None:
+            entry["phases"] = recorder.summary(lo, hi)
+        nodes.append(entry)
+
+    # Hottest NICs by traffic actually carried inside the window; node id
+    # breaks ties so the ordering (and thus the JSON) is deterministic.
+    nic_heat.sort(key=lambda row: (-row["bytes_in_window"], row["id"]))
+
+    root = sections["saturation"]["leader"]
+    rounds: List[Dict[str, Any]] = []
+    root_recorder = recorders.get(root)
+    if root_recorder is not None:
+        for rec in root_recorder.instances(lo, hi):
+            rounds.append(
+                {
+                    "height": rec["height"],
+                    "node": root,
+                    "start": rec["start"],
+                    "end": rec["end"],
+                    "decided": rec["decided"],
+                    **{kind: rec[kind] for kind in SPAN_KINDS},
+                }
+            )
+
+    return _rounded({
+        **sections,
+        "nodes": nodes,
+        "hot_nics": nic_heat[: max(top_k_nics, 0)],
+        "rounds": rounds,
+    })
 
 
 def report_json(report: Dict[str, Any]) -> str:

@@ -281,37 +281,6 @@ class Cluster:
             if node.node_id not in self.faults.faulty
         ]
 
-    @property
-    def leader_cpu_utilization(self) -> float:
-        """CPU utilization of the current view-0 root -- saturation flag."""
-        root = self.policy.leader_of(0)
-        return self.nodes[root].cpu.utilization()
-
-    def stats_summary(self) -> Dict[str, Any]:
-        """Aggregate observability snapshot for debugging and reports."""
-        nics = [self.network.nic(node.node_id) for node in self.nodes]
-        cpus = [node.cpu for node in self.nodes]
-        root = self.policy.leader_of(0)
-        return {
-            "now": self.sim.now,
-            "events_processed": self.sim.events_processed,
-            "messages_sent": self.network.messages_sent,
-            "messages_delivered": self.network.messages_delivered,
-            "messages_dropped": self.faults.dropped_messages,
-            "bytes_sent_total": sum(nic.bytes_sent for nic in nics),
-            "bytes_sent_leader": self.network.nic(root).bytes_sent,
-            "max_nic_backlog": max(nic.max_backlog for nic in nics),
-            "cpu_busy_total": sum(cpu.busy_time for cpu in cpus),
-            "leader_cpu_utilization": self.leader_cpu_utilization,
-            "committed_blocks": self.metrics.committed_blocks,
-            "view_changes": len(self.metrics.view_changes),
-            "max_view": self.metrics.max_view,
-            "instance_failures": sum(n.instance_failures for n in self.nodes),
-            "queued_messages": sum(
-                self.network.endpoint(n.node_id).queued_messages for n in self.nodes
-            ),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Cluster(n={self.n}, mode={self.mode.name}, "

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.config import ProtocolConfig
+from repro.obs.report import assemble_report, report_sections
 from repro.runtime.cluster import Cluster
 
 
@@ -32,6 +33,9 @@ class ExperimentResult:
     committed_blocks: int
     view_changes: int
     max_view: int
+    #: The view-0 leader's window utilization reached the threshold (the
+    #: red circle of EXPERIMENTS.md); the report's
+    #: ``saturation.cpu_saturated`` is set by *any* saturated node instead.
     cpu_saturated: bool
     leader_cpu_utilization: float
     instance_failures: int
@@ -45,17 +49,6 @@ class ExperimentResult:
     #: counters, e2e tail latency) when the run drove a WorkloadHarness;
     #: None for classic runs so cached pre-upgrade results still load.
     workload: Optional[Dict[str, Any]] = field(default=None, repr=False)
-
-    def row(self) -> Tuple:
-        """Compact tuple for table printing."""
-        return (
-            self.mode,
-            self.scenario,
-            self.n,
-            round(self.throughput_txs, 1),
-            round(self.latency.get("p50", 0.0), 3),
-            "SAT" if self.cpu_saturated else "",
-        )
 
 
 def run_experiment(
@@ -83,9 +76,11 @@ def run_experiment(
     explicit values reproduce the stretch sweeps (Figure 5). ``max_commits``
     bounds simulation cost for fast configurations without biasing
     throughput (the window is still wall-clock based).
-    ``observability=True`` additionally records per-instance phase spans
-    and attaches the full :func:`repro.obs.build_report` document as
-    ``result.report`` (measured over the same steady-state window).
+    Every measured field is read from one
+    :func:`~repro.obs.report.report_sections` record over the steady-state
+    window. ``observability=True`` additionally records per-instance phase
+    spans and attaches that record, completed into the full RunReport, as
+    ``result.report``.
 
     ``workload`` (a :class:`~repro.runtime.workload.WorkloadSpec` or the
     mapping form it lowers from) switches the run from the saturated
@@ -133,48 +128,37 @@ def run_experiment(
     cluster.run(duration=duration, max_commits=max_commits)
     cluster.check_agreement()
 
+    # One record over the steady-state window [warmup, end): the warm-up
+    # ramp must not dilute (or inflate) throughput, latency or saturation.
     end = cluster.sim.now
-    warmup = min(end * warmup_fraction, end)
-    metrics = cluster.metrics
-    # Saturation over the measurement window [warmup, end), not the whole
-    # run -- warm-up ramp must not dilute (or inflate) the flag.
-    root = cluster.policy.leader_of(0)
-    utilization = (
-        cluster.nodes[root].cpu.utilization(since=warmup, until=end)
-        if end > warmup
-        else 0.0
+    sections = report_sections(
+        cluster,
+        start=min(end * warmup_fraction, end),
+        end=end,
+        saturation_threshold=saturation_threshold,
     )
-    report: Optional[Dict[str, Any]] = None
-    if observability:
-        from repro.obs.report import build_report
-
-        report = build_report(
-            cluster,
-            start=warmup,
-            end=end,
-            saturation_threshold=saturation_threshold,
-        )
+    run, window, totals = sections["run"], sections["window"], sections["totals"]
+    leader_utilization = sections["saturation"]["leader_cpu_utilization"]
+    fast_path = sections.get("fast_path", {})
     return ExperimentResult(
-        mode=cluster.mode.name,
-        scenario=getattr(cluster.scenario, "name", str(cluster.scenario)),
-        n=cluster.n,
+        mode=run["mode"],
+        scenario=run["scenario"],
+        n=run["n"],
         block_size=cfg.block_size,
         stretch=cfg.stretch,
-        duration=end,
-        warmup=warmup,
-        throughput_txs=metrics.throughput_txs(start=warmup),
-        throughput_blocks=metrics.throughput_blocks(start=warmup),
-        latency=metrics.latency_stats(start=warmup),
-        committed_blocks=metrics.committed_blocks,
-        view_changes=len(metrics.view_changes),
-        max_view=metrics.max_view,
-        cpu_saturated=utilization >= saturation_threshold,
-        leader_cpu_utilization=utilization,
-        instance_failures=sum(node.instance_failures for node in cluster.nodes),
-        report=report,
-        fast_commits=sum(getattr(node, "fast_commits", 0) for node in cluster.nodes),
-        fast_fallbacks=sum(
-            getattr(node, "fast_fallbacks", 0) for node in cluster.nodes
-        ),
-        workload=harness.summary() if harness is not None else None,
+        duration=window["end"],
+        warmup=window["start"],
+        throughput_txs=totals["throughput_txs"],
+        throughput_blocks=totals["throughput_blocks"],
+        latency=totals["latency"],
+        committed_blocks=totals["committed_blocks"],
+        view_changes=totals["view_changes"],
+        max_view=totals["max_view"],
+        cpu_saturated=leader_utilization >= saturation_threshold,
+        leader_cpu_utilization=leader_utilization,
+        instance_failures=totals["instance_failures"],
+        report=assemble_report(cluster, sections) if observability else None,
+        fast_commits=fast_path.get("fast_commits", 0),
+        fast_fallbacks=fast_path.get("fast_fallbacks", 0),
+        workload=sections.get("workload"),
     )

@@ -105,24 +105,86 @@ def test_table_commands():
     assert "Stretch" in out
 
 
-def test_sweep_table_output():
-    code, out = run_cli(
-        ["sweep", "--modes", "kauri", "--sizes", "7", "--scenario", "national",
-         "--duration", "5", "--max-commits", "20"]
-    )
+TWO_MODE_PACK = """
+[pack]
+name = "two-mode"
+title = "Kauri vs PBFT"
+schema = 1
+
+[defaults]
+scenario = "national"
+n = 7
+duration = 5.0
+blocks = 20
+
+[[grid]]
+[grid.axes]
+mode = ["kauri", "pbft"]
+"""
+
+
+@pytest.fixture
+def two_mode_pack(tmp_path, monkeypatch):
+    (tmp_path / "two-mode.toml").write_text(TWO_MODE_PACK)
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "cache"))
+    return "two-mode"
+
+
+def test_scenarios_run_mode_axis_table(two_mode_pack):
+    code, out = run_cli(["scenarios", "run", two_mode_pack, "--jobs", "1"])
     assert code == 0
-    assert "Sweep" in out
-    assert "kauri" in out
+    assert "Kauri vs PBFT" in out
+    assert "kauri" in out and "pbft" in out
+    assert out.splitlines()[-1] == "[serial x1: 2 simulated, 0 cached]"
+    code, out = run_cli(["scenarios", "run", two_mode_pack, "--jobs", "1"])
+    assert out.splitlines()[-1] == "[serial x1: 0 simulated, 2 cached]"
 
 
-def test_sweep_json_output():
-    code, out = run_cli(
-        ["sweep", "--modes", "kauri,pbft", "--sizes", "7",
-         "--scenario", "national", "--duration", "5", "--json"]
-    )
+def test_scenarios_run_mode_axis_json(two_mode_pack):
+    code, out = run_cli(["scenarios", "run", two_mode_pack, "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert {entry["mode"] for entry in payload} == {"kauri", "pbft"}
+    assert [entry["mode"] for entry in payload] == ["kauri", "pbft"]
+    assert all(entry["committed_blocks"] > 0 for entry in payload)
+
+
+def test_removed_verbs_are_invalid_choices(capsys):
+    for verb in ("report", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--n", "7"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_report_on_crash_run(tmp_path):
+    from repro.obs.report import validate_report
+
+    path = tmp_path / "crash.json"
+    code, _ = run_cli(
+        ["run", "--mode", "kauri", "--scenario", "national", "--n", "7",
+         "--crash-leader-at", "2", "--duration", "12", "--report", str(path)]
+    )
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert validate_report(report) == []
+    assert report["faults"]["crashed"] == [report["saturation"]["leader"]]
+    assert report["totals"]["view_changes"] >= 1
+
+
+def test_run_json_with_report_prints_one_json_document(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    code = main(
+        ["run", "--mode", "kauri", "--scenario", "national", "--n", "7",
+         "--duration", "5", "--json", "--report", str(path)]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["mode"] == "kauri"
+    assert payload["report"] == json.loads(path.read_text())
+    assert f"wrote {path}" in captured.err
+    assert "report validates against the schema" in captured.err
 
 
 def test_run_pbft_mode():

@@ -150,7 +150,10 @@ def test_run_experiment_attaches_report():
     assert validate_report(result.report) == []
     # The report's window is the same steady-state window as the result's.
     assert result.report["window"]["start"] == pytest.approx(result.warmup)
-    assert result.report["saturation"]["cpu_saturated"] == result.cpu_saturated
+    saturation = result.report["saturation"]
+    assert result.cpu_saturated == (
+        saturation["leader_cpu_utilization"] >= saturation["threshold"]
+    )
 
 
 def test_observability_disabled_is_default_and_free():
@@ -215,10 +218,90 @@ def test_cli_report_command(tmp_path, capsys):
 
     out = tmp_path / "report.json"
     code = main([
-        "report", "--n", "13", "--duration", "8", "--max-commits", "10",
-        "--out", str(out), "--validate",
+        "run", "--n", "13", "--duration", "8", "--max-commits", "10",
+        "--report", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
     assert validate_report(report) == []
     assert report["run"]["mode"] == "kauri"
+
+
+# ---------------------------------------------------------------------------
+# One result record per run
+# ---------------------------------------------------------------------------
+TWO_CLASS_WORKLOAD = {
+    "classes": [
+        {"name": "browse", "population": 40_000, "rate_per_user": 0.004},
+        {"name": "trade", "population": 5_000, "rate_per_user": 0.01,
+         "slo_ms": 500.0},
+    ],
+    "keyspace": 128,
+}
+
+#: SHA-256 of every ExperimentResult field but ``report``, as computed
+#: before run_experiment read its numbers from the report's sections.
+RESULT_RECORDS = {
+    "kauri": (
+        dict(mode="kauri", scenario="national", n=7, duration=8.0),
+        "e2dbba0b05678752fe4ebfd6ed15a5f17e0649ac6b64cf5130427e968bca5819",
+    ),
+    "kudzu": (
+        dict(mode="kudzu", scenario="national", n=7, duration=8.0),
+        "e9e9176c83b3ef48b01f613316b9b48c1adba7d0143068e7661cb6a33c6f7700",
+    ),
+    "crash": (
+        dict(mode="kauri", scenario="national", n=7, duration=12.0,
+             crashes=[(0, 2.0)]),
+        "0b8c0b09732cf236555693934111b3c97bd1c2d537a3503422c4b852a71f066f",
+    ),
+    "workload": (
+        dict(mode="kauri", scenario="national", n=7, duration=6.0,
+             workload=TWO_CLASS_WORKLOAD),
+        "8b97b876bab3b3261a5375c961245315f23060aa21bd248b7d684c3a81b77a72",
+    ),
+}
+
+
+def _record_digest(result) -> str:
+    import hashlib
+    from dataclasses import asdict
+
+    fields = {k: v for k, v in asdict(result).items() if k != "report"}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_RECORDS))
+def test_result_record_is_pinned(case):
+    kwargs, digest = RESULT_RECORDS[case]
+    assert _record_digest(run_experiment(**kwargs)) == digest
+
+
+@pytest.mark.parametrize("case", ["crash", "workload"])
+def test_result_fields_are_the_report_totals(case):
+    kwargs, digest = RESULT_RECORDS[case]
+    result = run_experiment(**kwargs, observability=True)
+    # Observability adds the report, never moves a result field.
+    assert _record_digest(result) == digest
+    totals = result.report["totals"]
+    assert round(result.throughput_txs, 9) == totals["throughput_txs"]
+    assert round(result.throughput_blocks, 9) == totals["throughput_blocks"]
+    assert {k: round(v, 9) for k, v in result.latency.items()} == totals["latency"]
+    assert round(result.leader_cpu_utilization, 9) == \
+        result.report["saturation"]["leader_cpu_utilization"]
+
+
+def test_leader_flag_and_any_node_flag_differ_at_n31_national():
+    """``ExperimentResult.cpu_saturated`` is the leader's red circle; the
+    report's ``saturation.cpu_saturated`` is any node's. At N=31 national
+    the internal nodes saturate while the leader does not."""
+    result = run_experiment(
+        mode="kauri", scenario="national", n=31, duration=6.0,
+        max_commits=15, observability=True,
+    )
+    saturation = result.report["saturation"]
+    assert saturation["leader"] == 0
+    assert saturation["saturated_nodes"] == [1, 2, 3, 4, 5]
+    assert saturation["cpu_saturated"] is True
+    assert result.cpu_saturated is False
+    assert result.leader_cpu_utilization == pytest.approx(0.83, abs=0.005)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Cluster, ProtocolConfig, resilientdb_clusters, run_experiment
 from repro.errors import ConfigError, ConsensusError
+from repro.obs.report import build_report
 from repro.runtime.cluster import build_cluster_tree, representative_params
 
 
@@ -103,17 +104,20 @@ class TestAgreementCheck:
 
 
 class TestStatsSummary:
+    """The RunReport's per-node rows carry the load-balancing evidence."""
+
     def test_snapshot_after_run(self):
         cluster = Cluster(n=7, mode="kauri", scenario="national")
         cluster.start()
         cluster.run(duration=5.0)
-        stats = cluster.stats_summary()
-        assert stats["now"] == pytest.approx(5.0)
-        assert stats["committed_blocks"] > 0
-        assert stats["messages_sent"] > stats["committed_blocks"]
-        assert stats["bytes_sent_leader"] > 0
-        assert stats["cpu_busy_total"] > 0
-        assert stats["view_changes"] == 0
+        report = build_report(cluster)
+        assert report["run"]["simulated_seconds"] == pytest.approx(5.0)
+        assert report["totals"]["committed_blocks"] > 0
+        assert report["totals"]["messages_sent"] > report["totals"]["committed_blocks"]
+        leader = report["saturation"]["leader"]
+        assert report["nodes"][leader]["nic"]["bytes_sent"] > 0
+        assert sum(node["cpu"]["busy_time"] for node in report["nodes"]) > 0
+        assert report["totals"]["view_changes"] == 0
 
     def test_load_balancing_visible_in_stats(self):
         """The tree's point: the leader's share of bytes sent is bounded by
@@ -121,8 +125,7 @@ class TestStatsSummary:
         cluster = Cluster(n=31, mode="kauri", scenario="national")
         cluster.start()
         cluster.run(duration=5.0)
-        stats = cluster.stats_summary()
-        leader_share = stats["bytes_sent_leader"] / stats["bytes_sent_total"]
+        leader_share = _leader_byte_share(build_report(cluster))
         tree = cluster.policy.configuration(0)
         internals = len(tree.internal_nodes)
         assert leader_share < 2.0 / internals + 0.15
@@ -131,9 +134,12 @@ class TestStatsSummary:
         cluster = Cluster(n=31, mode="hotstuff-bls", scenario="national")
         cluster.start()
         cluster.run(duration=20.0)
-        stats = cluster.stats_summary()
-        leader_share = stats["bytes_sent_leader"] / stats["bytes_sent_total"]
-        assert leader_share > 0.5
+        assert _leader_byte_share(build_report(cluster)) > 0.5
+
+
+def _leader_byte_share(report) -> float:
+    sent = [node["nic"]["bytes_sent"] for node in report["nodes"]]
+    return sent[report["saturation"]["leader"]] / sum(sent)
 
 
 class TestRunExperiment:
@@ -149,7 +155,6 @@ class TestRunExperiment:
         assert result.latency["count"] > 0
         assert 0.0 <= result.leader_cpu_utilization <= 1.0
         assert result.view_changes == 0
-        assert isinstance(result.row(), tuple)
 
     def test_block_size_and_stretch_override(self):
         result = run_experiment(
