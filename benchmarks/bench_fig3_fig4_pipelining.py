@@ -26,7 +26,6 @@ def traced_run(mode, duration=60.0, n=31, scenario="regional"):
     cluster.network.observers.append(trace)
     cluster.start()
     cluster.run(duration=duration, max_commits=40)
-    cluster.check_agreement()
     leader = cluster.policy.leader_of(0)
     spans = extract_spans(trace, leader)
     return spans, cluster

@@ -25,7 +25,6 @@ def run(adaptive: bool):
     cluster = Cluster(n=N, mode="kauri", scenario="global", config=config, seed=2)
     cluster.start()
     cluster.run(duration=120.0, max_commits=120)
-    cluster.check_agreement()
     metrics = cluster.metrics
     leader = cluster.nodes[cluster.policy.leader_of(0)]
     final_stretch = leader.pacer.effective_stretch if leader.pacer else BAD_STRETCH

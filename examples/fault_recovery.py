@@ -33,7 +33,6 @@ def main() -> None:
 
     cluster.start()
     cluster.run(duration=DURATION)
-    cluster.check_agreement()
 
     metrics = cluster.metrics
     print(ascii_series(metrics.timeseries_txs(bucket=BUCKET)))

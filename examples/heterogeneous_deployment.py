@@ -40,7 +40,6 @@ def main() -> None:
         cluster = Cluster(mode=mode, scenario=clusters, seed=0)
         cluster.start()
         cluster.run(duration=60.0, max_commits=150)
-        cluster.check_agreement()
         metrics = cluster.metrics
         rows.append(
             (

@@ -22,8 +22,7 @@ def main() -> None:
     print()
 
     cluster.start()
-    cluster.run(duration=10.0)
-    cluster.check_agreement()  # no two replicas committed different blocks
+    cluster.run(duration=10.0)  # raises if two replicas commit different blocks
 
     metrics = cluster.metrics
     print(f"Committed blocks : {metrics.committed_blocks}")

@@ -116,7 +116,6 @@ def fig12_reconfiguration(
         cluster.crash_at(node, fault_time)
     cluster.start()
     cluster.run(duration=duration)
-    cluster.check_agreement()
 
     metrics = cluster.metrics
     max_view = metrics.max_view

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.consensus.block import Block
+from repro.consensus.block import Block, BlockStore
 from repro.errors import ConfigError
 
 
@@ -82,8 +82,8 @@ class KvStateMachine:
             self.ops_applied += 1
         self.applied_height = block.height
 
-    def replay(self, commit_log: List[Block]) -> None:
-        for block in commit_log:
+    def replay(self, store: BlockStore) -> None:
+        for block in store.committed_chain():
             self.apply_block(block)
 
     def get(self, key: str) -> Optional[str]:

@@ -68,10 +68,6 @@ class Block:
             tx_ids=tuple(tx_ids),
         )
 
-    @property
-    def is_genesis(self) -> bool:
-        return self.hash == GENESIS_HASH
-
 
 def make_genesis() -> Block:
     """The pre-agreed height-0 block."""
@@ -88,15 +84,14 @@ def make_genesis() -> Block:
 
 
 class BlockStore:
-    """Per-replica DAG of known blocks with a committed chain prefix."""
+    """Per-replica DAG of known blocks (``_blocks``) and the committed chain
+    prefix (``_committed``: height -> block, the chain's only record)."""
 
     def __init__(self):
         genesis = make_genesis()
         self._blocks: Dict[str, Block] = {genesis.hash: genesis}
         self._committed: Dict[int, Block] = {0: genesis}
-        self._committed_hashes = {genesis.hash}
         self.committed_height = 0
-        self.commit_log: List[Block] = []
 
     # ------------------------------------------------------------------
     def add(self, block: Block) -> None:
@@ -115,7 +110,7 @@ class BlockStore:
         """True if every ancestor down to a committed block is known."""
         current = block
         while True:
-            if current.is_genesis or current.hash in self._committed_hashes:
+            if self.is_committed(current):
                 return True
             parent = self._blocks.get(current.parent)
             if parent is None:
@@ -168,16 +163,19 @@ class BlockStore:
                     f"got {member.height}"
                 )
             self._committed[member.height] = member
-            self._committed_hashes.add(member.hash)
             self.committed_height = member.height
-            self.commit_log.append(member)
         return chain
 
     def committed_block(self, height: int) -> Optional[Block]:
         return self._committed.get(height)
 
-    def is_committed(self, block_hash: str) -> bool:
-        return block_hash in self._committed_hashes
+    def is_committed(self, block: Block) -> bool:
+        committed = self._committed.get(block.height)
+        return committed is not None and committed.hash == block.hash
+
+    def committed_chain(self) -> List[Block]:
+        """Committed blocks above genesis, oldest first."""
+        return list(self._committed.values())[1:]
 
     @property
     def known_blocks(self) -> int:

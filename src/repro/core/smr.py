@@ -617,7 +617,7 @@ class SmrNode:
     # ------------------------------------------------------------------
     def _commit(self, block: Block) -> None:
         """Commit ``block`` and uncommitted ancestors; buffer on gaps."""
-        if self.store.is_committed(block.hash):
+        if self.store.is_committed(block):
             return
         if not self.store.knows_chain(block):
             self._pending_commits.append(block)

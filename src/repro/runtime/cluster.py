@@ -125,7 +125,7 @@ class Cluster:
         )
         self.pki = Pki(n, seed=seed)
         self.scheme = make_scheme(self.mode.scheme, self.pki)
-        self.metrics = Metrics(self.sim)
+        self.metrics = Metrics(self.sim, self.faults.byzantine)
         self.policy = build_policy(self.mode, self.scenario, n, height, root_fanout)
         self._model_cache: Dict[Tuple[int, int], PerfModel] = {}
 
@@ -257,17 +257,15 @@ class Cluster:
     # Invariant checks
     # ------------------------------------------------------------------
     def check_agreement(self) -> None:
-        """Cross-replica safety: no two correct replicas committed different
-        blocks at the same height. Raises on violation."""
+        """Post-hoc reference for the check ``Metrics.on_commit`` makes at each
+        commit: no two correct replicas committed different blocks at a height."""
         chains: Dict[int, str] = {}
         for node in self.nodes:
             if self.faults.is_byzantine(node.node_id):
                 continue
-            for block in node.store.commit_log:
-                seen = chains.get(block.height)
-                if seen is None:
-                    chains[block.height] = block.hash
-                elif seen != block.hash:
+            for block in node.store.committed_chain():
+                seen = chains.setdefault(block.height, block.hash)
+                if seen != block.hash:
                     raise ConsensusError(
                         f"AGREEMENT VIOLATION at height {block.height}: "
                         f"{seen} vs {block.hash}"

@@ -126,7 +126,6 @@ def run_experiment(
     if harness is not None:
         harness.start()
     cluster.run(duration=duration, max_commits=max_commits)
-    cluster.check_agreement()
 
     # One record over the steady-state window [warmup, end): the warm-up
     # ramp must not dilute (or inflate) throughput, latency or saturation.

@@ -4,7 +4,7 @@ Measurement conventions (matching §7):
 
 - *Throughput* counts each height once, at the moment the **first** correct
   replica commits it (transactions per second over a window, excluding
-  warm-up).
+  warm-up); a correct commit of another block at that height raises.
 - *Latency* is proposal-to-first-commit per block -- the consensus latency
   the paper plots.
 - *Time series* bucket committed transactions per second, used for the
@@ -23,9 +23,10 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.block import Block
+from repro.errors import ConsensusError
 from repro.sim.engine import Simulator
 
 
@@ -238,10 +239,12 @@ class LatencyHistogram:
 
 
 class Metrics:
-    """Collector shared by every node of one deployment."""
+    """Collector shared by every node of one deployment; ``byzantine`` is
+    the live set of Byzantine ids, whose commits are only counted."""
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, byzantine: Optional[Set[int]] = None):
         self.sim = sim
+        self.byzantine = set() if byzantine is None else byzantine
         self.first_commits: Dict[int, CommitRecord] = {}
         self.commits_per_node: Counter = Counter()
         self.view_changes: List[Tuple[float, int, int]] = []  # (time, node, view)
@@ -257,10 +260,20 @@ class Metrics:
     # Recording (called by protocol nodes)
     # ------------------------------------------------------------------
     def on_commit(self, node_id: int, block: Block, time: float) -> None:
-        """Record a replica committing a block (first commit per height
-        defines the global record and fires the listeners)."""
+        """Record a replica committing a block (first correct commit per
+        height defines the global record; a later correct one that differs
+        raises :class:`~repro.errors.ConsensusError`)."""
         self.commits_per_node[node_id] += 1
-        if block.height in self.first_commits:
+        first = self.first_commits.get(block.height)
+        if first is not None:
+            if first.block_hash != block.hash and node_id not in self.byzantine:
+                raise ConsensusError(
+                    f"AGREEMENT VIOLATION at height {block.height}: {first.block_hash} "
+                    f"by replica {first.first_committer}, {block.hash} by replica "
+                    f"{node_id} (view {block.view}) at t={time}"
+                )
+            return
+        if node_id in self.byzantine:
             return
         record = CommitRecord(
             height=block.height,

@@ -14,7 +14,6 @@ def traced(mode, duration=10.0, n=13):
     cluster.network.observers.append(trace)
     cluster.start()
     cluster.run(duration=duration)
-    cluster.check_agreement()
     return extract_spans(trace, cluster.policy.leader_of(0))
 
 

@@ -30,7 +30,7 @@ def chain(store, length, view=0, start_parent=GENESIS_HASH, start_height=1, salt
 def test_genesis_pre_committed():
     store = BlockStore()
     assert store.committed_height == 0
-    assert store.is_committed(GENESIS_HASH)
+    assert store.is_committed(make_genesis())
     assert store.get(GENESIS_HASH) == make_genesis()
 
 
@@ -48,7 +48,7 @@ def test_commit_single_block():
     newly = store.commit(block)
     assert newly == [block]
     assert store.committed_height == 1
-    assert store.is_committed(block.hash)
+    assert store.is_committed(block)
 
 
 def test_commit_descendant_commits_ancestors():
@@ -57,7 +57,7 @@ def test_commit_descendant_commits_ancestors():
     newly = store.commit(blocks[-1])
     assert [b.height for b in newly] == [1, 2, 3, 4, 5]
     assert store.committed_height == 5
-    assert store.commit_log == blocks
+    assert store.committed_chain() == blocks
 
 
 def test_commit_idempotent_prefix():
@@ -75,6 +75,7 @@ def test_conflicting_commit_raises():
     store.commit(blocks[1])
     fork = Block.create(2, 1, blocks[0].hash, 1, 100, 1, 0.0, salt=99)
     store.add(fork)
+    assert not store.is_committed(fork)  # same height, other hash
     with pytest.raises(ConsensusError, match="conflicting commit"):
         store.commit(fork)
 

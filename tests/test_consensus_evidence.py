@@ -94,7 +94,6 @@ class TestEvidenceEndToEnd:
         log = attach_evidence_log(cluster)
         cluster.start()
         cluster.run(duration=40.0)
-        cluster.check_agreement()
         assert root in log.accused
         # no correct process is ever framed
         assert log.accused <= {root}
@@ -104,5 +103,4 @@ class TestEvidenceEndToEnd:
         log = attach_evidence_log(cluster)
         cluster.start()
         cluster.run(duration=10.0)
-        cluster.check_agreement()
         assert len(log) == 0

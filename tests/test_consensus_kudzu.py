@@ -124,7 +124,6 @@ def test_kudzu_falls_back_to_slow_path_and_still_commits():
         node.protocol = _NeverFast()
     cluster.start()
     cluster.run(duration=10.0, max_commits=10)
-    cluster.check_agreement()
     fast = sum(node.fast_commits for node in cluster.nodes)
     fallbacks = sum(node.fast_fallbacks for node in cluster.nodes)
     assert fast == 0

@@ -169,7 +169,6 @@ class TestPruningIsExact:
         cluster = Cluster(scenario="national", seed=0, **kwargs)
         cluster.start()
         cluster.run(duration=duration, max_commits=None if changes_view else 40)
-        cluster.check_agreement()
         assert cluster.metrics.committed_blocks > 0
         if changes_view:
             assert cluster.metrics.max_view >= 1

@@ -154,7 +154,6 @@ class TestAdaptiveStretchEndToEnd:
             cluster = Cluster(n=31, mode="kauri", scenario="global", config=config)
             cluster.start()
             cluster.run(duration=120.0, max_commits=100)
-            cluster.check_agreement()
             return cluster
 
         adaptive = run(True)
@@ -175,7 +174,6 @@ class TestAdaptiveStretchEndToEnd:
             cluster = Cluster(n=31, mode="kauri", scenario="global", config=config)
             cluster.start()
             cluster.run(duration=90.0, max_commits=80)
-            cluster.check_agreement()
             return cluster.metrics.throughput_txs(start=20.0)
 
         assert run(config_adaptive) > 0.7 * run(config_static)

