@@ -15,13 +15,14 @@ Public surface:
 - :func:`repro.runtime.experiment.run_experiment` / :class:`repro.runtime.cluster.Cluster`
   -- build and run deployments.
 - :mod:`repro.core` -- the Kauri abstraction: tree ``broadcastMsg`` /
-  ``waitFor`` (Algorithms 2-3), the §4.3 performance model, protocol nodes.
+  ``waitFor`` (Algorithms 2-3) over impatient receives (Alg. 1), the §4.3
+  performance model, protocol nodes.
 - :mod:`repro.topology` -- trees, robustness (Defs. 3-4), bins (Alg. 4),
   reconfiguration (§5).
 - :mod:`repro.crypto` -- cryptographic collections (§3.3.2) over secp-style
   lists and BLS-style multisignatures.
 - :mod:`repro.net` / :mod:`repro.sim` -- the simulated testbed: NICs,
-  links, impatient channels (Alg. 1), fault injection, event kernel.
+  links, tagged mailboxes, fault injection, event kernel.
 - :mod:`repro.analysis` -- generators for every table and figure of §7.
 
 The names below resolve on first access, so ``import repro`` loads no

@@ -1,7 +1,7 @@
 """Tables, the pipelining Gantt view and Figure 12.
 
 Tables 1-2 come from :mod:`repro.analysis.tables`, Figures 3-4 from the
-traced spans of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
+RunReport ``rounds`` of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
 :func:`fig12_reconfiguration`, whose fault placement needs the built
 cluster's leader schedule. Every other evaluation figure is a scenario
 pack under ``scenarios/``, run with ``repro scenarios run <pack>`` or
@@ -13,9 +13,9 @@ paper-vs-measured. ``format_table`` is the CLI's text renderer
 from repro.cli import format_table
 from repro.analysis.tables import table1_rows, table2_measured_rows, table2_rows
 from repro.analysis.pipeline_viz import (
-    InstanceSpan,
-    extract_spans,
     max_concurrency,
+    pipeline_chart,
+    pipeline_rounds,
     render_gantt,
 )
 from repro.analysis.figures import (
@@ -29,8 +29,8 @@ __all__ = [
     "table1_rows",
     "table2_rows",
     "table2_measured_rows",
-    "InstanceSpan",
-    "extract_spans",
+    "pipeline_rounds",
+    "pipeline_chart",
     "render_gantt",
     "max_concurrency",
     "RED_CIRCLE",

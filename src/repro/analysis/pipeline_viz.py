@@ -2,99 +2,51 @@
 
 Figures 3 and 4 illustrate how HotStuff piggybacks one new instance per
 round while Kauri's stretch starts several instances during a single
-round. This module reconstructs that picture from a *traced run*: for each
-consensus height it extracts the leader's dissemination window (first to
-last round-1 ``prop`` send) and the aggregation tail (until the commit QC
-is sent), and renders the overlap as an ASCII Gantt chart -- measured
-Figure 3/4 analogues rather than schematic ones.
+round. This module draws that picture from an observed run's RunReport:
+each decided row of its ``rounds`` section is one consensus instance at
+the root, with the §4.3 split the root's
+:class:`~repro.obs.recorder.PhaseRecorder` measured -- the sending time
+``t_s`` (``disseminate``, the uplink backlog right after the proposal
+fan-out) and the remaining time until the instance ended. The overlap of
+those rows, as an ASCII Gantt chart, is a measured Figure 3/4 analogue
+rather than a schematic one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
-from repro.net.trace import MessageTrace
-
-
-@dataclass(frozen=True)
-class InstanceSpan:
-    """The leader-visible lifetime of one consensus instance."""
-
-    height: int
-    send_start: float  # first round-1 byte leaves the leader
-    send_end: float  # dissemination handed to the NIC
-    qc_end: float  # commit QC dissemination begins (aggregation done)
-
-    @property
-    def sending(self) -> Tuple[float, float]:
-        return (self.send_start, self.send_end)
-
-    @property
-    def remaining(self) -> Tuple[float, float]:
-        return (self.send_end, self.qc_end)
+#: Leading decided rows a chart skips: the pipeline is still filling.
+WARMUP_ROWS = 4
 
 
-def extract_spans(trace: MessageTrace, leader: int) -> List[InstanceSpan]:
-    """Instance spans from a traced run, ordered by height.
+def pipeline_rounds(
+    mode: str, duration: float = 60.0, max_commits: int = 40
+) -> List[Dict[str, Any]]:
+    """The decided ``rounds`` rows, ordered by height, of one observed run
+    of ``mode`` at N=31 on the regional scenario."""
+    from repro.obs.report import build_report
+    from repro.runtime.cluster import Cluster
 
-    Proposal tags carry no height (they are per-view streams), so the
-    height-tagged vote/QC traffic brackets each instance instead:
-
-    - *send_start*: the first PREPARE vote sent anywhere -- dissemination
-      has reached the first voter;
-    - *send_end*: the leader sends the prepare QC -- round 1 complete;
-    - *qc_end*: the leader sends the commit QC -- the instance decided.
-
-    Heights whose commit QC never left the leader (view change, run tail)
-    are omitted.
-    """
-    commit_qc: Dict[int, float] = {}
-    prepare_qc: Dict[int, float] = {}
-    first_prepare_vote: Dict[int, float] = {}
-    for event in trace.events:
-        if event.kind != "send":
-            continue
-        tag = event.tag
-        if not isinstance(tag, tuple) or len(tag) < 4:
-            continue
-        kind, height, phase = tag[0], tag[2], tag[3]
-        if kind == "vote" and phase == "PREPARE":
-            first_prepare_vote.setdefault(height, event.time)
-        elif kind == "qc" and event.src == leader:
-            if phase == "PREPARE":
-                prepare_qc.setdefault(height, event.time)
-            elif phase == "COMMIT":
-                commit_qc.setdefault(height, event.time)
-    spans = []
-    for height, qc_time in sorted(commit_qc.items()):
-        start = first_prepare_vote.get(height)
-        prepared = prepare_qc.get(height)
-        if start is None or prepared is None:
-            continue
-        spans.append(
-            InstanceSpan(
-                height=height, send_start=start, send_end=prepared, qc_end=qc_time
-            )
-        )
-    return spans
+    cluster = Cluster(n=31, mode=mode, scenario="regional", observability=True)
+    cluster.start()
+    cluster.run(duration=duration, max_commits=max_commits)
+    return [row for row in build_report(cluster)["rounds"] if row["decided"]]
 
 
 def render_gantt(
-    spans: List[InstanceSpan],
+    rows: List[Dict[str, Any]],
     width: int = 72,
     max_rows: int = 12,
-    t0: Optional[float] = None,
-    t1: Optional[float] = None,
 ) -> str:
-    """ASCII Gantt: one row per instance, ``#`` = round 1 in flight
-    (dissemination + prepare aggregation), ``.`` = later rounds until the
-    commit QC. Overlapping rows *are* the pipeline (Figures 3-4)."""
-    if not spans:
-        return "(no completed instances in trace window)"
-    spans = spans[:max_rows]
-    lo = t0 if t0 is not None else min(s.send_start for s in spans)
-    hi = t1 if t1 is not None else max(s.qc_end for s in spans)
+    """ASCII Gantt: one row per instance, ``#`` = sending time ``t_s``,
+    ``.`` = remaining time until the instance ended. Overlapping rows
+    *are* the pipeline (Figures 3-4)."""
+    if not rows:
+        return "(no decided instances in the report window)"
+    rows = rows[:max_rows]
+    lo = min(row["start"] for row in rows)
+    hi = max(row["end"] for row in rows)
     if hi <= lo:
         hi = lo + 1e-9
     scale = width / (hi - lo)
@@ -102,27 +54,36 @@ def render_gantt(
     def col(t: float) -> int:
         return max(0, min(width - 1, int((t - lo) * scale)))
 
-    lines = [f"t = {lo:.2f}s .. {hi:.2f}s  (# round 1, . rounds 2-4)"]
-    for span in spans:
-        row = [" "] * width
-        for c in range(col(span.send_start), col(span.send_end) + 1):
-            row[c] = "#"
-        for c in range(col(span.send_end) + 1, col(span.qc_end) + 1):
-            row[c] = "."
-        lines.append(f"h={span.height:4d} |{''.join(row)}|")
+    lines = [f"t = {lo:.2f}s .. {hi:.2f}s  (# sending t_s, . remaining)"]
+    for row in rows:
+        sent = col(row["start"] + row["disseminate"])
+        chart = [" "] * width
+        for c in range(col(row["start"]), sent + 1):
+            chart[c] = "#"
+        for c in range(sent + 1, col(row["end"]) + 1):
+            chart[c] = "."
+        lines.append(f"h={row['height']:4d} |{''.join(chart)}|")
     return "\n".join(lines)
 
 
-def max_concurrency(spans: List[InstanceSpan]) -> int:
+def max_concurrency(rows: List[Dict[str, Any]]) -> int:
     """Peak number of instances simultaneously in flight -- the measured
     pipeline depth (HotStuff: ~4; Kauri: ~4·(1+stretch))."""
     boundaries = []
-    for span in spans:
-        boundaries.append((span.send_start, 1))
-        boundaries.append((span.qc_end, -1))
+    for row in rows:
+        boundaries.append((row["start"], 1))
+        boundaries.append((row["end"], -1))
     boundaries.sort()
     live = peak = 0
     for _, delta in boundaries:
         live += delta
         peak = max(peak, live)
     return peak
+
+
+def pipeline_chart(mode: str, rows: List[Dict[str, Any]]) -> str:
+    """One mode's peak in-flight count and Gantt chart past the warm-up."""
+    return (
+        f"--- {mode} (peak in-flight: {max_concurrency(rows)}) ---\n"
+        + render_gantt(rows[WARMUP_ROWS:], max_rows=8)
+    )

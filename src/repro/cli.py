@@ -320,23 +320,13 @@ def _add_fig_parser(subparsers) -> None:
 
 def _cmd_fig(args) -> int:
     if args.figure == "3":
-        from repro.analysis.pipeline_viz import (
-            extract_spans,
-            max_concurrency,
-            render_gantt,
-        )
-        from repro.net.trace import MessageTrace
-        from repro.runtime.cluster import Cluster
+        from repro.analysis.pipeline_viz import pipeline_chart, pipeline_rounds
 
         for mode in ("kauri", "hotstuff-bls", "kauri-np"):
-            cluster = Cluster(n=31, mode=mode, scenario="regional")
-            trace = MessageTrace(capacity=300_000)
-            cluster.network.observers.append(trace)
-            cluster.start()
-            cluster.run(duration=60.0 * max(args.scale, 0.2), max_commits=30)
-            spans = extract_spans(trace, cluster.policy.leader_of(0))
-            print(f"\n--- {mode} (peak in-flight: {max_concurrency(spans)}) ---")
-            print(render_gantt(spans[2:], max_rows=8))
+            rows = pipeline_rounds(
+                mode, duration=60.0 * max(args.scale, 0.2), max_commits=30
+            )
+            print("\n" + pipeline_chart(mode, rows))
         return 0
     from repro.analysis.figures import fig12_reconfiguration
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.config import max_faults
 from repro.consensus.protocol import HotStuffProtocol
 from repro.consensus.vote import Phase, QuorumCert, vote_value
-from repro.net.impatient import BOTTOM
+from repro.core.comm import BOTTOM
 
 #: Wire sentinel the leader sends on the fast QC tag when the fast quorum
 #: missed, so replicas fall back immediately instead of waiting out Δ.
@@ -76,19 +76,18 @@ class KudzuProtocol(HotStuffProtocol):
         node._commit(block)
 
     # ------------------------------------------------------------------
-    def run_rounds(self, node, view, block, can_vote, is_leader, observer, recorder):
+    def run_rounds(self, node, view, block, can_vote, is_leader, recorder):
         """One optimistic round; on a miss, the full chained slow path."""
         height = block.height
         phase = Phase.FAST
         own = yield from self.vote_rule(node, view, height, phase, block, can_vote)
+        aggregate_started = node.sim.now
         collection = yield from node.comm.wait_for(
-            self.vote_tag(view, height, phase),
-            own,
-            node.scheme,
-            node.cpu,
-            observer=observer,
+            self.vote_tag(view, height, phase), own, node.scheme, node.cpu
         )
         resolve_started = node.sim.now
+        if recorder is not None:
+            recorder.aggregate(height, resolve_started - aggregate_started)
         qc = yield from self._resolve_fast_qc(
             node, view, height, block, collection, is_leader
         )
@@ -100,7 +99,7 @@ class KudzuProtocol(HotStuffProtocol):
         node.fast_fallbacks += 1
         return (
             yield from super().run_rounds(
-                node, view, block, can_vote, is_leader, observer, recorder
+                node, view, block, can_vote, is_leader, recorder
             )
         )
 

@@ -152,7 +152,7 @@ class Protocol:
     # ------------------------------------------------------------------
     # The round loop
     # ------------------------------------------------------------------
-    def run_rounds(self, node, view, block, can_vote, is_leader, observer, recorder):
+    def run_rounds(self, node, view, block, can_vote, is_leader, recorder):
         """Coroutine: drive every vote round of one instance; True iff the
         instance decided. The proposal is already in hand (disseminated by
         the root / validated by the replica)."""
@@ -165,14 +165,13 @@ class Protocol:
         cpu = node.cpu
         for phase in self.vote_phases:
             own = yield from self.vote_rule(node, view, height, phase, block, can_vote)
+            aggregate_started = node.sim.now
             collection = yield from wait_for(
-                self.vote_tag(view, height, phase),
-                own,
-                scheme,
-                cpu,
-                observer=observer,
+                self.vote_tag(view, height, phase), own, scheme, cpu
             )
             resolve_started = node.sim.now
+            if recorder is not None:
+                recorder.aggregate(height, resolve_started - aggregate_started)
             qc = yield from self.qc_rule(
                 node, view, height, phase, block, collection, is_leader
             )

@@ -13,21 +13,41 @@ an optional timeout; the protocol passes ``None`` for rounds whose arrival
 time depends on pipelining depth and lets the pacemaker bound the wait
 instead (a documented deviation from Algorithm 1's fixed Δ that preserves
 its guarantees: the receive still always terminates, via view change).
+
+Algorithm 1's impatient channel is these receives, not a class of its own:
+each returns the value the peer sent or :data:`BOTTOM` once its bound has
+passed, accepts only its one peer's messages, and is single-use because
+every consensus (instance, round) has a fresh tag. Validity, Termination
+and Conditional Accuracy are checked in ``tests/test_net_impatient.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from repro.crypto.collection import Collection
 from repro.crypto.signature import SignatureScheme
 from repro.errors import CryptoError
-from repro.net.impatient import BOTTOM
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
 from repro.sim.process import TIMEOUT
 from repro.topology.tree import Tree
+
+
+class _Bottom:
+    """Singleton ⊥ returned when the sender is faulty or the net unstable."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "BOTTOM"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+BOTTOM = _Bottom()
 
 
 class TreeComm:
@@ -137,7 +157,6 @@ class TreeComm:
         scheme: SignatureScheme,
         cpu: Cpu,
         timeout: Optional[float] = None,
-        observer: Optional[Callable[[float, int], None]] = None,
     ):
         """Coroutine implementing Algorithm 3 at this process.
 
@@ -153,18 +172,12 @@ class TreeComm:
         of *wall* time, never Δ per faulty sibling (crucial when many
         children are crashed -- the star-fallback recovery of §5.3 would
         otherwise stall behind f sequential timeouts).
-
-        ``observer``, when given, is called once with ``(elapsed_seconds,
-        partials_merged)`` when aggregation completes -- the phase timer the
-        observability layer uses to attribute this node's aggregation span
-        per consensus instance (§4.3's processing-time analogue).
         """
         base_bound = self.delta if timeout is None else timeout
         start = self.sim.now
         collection: Collection = own if own is not None else scheme.empty()
         kind = type(collection)
         endpoint = self._endpoint
-        merged = 0
         for child in self.children:
             # Endpoint.receive's two steps, written out: a parked receive is
             # then this frame alone, not this one plus receive's.
@@ -186,9 +199,6 @@ class TreeComm:
                 collection = collection.combine(partial)
             except CryptoError:
                 continue  # incompatible/forged partial: contributes nothing
-            merged += 1
-        if observer is not None:
-            observer(self.sim.now - start, merged)
         if self.parent is not None:
             self.send_to_parent(tag, collection, collection.wire_size())
         return collection

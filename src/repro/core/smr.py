@@ -40,12 +40,11 @@ from repro.consensus.pacemaker import Pacemaker
 from repro.consensus.safety import SafetyRules
 from repro.consensus.tags import CLIENT_TX_TAG
 from repro.consensus.vote import Phase, QuorumCert, vote_value
-from repro.core.comm import TreeComm
+from repro.core.comm import BOTTOM, TreeComm
 from repro.core.modes import ModeSpec, protocol_for, protocol_kind
 from repro.core.perfmodel import PROPOSAL_OVERHEAD, PerfModel
 from repro.crypto.collection import Collection
 from repro.crypto.signature import SignatureScheme
-from repro.net.impatient import BOTTOM
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
@@ -515,14 +514,8 @@ class SmrNode:
                 )
                 if recorder is not None:
                     recorder.disseminate(height, self.sim.now - entered)
-            if recorder is None:
-                observer = None
-            else:
-                observer = lambda elapsed, merged: recorder.aggregate(
-                    height, elapsed, merged
-                )
             decided = yield from self.protocol.run_rounds(
-                self, view, block, can_vote, is_leader, observer, recorder
+                self, view, block, can_vote, is_leader, recorder
             )
             if not decided:
                 self.instance_failures += 1

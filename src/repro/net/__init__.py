@@ -7,8 +7,7 @@ The fabric models what the paper's Grid'5000 + NetEm testbed provides:
 - perfect point-to-point channels (§2), including an explicit
   retransmission/deduplication implementation over lossy links
   (:mod:`repro.net.perfect`);
-- impatient channels (Algorithm 1) offering a blocking ``receive`` that
-  returns either the sender's value or ⊥ after the known bound Δ
-  (:mod:`repro.net.impatient`);
+- the tagged, per-source mailbox receives (:class:`repro.net.network.Endpoint`)
+  that :mod:`repro.core.comm` builds Algorithm 1's impatient channels on;
 - crash/omission/delay fault injection (:mod:`repro.net.faults`).
 """

@@ -5,7 +5,8 @@ the payload's wire size in bytes (the sender computes it from the crypto
 cost model and block size); the fabric adds a fixed per-message header when
 charging the NIC. ``tag`` routes the message to the right receive call on
 the destination endpoint -- the paper's "unique identifier per instance"
-that gives impatient channels their single-use semantics (§3.3.1).
+that gives the impatient receives of :mod:`repro.core.comm` their
+single-use semantics (§3.3.1).
 """
 
 from __future__ import annotations

@@ -212,7 +212,7 @@ class Network:
             netem, "link_key", None
         )
         #: Optional observers called as f(kind, msg, time) on "send",
-        #: "deliver" and "drop" events (see repro.net.trace.MessageTrace).
+        #: "deliver" and "drop" events (repro.consensus.evidence uses one).
         self.observers: List[Callable[[str, Message, float], None]] = []
 
     def _notify(self, kind: str, msg: Message) -> None:

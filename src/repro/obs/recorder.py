@@ -47,7 +47,6 @@ class PhaseRecorder:
                 "disseminate": 0.0,
                 "aggregate": 0.0,
                 "wait": 0.0,
-                "contributions": 0,
             }
         return rec
 
@@ -58,10 +57,8 @@ class PhaseRecorder:
     def disseminate(self, height: int, seconds: float) -> None:
         self._record(height)["disseminate"] += seconds
 
-    def aggregate(self, height: int, seconds: float, contributions: int = 0) -> None:
-        rec = self._record(height)
-        rec["aggregate"] += seconds
-        rec["contributions"] += contributions
+    def aggregate(self, height: int, seconds: float) -> None:
+        self._record(height)["aggregate"] += seconds
 
     def wait(self, height: int, seconds: float) -> None:
         self._record(height)["wait"] += seconds

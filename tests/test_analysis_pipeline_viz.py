@@ -1,60 +1,74 @@
-"""Unit tests for the pipelining-schedule reconstruction (Figures 3-4)."""
+"""Unit tests for the pipelining-schedule charts (Figures 3-4).
+
+The measured cases run each mode once, at ``repro fig 3 --scale 0.2``'s
+size (N=31 regional, 12 s / 30 commits), and assert the relations the
+paper's Figures 3-4 draw on the RunReport's decided ``rounds`` rows.
+"""
 
 import pytest
 
-from repro import Cluster
-from repro.analysis import extract_spans, max_concurrency, render_gantt
-from repro.analysis.pipeline_viz import InstanceSpan
-from repro.net.trace import MessageTrace
+from repro.analysis import max_concurrency, pipeline_rounds, render_gantt
 
 
-def traced(mode, duration=10.0, n=13):
-    cluster = Cluster(n=n, mode=mode, scenario="national")
-    trace = MessageTrace(capacity=200_000)
-    cluster.network.observers.append(trace)
-    cluster.start()
-    cluster.run(duration=duration)
-    return extract_spans(trace, cluster.policy.leader_of(0))
+@pytest.fixture(scope="module")
+def rounds():
+    return {
+        mode: pipeline_rounds(mode, duration=12.0, max_commits=30)
+        for mode in ("kauri", "kauri-np", "hotstuff-bls")
+    }
 
 
-def test_spans_ordered_and_wellformed():
-    spans = traced("kauri")
-    assert spans
-    assert [s.height for s in spans] == sorted(s.height for s in spans)
-    for span in spans:
-        assert span.send_start <= span.send_end <= span.qc_end
+def row(height, start, disseminate, end):
+    return {"height": height, "start": start, "disseminate": disseminate, "end": end}
 
 
-def test_sequential_mode_has_no_overlap():
-    spans = traced("kauri-np")
-    assert max_concurrency(spans) == 1
-    for earlier, later in zip(spans, spans[1:]):
-        assert later.send_start >= earlier.qc_end - 1e-9
+def test_spans_ordered_and_wellformed(rounds):
+    for rows in rounds.values():
+        assert rows
+        assert [r["height"] for r in rows] == sorted(r["height"] for r in rows)
+        for r in rows:
+            assert r["decided"]
+            assert r["start"] <= r["start"] + r["disseminate"] <= r["end"]
 
 
-def test_kauri_overlaps_instances():
-    assert max_concurrency(traced("kauri")) > 1
+def test_sequential_mode_has_no_overlap(rounds):
+    """Kauri-np: strictly sequential instances (Figure 4's counterfactual)."""
+    rows = rounds["kauri-np"]
+    assert max_concurrency(rows) == 1
+    for earlier, later in zip(rows, rows[1:]):
+        assert later["start"] >= earlier["end"] - 1e-9
+
+
+def test_hotstuff_depth_is_bounded_by_its_pipeline(rounds):
+    """HotStuff: chained pipelining, bounded by the 4-round depth (§4.1)."""
+    assert 2 <= max_concurrency(rounds["hotstuff-bls"]) <= 4
+
+
+def test_kauri_overlaps_instances(rounds):
+    """Kauri: the stretch multiplies the depth beyond HotStuff's (§4.2)."""
+    assert max_concurrency(rounds["kauri"]) > max_concurrency(rounds["hotstuff-bls"])
 
 
 def test_max_concurrency_synthetic():
-    spans = [
-        InstanceSpan(1, 0.0, 1.0, 4.0),
-        InstanceSpan(2, 1.0, 2.0, 5.0),
-        InstanceSpan(3, 2.0, 3.0, 6.0),
-        InstanceSpan(4, 10.0, 11.0, 12.0),
+    rows = [
+        row(1, 0.0, 1.0, 4.0),
+        row(2, 1.0, 1.0, 5.0),
+        row(3, 2.0, 1.0, 6.0),
+        row(4, 10.0, 1.0, 12.0),
     ]
-    assert max_concurrency(spans) == 3
+    assert max_concurrency(rows) == 3
     assert max_concurrency([]) == 0
 
 
 def test_render_gantt_output():
-    spans = [InstanceSpan(1, 0.0, 1.0, 2.0), InstanceSpan(2, 0.5, 1.5, 2.5)]
-    art = render_gantt(spans, width=20)
+    rows = [row(1, 0.0, 1.0, 2.0), row(2, 0.5, 1.0, 2.5)]
+    art = render_gantt(rows, width=20)
     lines = art.split("\n")
     assert len(lines) == 3
-    assert "h=   1" in lines[1]
-    assert "#" in lines[1] and "." in lines[1]
+    assert "t_s" in lines[0]
+    assert lines[1] == "h=   1 |#########........   |"
+    assert "#" in lines[2] and "." in lines[2]
 
 
 def test_render_gantt_empty():
-    assert "no completed instances" in render_gantt([])
+    assert "no decided instances" in render_gantt([])

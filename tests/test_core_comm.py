@@ -7,10 +7,9 @@ Theorem 2 (Fulfillment) scenarios.
 import pytest
 
 from repro.config import NetworkParams, quorum_size
-from repro.core.comm import TreeComm
+from repro.core.comm import BOTTOM, TreeComm
 from repro.crypto.keys import Pki
 from repro.crypto.signature import make_scheme
-from repro.net.impatient import BOTTOM
 from repro.net.netem import HomogeneousNetem
 from repro.net.network import Network
 from repro.sim.cpu import Cpu

@@ -22,7 +22,6 @@ from repro.config import NetworkParams
 from repro.net.netem import HomogeneousNetem
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.trace import MessageTrace
 from repro.obs.report import build_report, report_json
 from repro.sim.engine import Simulator
 from repro.sim.process import TIMEOUT, spawn
@@ -54,8 +53,12 @@ def _drive(batched, *, fanout, lanes, fault, seed):
     net = Network(sim, HomogeneousNetem(params), uplink_lanes=lanes)
     if not batched:
         net.multicast = _sequential_multicast(net)
-    trace = MessageTrace()
-    net.observers.append(trace)
+    events = []
+    net.observers.append(
+        lambda kind, msg, time: events.append(
+            (time, kind, msg.src, msg.dst, msg.tag, msg.size)
+        )
+    )
     n = fanout + 2
     for node in range(n):
         net.register(node)
@@ -76,9 +79,7 @@ def _drive(batched, *, fanout, lanes, fault, seed):
     spawn(sim, traffic(), name="traffic")
     sim.run()
     return {
-        "events": [
-            (e.time, e.kind, e.src, e.dst, e.tag, e.size) for e in trace.events
-        ],
+        "events": events,
         "events_processed": sim.events_processed,
         "now": sim.now,
         "messages": (net.messages_sent, net.messages_delivered),

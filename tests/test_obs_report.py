@@ -33,8 +33,8 @@ class TestPhaseRecorder:
         rec = PhaseRecorder()
         rec.start(5, 1.0)
         rec.disseminate(5, 0.2)
-        rec.aggregate(5, 0.3, contributions=4)
-        rec.aggregate(5, 0.1, contributions=2)  # second vote phase
+        rec.aggregate(5, 0.3)
+        rec.aggregate(5, 0.1)  # second vote phase
         rec.wait(5, 0.05)
         rec.finish(5, 2.0, decided=True)
         (only,) = rec.instances()
@@ -44,7 +44,6 @@ class TestPhaseRecorder:
         assert only["decided"] is True
         assert only["disseminate"] == pytest.approx(0.2)
         assert only["aggregate"] == pytest.approx(0.4)
-        assert only["contributions"] == 6
         assert only["wait"] == pytest.approx(0.05)
 
     def test_window_filter_is_half_open_on_start(self):
