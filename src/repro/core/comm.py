@@ -93,11 +93,10 @@ class TreeComm:
     def send_to_children(self, tag: Hashable, payload: Any, size: int) -> None:
         """Forward ``payload`` down one level (Algorithm 2, lines 7-9).
 
-        Routed through the fabric's batched :meth:`Network.multicast`: the
-        §4.3 back-to-back child serializations are charged to the uplink in
-        one pass instead of ``fanout`` independent sends. On a star
-        topology the root's children are all other processes, so this is
-        also HotStuff's leader broadcast.
+        One fabric :meth:`Network.multicast`: the children's messages
+        serialize back to back on this node's uplink, the §4.3 sending
+        time. On a star topology the root's children are all other
+        processes, so this is also HotStuff's leader broadcast.
         """
         if self.children:
             self.network.multicast(self.node_id, self.children, tag, payload, size)

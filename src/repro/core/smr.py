@@ -537,8 +537,8 @@ class SmrNode:
         leaders, e.g. to equivocate).
 
         ``send_to_children`` is one fabric multicast: the root's §4.3
-        back-to-back child serializations are charged to its uplink in a
-        single batched NIC pass (on a star, this is the leader broadcast).
+        back-to-back child serializations, one message at a time on its
+        uplink (on a star, this is the leader broadcast).
         """
         payload = (block, justify, self.store.get(block.parent))
         size = block.payload_size + justify.wire_size() + PROPOSAL_OVERHEAD

@@ -33,8 +33,8 @@ class FaultInjector:
       delay fn) and never resets. While unarmed, the fabric skips the
       per-message serialization-completion hook entirely -- no rule can
       exist when an in-flight message completes, so delivery is scheduled
-      directly at send time (one event per message instead of two, for both
-      ``send`` and ``multicast``). Register rules only through the methods
+      directly at send time (one event per message instead of two, in the
+      fabric's one emit body). Register rules only through the methods
       below; mutating the rule sets directly would bypass the latch.
     - Once armed, :meth:`Network._serialized` peeks at :attr:`crashed`,
       :attr:`_omission_edges`, :attr:`_drop_predicate` and :attr:`_delay_fn`

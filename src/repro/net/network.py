@@ -205,7 +205,7 @@ class Network:
         # entry for a homogeneous scenario, O(clusters^2) for a clustered
         # one -- never O(n^2) pairs), by (src, dst) pair otherwise.
         # Swapping ``self.netem`` rebinds and clears the memo on the next
-        # send (see _rebind_netem); invalidate_links() clears explicitly.
+        # send (see _rebind_netem).
         self._params_cache: Dict[Any, Any] = {}
         self._keyed_netem: Any = netem
         self._link_key: Optional[Callable[[int, int], Any]] = getattr(
@@ -259,6 +259,36 @@ class Network:
         injected delay) later -- unless a fault drops it. Self-sends are
         delivered immediately without touching the NIC.
         """
+        return self._emit(src, dst, tag, payload, size)
+
+    def multicast(
+        self,
+        src: int,
+        dsts: Tuple[int, ...],
+        tag: Hashable,
+        payload: Any,
+        size: int,
+    ) -> List[Message]:
+        """Send ``payload`` from ``src`` to every process in ``dsts``, in
+        order: one :meth:`send` per destination.
+
+        The m messages serialize back to back on the sender's NIC, which
+        is the paper's §4.3 sending time. A destination that is not
+        registered raises at its turn, after the messages before it were
+        sent.
+        """
+        emit = self._emit
+        return [emit(src, dst, tag, payload, size) for dst in dsts]
+
+    def _emit(
+        self,
+        src: int,
+        dst: int,
+        tag: Hashable,
+        payload: Any,
+        size: int,
+    ) -> Message:
+        """The one body of :meth:`send` and :meth:`multicast`."""
         # Single .get() per dict on the hot path (no membership check
         # followed by a second hash of the same key).
         nic = self.nics.get(src)
@@ -328,130 +358,15 @@ class Network:
             delay = propagation_delay + faults.extra_delay(msg)
         self.sim.schedule_call(delay, self._deliver, msg)
 
-    def multicast(
-        self,
-        src: int,
-        dsts: Tuple[int, ...],
-        tag: Hashable,
-        payload: Any,
-        size: int,
-    ) -> List[Message]:
-        """Send ``payload`` from ``src`` to every process in ``dsts``.
-
-        Equivalent -- message for message, event for event, bit for bit --
-        to ``[self.send(src, dst, tag, payload, size) for dst in dsts]``,
-        but in one pass: one wire size, one params lookup per destination
-        (memoised), one chained NIC occupancy computation
-        (:meth:`Nic.transmit_batch`), and one handle-free completion event
-        per destination instead of a per-destination closure. Per-message
-        fault decisions still happen at each serialization-completion
-        instant, so a crash landing mid-fan-out drops exactly the suffix
-        it would have dropped under sequential sends.
-
-        Self-sends (``src in dsts``) deliver synchronously mid-sequence and
-        a crashed sender's messages never reach its NIC, so both are sent
-        with that loop. What the batched path buys end to end is measured
-        in DESIGN.md ("Event stores", ablation table).
-        """
-        if not dsts:
-            return []
-        faults = self.faults
-        if src in dsts or src in faults.crashed:
-            return [self.send(src, dst, tag, payload, size) for dst in dsts]
-        nic = self.nics.get(src)
-        if nic is None:
-            raise NetworkError(f"multicast from unregistered process {src}")
-        sim = self.sim
-        now = sim.now
-        observers = self.observers
-        endpoints = self.endpoints
-        uid = self._uid
-        msgs: List[Message] = []
-        netem = self.netem
-        if netem is not self._keyed_netem:
-            self._rebind_netem()
-        cache = self._params_cache
-        link_key = self._link_key
-        props: List[float] = []
-        bandwidths: List[float] = []
-        for dst in dsts:
-            if dst not in endpoints:
-                raise NetworkError(
-                    f"send between unregistered processes {src}->{dst}"
-                )
-            uid += 1
-            msg = Message(
-                src=src, dst=dst, tag=tag, payload=payload, size=size,
-                sent_at=now, uid=uid,
-            )
-            msgs.append(msg)
-            self.messages_sent += 1
-            if observers:
-                self._notify("send", msg)
-            key = (src, dst) if link_key is None else link_key(src, dst)
-            params = cache.get(key)
-            if params is None:
-                params = netem.params_between(src, dst)
-                cache[key] = params
-            props.append(params.propagation_delay)
-            bandwidths.append(params.bandwidth_bps)
-        self._uid = uid
-        done_times = nic.transmit_batch(size + self.header_bytes, bandwidths)
-        schedule_call_at = sim.schedule_call_at
-        if faults._armed:
-            serialized = self._serialized
-            for i, msg in enumerate(msgs):
-                schedule_call_at(done_times[i], serialized, msg, props[i])
-        else:
-            # Same direct-delivery fast path as ``send``.
-            deliver = self._deliver
-            for i, msg in enumerate(msgs):
-                schedule_call_at(done_times[i] + props[i], deliver, msg)
-        return msgs
-
     def _rebind_netem(self) -> None:
-        """Adopt a swapped shaper (reconfiguration, client-harness
-        wrapping): drop every memoised entry so stale bandwidth or
-        propagation values never price new traffic, and pick up the new
-        shaper's ``link_key`` (or lack of one)."""
+        """Adopt a swapped shaper (client-harness wrapping, or any direct
+        ``network.netem = ...``): drop every memoised entry so stale
+        bandwidth or propagation values never price new traffic, and pick
+        up the new shaper's ``link_key`` (or lack of one)."""
         netem = self.netem
         self._keyed_netem = netem
         self._link_key = getattr(netem, "link_key", None)
         self._params_cache.clear()
-
-    def invalidate_links(
-        self, src: Optional[int] = None, dst: Optional[int] = None
-    ) -> int:
-        """Evict memoised link params for matching ``(src, dst)`` pairs.
-
-        The fabric memoises :meth:`Netem.params_between` because every
-        shaper in the library is static -- but a reconfiguration that
-        swaps the shaper (see :mod:`repro.topology.reconfig`) breaks that
-        assumption, and must call this so no message is priced with stale
-        bandwidth or propagation values. ``None`` acts as a wildcard;
-        returns the number of evicted entries.
-
-        With a class-keyed memo (the shaper exposes ``link_key``), entries
-        cannot be matched back to individual pairs, so a filtered eviction
-        conservatively clears the whole memo: over-eviction merely costs a
-        re-query, under-eviction would misprice messages.
-        """
-        cache = self._params_cache
-        if self.netem is not self._keyed_netem:
-            count = len(cache)
-            self._rebind_netem()
-            return count
-        if (src is None and dst is None) or self._link_key is not None:
-            count = len(cache)
-            cache.clear()
-            return count
-        doomed = [
-            key for key in cache
-            if (src is None or key[0] == src) and (dst is None or key[1] == dst)
-        ]
-        for key in doomed:
-            del cache[key]
-        return len(doomed)
 
     def _deliver(self, msg: Message) -> None:
         faults = self.faults

@@ -18,7 +18,8 @@ measurement window (half-open, like every window in this library). Both
 logs are packed ``array`` columns with one entry per busy interval or per
 distinct enqueue instant: back-to-back traffic coalesces, so a saturated
 uplink costs O(1) interval memory, and a fan-out of m messages enqueued in
-one instant costs one byte-log entry, not m. Folding an instant's messages
+one instant costs one byte-log entry, not m -- each message after the first
+overwrites the instant's cumulative total. Folding an instant's messages
 into one entry is exact: all of them fall on the same side of any window
 edge, so :meth:`Nic.bytes_in` returns the same integer as a per-message log.
 """
@@ -98,16 +99,19 @@ class Nic:
             raise NetworkError(f"non-positive or NaN bandwidth: {bandwidth_bps}")
         now = self.sim.now
         tx_time = 0.0 if math.isinf(bandwidth_bps) else size_bytes * 8.0 / bandwidth_bps
-        lane = min(range(self.lanes), key=self._lane_busy_until.__getitem__)
-        start = max(now, self._lane_busy_until[lane])
-        queueing = start - now
+        busy = self._lane_busy_until
+        lane = 0 if self.lanes == 1 else min(range(self.lanes), key=busy.__getitem__)
+        start = busy[lane]
+        if start < now:
+            start = now
         done = start + tx_time
-        self._lane_busy_until[lane] = done
+        busy[lane] = done
         self.bytes_sent += size_bytes
         self.messages_sent += 1
-        self.total_queueing_delay += queueing
+        self.total_queueing_delay += start - now
         self.total_tx_time += tx_time
-        self.max_backlog = max(self.max_backlog, done - now)
+        if done - now > self.max_backlog:
+            self.max_backlog = done - now
         if tx_time > 0.0:
             self._lane_logs[lane].add(start, done)
         self._log_bytes(now)
@@ -118,66 +122,6 @@ class Nic:
         if len(inflight) > self.max_queue_depth:
             self.max_queue_depth = len(inflight)
         return done
-
-    def transmit_batch(
-        self, size_bytes: int, bandwidths: List[float]
-    ) -> List[float]:
-        """Chain one ``size_bytes`` serialization per entry of ``bandwidths``
-        in a single pass; returns the per-message completion times.
-
-        This is the paper's §4.3 sending time made literal: a parent
-        multicasting a block to ``m`` children occupies its uplink for the
-        ``m`` serializations back-to-back. Every piece of NIC state (lane
-        choice, busy intervals, byte log, queue-depth high-water, counters)
-        is updated exactly as ``m`` sequential :meth:`transmit_raw` calls
-        in the same order would -- the multicast equivalence property test
-        pins this bit-for-bit.
-        """
-        if not size_bytes >= 0:  # NaN fails too
-            raise NetworkError(f"negative or NaN transmit size: {size_bytes}")
-        # Checked before the first is charged: a rejected batch leaves the
-        # NIC untouched.
-        for bandwidth_bps in bandwidths:
-            if not bandwidth_bps > 0:  # inf passes: serializes instantly
-                raise NetworkError(f"non-positive or NaN bandwidth: {bandwidth_bps}")
-        now = self.sim.now
-        lanes = self.lanes
-        busy = self._lane_busy_until
-        logs = self._lane_logs
-        inflight = self._inflight_done
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        size_bits = size_bytes * 8.0
-        done_times: List[float] = []
-        max_backlog = self.max_backlog
-        max_depth = self.max_queue_depth
-        for bandwidth_bps in bandwidths:
-            tx_time = 0.0 if math.isinf(bandwidth_bps) else size_bits / bandwidth_bps
-            lane = 0 if lanes == 1 else min(range(lanes), key=busy.__getitem__)
-            start = busy[lane]
-            if start < now:
-                start = now
-            done = start + tx_time
-            busy[lane] = done
-            self.total_queueing_delay += start - now
-            self.total_tx_time += tx_time
-            if done - now > max_backlog:
-                max_backlog = done - now
-            if tx_time > 0.0:
-                logs[lane].add(start, done)
-            while inflight and inflight[0] <= now:
-                heappop(inflight)
-            heappush(inflight, done)
-            if len(inflight) > max_depth:
-                max_depth = len(inflight)
-            done_times.append(done)
-        if done_times:
-            self.bytes_sent += size_bytes * len(done_times)
-            self._log_bytes(now)  # once: the whole batch shares one instant
-        self.messages_sent += len(done_times)
-        self.max_backlog = max_backlog
-        self.max_queue_depth = max_depth
-        return done_times
 
     def _log_bytes(self, now: float) -> None:
         """Log ``bytes_sent`` as the cumulative total enqueued up to ``now``,

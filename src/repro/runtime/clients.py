@@ -241,7 +241,11 @@ class _ClientAwareNetem:
 
     Clients get ids ``n, n+1, ...``; cluster-based shapers only know
     processes ``0..n-1``, so a client inherits the link characteristics of
-    the node ``id mod n`` (its "access point")."""
+    the node ``id mod n`` (its "access point").
+
+    ``WorkloadHarness`` installs it by assigning ``network.netem``; the
+    fabric sees the new shaper by identity on its next send and rebinds
+    its link memo (``Network._rebind_netem``)."""
 
     def __init__(self, base, n: int):
         self._base = base
@@ -262,13 +266,3 @@ class _ClientAwareNetem:
         if base_key is None:
             return (self._map(src), self._map(dst))
         return base_key(self._map(src), self._map(dst))
-
-    def rewrap(self, new_base) -> "_ClientAwareNetem":
-        """Carry the client mapping over to a replacement base shaper.
-
-        Netem swappers (e.g. ``topology.reconfig.swap_scenario``) call this
-        duck-typed hook so installing a new shaper preserves the client ->
-        access-point mapping instead of silently discarding it."""
-        if isinstance(new_base, _ClientAwareNetem):
-            new_base = new_base._base
-        return _ClientAwareNetem(new_base, self._n)

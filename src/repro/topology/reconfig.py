@@ -24,35 +24,12 @@ A ``star`` policy (HotStuff itself) rotates the star leader every view.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.bins import BinPartition
 from repro.topology.builder import build_star, build_tree, tree_level_sizes
 from repro.topology.tree import Tree
-
-
-def swap_scenario(network: Any, netem: Any) -> int:
-    """Install a new network shaper mid-run (environment reconfiguration).
-
-    The §7.10 experiments change *topology* per view, which needs no fabric
-    cooperation -- but harnesses that change the *environment* (e.g. a WAN
-    scenario degrading mid-run) must go through here: the fabric memoises
-    per-pair link params on the assumption that its shaper is static, so
-    swapping ``network.netem`` directly would leave every already-priced
-    pair on the old scenario's bandwidth and propagation values.
-
-    If the current shaper knows how to carry state over to a replacement
-    (duck-typed ``rewrap``, e.g. the client-id mapping installed by
-    ``runtime.workload.WorkloadHarness``), the new shaper is threaded through
-    it so the swap does not silently strip that layer.
-
-    Returns the number of evicted pairs (see
-    :meth:`repro.net.network.Network.invalidate_links`).
-    """
-    rewrap = getattr(network.netem, "rewrap", None)
-    network.netem = netem if rewrap is None else rewrap(netem)
-    return network.invalidate_links()
 
 
 class ReconfigurationPolicy:

@@ -60,49 +60,6 @@ class ListLogNic(Nic):
             self.max_queue_depth = len(inflight)
         return done
 
-    def transmit_batch(self, size_bytes: int, bandwidths: List[float]) -> List[float]:
-        if size_bytes < 0:
-            raise NetworkError(f"negative transmit size: {size_bytes}")
-        now = self.sim.now
-        lanes = self.lanes
-        busy = self._lane_busy_until
-        log = self._bytes_log
-        inflight = self._inflight_done
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        size_bits = size_bytes * 8.0
-        done_times: List[float] = []
-        max_backlog = self.max_backlog
-        max_depth = self.max_queue_depth
-        for bandwidth_bps in bandwidths:
-            if bandwidth_bps <= 0:
-                raise NetworkError(f"non-positive bandwidth: {bandwidth_bps}")
-            tx_time = 0.0 if math.isinf(bandwidth_bps) else size_bits / bandwidth_bps
-            lane = 0 if lanes == 1 else min(range(lanes), key=busy.__getitem__)
-            start = busy[lane]
-            if start < now:
-                start = now
-            done = start + tx_time
-            busy[lane] = done
-            self.bytes_sent += size_bytes
-            self.total_queueing_delay += start - now
-            self.total_tx_time += tx_time
-            if done - now > max_backlog:
-                max_backlog = done - now
-            if tx_time > 0.0:
-                self._record_busy(lane, start, done)
-            log.append((now, self.bytes_sent))
-            while inflight and inflight[0] <= now:
-                heappop(inflight)
-            heappush(inflight, done)
-            if len(inflight) > max_depth:
-                max_depth = len(inflight)
-            done_times.append(done)
-        self.messages_sent += len(done_times)
-        self.max_backlog = max_backlog
-        self.max_queue_depth = max_depth
-        return done_times
-
     def _record_busy(self, lane: int, start: float, end: float) -> None:
         intervals = self._lane_intervals[lane]
         # FIFO per lane: a message starting exactly when its predecessor

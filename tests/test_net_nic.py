@@ -204,26 +204,6 @@ def test_bad_transmit_raw_leaves_nic_untouched(lanes, size, bandwidth):
     assert nic_state(nic) == before
 
 
-@pytest.mark.parametrize("bandwidths", [
-    [NAN], [1e6, NAN], [1e6, math.inf, -1.0], [1e6, 0.0, 1e6],
-])
-def test_bad_batch_is_rejected_before_the_first_message_is_charged(bandwidths):
-    sim = Simulator()
-    nic = Nic(sim, lanes=2)
-    nic.transmit_raw(1000, 1e6)
-    before = nic_state(nic)
-    with pytest.raises(NetworkError):
-        nic.transmit_batch(1000, bandwidths)
-    assert nic_state(nic) == before
-
-
-def test_nan_size_batch_rejected():
-    nic = Nic(Simulator())
-    with pytest.raises(NetworkError):
-        nic.transmit_batch(NAN, [1e6])
-    assert nic_state(nic) == nic_state(Nic(Simulator()))
-
-
 def test_transmit_with_nan_bandwidth_names_the_bandwidth():
     """The NIC refuses it itself, instead of corrupting its lanes and
     leaving the engine to complain about a NaN completion time."""
@@ -235,24 +215,18 @@ def test_transmit_with_nan_bandwidth_names_the_bandwidth():
     assert nic_state(nic) == nic_state(Nic(Simulator()))
 
 
-def test_infinite_bandwidth_stays_valid_in_a_batch():
-    sim = Simulator()
-    nic = Nic(sim)
-    assert nic.transmit_batch(10**6, [math.inf, math.inf]) == [0.0, 0.0]
-    assert nic.bytes_sent == 2 * 10**6
-
-
 # ---------------------------------------------------------------------------
 # Packed logs: one entry per enqueue instant, exact against the per-message log
 # ---------------------------------------------------------------------------
 def test_byte_log_keeps_one_entry_per_enqueue_instant():
     sim = Simulator()
     nic = Nic(sim)
-    nic.transmit_batch(1000, [1e6] * 10)
+    for _ in range(10):  # a fan-out: ten messages in one instant
+        nic.transmit_raw(1000, 1e6)
     nic.transmit_raw(500, 1e6)
     sim.run(until=1.0)
-    nic.transmit_raw(250, 1e6)
-    nic.transmit_batch(250, [1e6, 1e6])
+    for _ in range(3):
+        nic.transmit_raw(250, 1e6)
     assert list(nic._byte_times) == [0.0, 1.0]
     assert list(nic._byte_totals) == [10_500, 11_250]
     assert nic.bytes_in(0.0, 1.0) == 10_500
@@ -271,7 +245,7 @@ GAPS = st.one_of(
 STEPS = st.lists(
     st.tuples(
         GAPS,
-        st.booleans(),  # batch or single
+        st.booleans(),  # a same-instant run of all, or the first alone
         SIZES,
         st.lists(BANDWIDTHS, min_size=0, max_size=5),
     ),
@@ -290,12 +264,13 @@ def test_packed_logs_answer_like_the_per_message_logs(lanes, steps, extra_edges)
     sim = Simulator()
     nic = Nic(sim, lanes=lanes)
     ref = ListLogNic(sim, lanes=lanes)
-    for gap, batch, size, bandwidths in steps:
+    for gap, run, size, bandwidths in steps:
         sim.run(until=sim.now + gap)
-        if batch:
-            assert nic.transmit_batch(size, bandwidths) == ref.transmit_batch(
-                size, bandwidths
-            )
+        if run:
+            for bandwidth in bandwidths:
+                assert nic.transmit_raw(size, bandwidth) == ref.transmit_raw(
+                    size, bandwidth
+                )
         elif bandwidths:
             assert nic.transmit_raw(size, bandwidths[0]) == ref.transmit_raw(
                 size, bandwidths[0]

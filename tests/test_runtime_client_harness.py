@@ -149,23 +149,6 @@ class TestClientHarness:
         assert isinstance(netem, _ClientAwareNetem)
         assert not isinstance(netem._base, _ClientAwareNetem)
 
-    def test_netem_swap_preserves_client_mapping(self):
-        """swap_scenario must rebind the client wrapper onto the new base
-        shaper: client ids still resolve, and they price on the new params."""
-        from repro.config import NetworkParams
-        from repro.net.netem import HomogeneousNetem
-        from repro.runtime.clients import _ClientAwareNetem
-        from repro.topology.reconfig import swap_scenario
-
-        cluster, _ = make_client_cluster()
-        fast = NetworkParams("fast", rtt=0.002, bandwidth_bps=1e9)
-        swap_scenario(cluster.network, HomogeneousNetem(fast))
-        netem = cluster.network.netem
-        assert isinstance(netem, _ClientAwareNetem)
-        assert not isinstance(netem._base, _ClientAwareNetem)
-        # client id n maps onto node 0 and inherits the *new* link params
-        assert netem.params_between(cluster.n, 0) == fast
-
     def test_heterogeneous_clients_inherit_host_links(self):
         """Client ids map onto node link parameters under cluster netem."""
         from repro import resilientdb_clusters
