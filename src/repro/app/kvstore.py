@@ -70,16 +70,17 @@ class KvStateMachine:
             raise ConfigError(
                 f"out-of-order apply: {block.height} after {self.applied_height}"
             )
-        for tx_id in block.tx_ids:
-            op = self.registry.get(tx_id)
-            if op is None:
-                self.unknown_txs += 1
-                continue
-            if op.kind == "set":
-                self.state[op.key] = op.value
-            else:
-                self.state.pop(op.key, None)
-            self.ops_applied += 1
+        for run in block.tx_runs:
+            for tx_id in run.tx_ids():
+                op = self.registry.get(tx_id)
+                if op is None:
+                    self.unknown_txs += 1
+                    continue
+                if op.kind == "set":
+                    self.state[op.key] = op.value
+                else:
+                    self.state.pop(op.key, None)
+                self.ops_applied += 1
         self.applied_height = block.height
 
     def replay(self, store: BlockStore) -> None:

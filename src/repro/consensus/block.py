@@ -35,10 +35,12 @@ class Block:
     created_at: float  # simulated time of proposal
     hash: str = field(default="")
     justify_view: int = -1  # view of the QC embedded in the proposal
-    #: Identifiers of the client transactions packed into this block.
+    #: The client transactions packed into this block, as the
+    #: :class:`~repro.runtime.clients.TxChunk` runs the proposer's mempool
+    #: drained (a handful per block, their counts summing to ``num_txs``).
     #: Empty for synthetic (saturated) workloads where transactions are
     #: accounted by count only.
-    tx_ids: Tuple = ()
+    tx_runs: Tuple = ()
 
     @staticmethod
     def create(
@@ -51,7 +53,7 @@ class Block:
         created_at: float,
         justify_view: int = -1,
         salt: int = 0,
-        tx_ids: Tuple = (),
+        tx_runs: Tuple = (),
     ) -> "Block":
         """Build a block, deriving its content hash; ``salt`` disambiguates
         otherwise-identical proposals (e.g. re-proposals, Byzantine twins)."""
@@ -65,7 +67,7 @@ class Block:
             created_at=created_at,
             hash=_block_hash(height, view, parent, proposer, salt),
             justify_view=justify_view,
-            tx_ids=tuple(tx_ids),
+            tx_runs=tuple(tx_runs),
         )
 
 

@@ -200,11 +200,11 @@ class PbftNode:
                 block = reproposals.pop(0)
             else:
                 self._salt += 1
-                tx_ids = ()
+                tx_runs = ()
                 if self.workload is not None:
                     fill = self.workload.next_fill(self.sim.now)
                     payload_size, num_txs = fill.payload_size, fill.num_txs
-                    tx_ids = fill.tx_ids
+                    tx_runs = fill.tx_runs
                 else:
                     payload_size = self.config.block_size
                     num_txs = self.config.txs_per_block
@@ -217,7 +217,7 @@ class PbftNode:
                     num_txs=num_txs,
                     created_at=self.sim.now,
                     salt=self._salt,
-                    tx_ids=tx_ids,
+                    tx_runs=tx_runs,
                 )
                 self.store.add(block)
             size = block.payload_size + PROPOSAL_OVERHEAD

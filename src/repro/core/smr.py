@@ -371,11 +371,11 @@ class SmrNode:
 
     def _make_block(self, view: int, height: int, parent_hash: str) -> Block:
         self._salt += 1
-        tx_ids = ()
+        tx_runs = ()
         if self.workload is not None:
             fill = self.workload.next_fill(self.sim.now)
             payload_size, num_txs = fill.payload_size, fill.num_txs
-            tx_ids = fill.tx_ids
+            tx_runs = fill.tx_runs
         else:
             payload_size, num_txs = self.config.block_size, self.config.txs_per_block
         block = Block.create(
@@ -388,7 +388,7 @@ class SmrNode:
             created_at=self.sim.now,
             justify_view=view,
             salt=self._salt,
-            tx_ids=tx_ids,
+            tx_runs=tx_runs,
         )
         self.store.add(block)
         return block

@@ -9,7 +9,7 @@ checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.crypto.collection import Collection
 from repro.crypto.costs import CryptoCostModel
@@ -38,10 +38,12 @@ class SecpCollection(Collection):
     whole signature set, digests are memoised in
     :func:`~repro.crypto.keys.canonical_digest`, and expected MACs are
     memoised at the :class:`~repro.crypto.keys.Pki`, so re-verifying a
-    quorum certificate costs dict lookups, not hashes.
+    quorum certificate costs dict lookups, not hashes. The collection is
+    immutable, so its cardinality is counted once, on first use.
     """
 
-    __slots__ = ("_pki", "_costs", "_entries", "_valid_cache", "_index")
+    __slots__ = ("_pki", "_costs", "_entries", "_valid_cache", "_index",
+                 "_card_cache")
 
     def __init__(
         self,
@@ -54,6 +56,7 @@ class SecpCollection(Collection):
         self._entries = entries
         self._valid_cache: Dict[Any, FrozenSet[int]] = {}
         self._index: Dict[Any, list] = None
+        self._card_cache: Optional[int] = None
 
     # ------------------------------------------------------------------
     def combine(self, other: Collection) -> "SecpCollection":
@@ -96,8 +99,13 @@ class SecpCollection(Collection):
         return valid
 
     def cardinality(self) -> int:
-        # Distinct (process, value) tuples; duplicate MACs collapse in the set.
-        return len({(sig.signer, sig.value) for sig in self._entries})
+        card = self._card_cache
+        if card is None:
+            # Distinct (process, value) tuples; duplicate MACs collapse in
+            # the set.
+            card = len({(sig.signer, sig.value) for sig in self._entries})
+            self._card_cache = card
+        return card
 
     def values(self) -> FrozenSet[Any]:
         return frozenset(sig.value for sig in self._entries)

@@ -10,8 +10,9 @@ node's ``workload`` is one of two things:
 - a :class:`MempoolWorkload`: a leader-side mempool fed by client
   submissions over the network (see
   :class:`~repro.runtime.workload.WorkloadHarness`) as :class:`TxChunk`
-  runs; blocks carry whatever is queued, up to the block budget, with
-  real transaction ids so end-to-end latency is measurable.
+  runs; blocks carry whatever is queued, up to the block budget, as the
+  runs themselves, so end-to-end latency is measurable without one object
+  per transaction.
 """
 
 from __future__ import annotations
@@ -21,16 +22,19 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.config import ProtocolConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
 class BlockFill:
-    """What the leader packs into one proposal."""
+    """What the leader packs into one proposal: ``num_txs`` transactions
+    of ``payload_size`` bytes in total, as the oldest-first
+    :class:`TxChunk` runs that hold them (``tx_runs``; their counts sum to
+    ``num_txs``)."""
 
     payload_size: int
     num_txs: int
-    tx_ids: Tuple = ()
+    tx_runs: Tuple["TxChunk", ...] = ()
 
 
 class TxChunk(NamedTuple):
@@ -40,11 +44,12 @@ class TxChunk(NamedTuple):
     client class yields transactions ``(client_id, start_seq) ..
     (client_id, start_seq + count - 1)``, all the same size, all submitted
     at the same instant. Shipping that run as one flyweight instead of one
-    object per transaction makes synthesis and admission O(1) per tick;
-    individual tx ids are only expanded when a block drains them
-    (commit-rate bounded, not offered-rate bounded). Network timing is
-    unchanged because link costs are driven by the explicit ``size=``
-    argument of ``Network.send``, never by payload object shape.
+    object per transaction makes synthesis and admission O(1) per tick,
+    and a block carries the runs its proposer drained (``Block.tx_runs``),
+    so the consensus and commit paths never enumerate ids either; only the
+    KV application and the tests expand a run, with the method below. Network
+    timing is unchanged because link costs are driven by the explicit
+    ``size=`` argument of ``Network.send``, never by payload object shape.
     """
 
     client_id: int
@@ -61,6 +66,7 @@ class TxChunk(NamedTuple):
         )
 
     def tx_ids(self) -> List[Tuple[int, int]]:
+        """The run's ``(client_id, seq)`` ids, in order."""
         client_id = self.client_id
         return [
             (client_id, seq)
@@ -84,14 +90,16 @@ class MempoolWorkload:
     pump calls :meth:`admit_batch`, and each proposal drains the oldest
     transactions up to the block budget -- both the payload-byte cap *and*
     ``config.txs_per_block`` (the per-block transaction count the
-    CPU/crypto cost model assumes). Carries transaction ids into blocks so
+    CPU/crypto cost model assumes). Carries the drained :class:`TxChunk`
+    runs into blocks (a head split off where the budget cuts a run) so
     end-to-end (submit-to-commit) latency is measurable.
 
     ``capacity_txs`` bounds the mempool (admission control / leader
     backpressure): beyond it, ``policy`` decides whether overflow is
-    dropped or deferred. Offered/admitted/dropped counters make the
-    conservation law checkable: ``offered == admitted + dropped +
-    deferred_txs`` at any instant.
+    dropped or deferred. The conservation law ``offered == admitted +
+    dropped + deferred_txs`` is checked at the end of every
+    :meth:`admit_batch` and :meth:`next_fill`; a broken law raises
+    :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(
@@ -177,34 +185,34 @@ class MempoolWorkload:
         for item in items:
             if isinstance(item, TxChunk):
                 admitted += self._admit_chunk(item)
+        self._check_conservation()
         return admitted
 
     def next_fill(self, now: float) -> BlockFill:
-        taken_ids: List[Tuple[int, int]] = []
-        payload = 0
+        """Drain the oldest queued runs up to the block budget, whole runs
+        where they fit and the head of the one the budget cuts."""
+        runs: List[TxChunk] = []
+        taken = payload = 0
         pending = self._pending
         budget = self.config.txs_per_block
         block_size = self.config.block_size
-        while pending and len(taken_ids) < budget:
+        while pending and taken < budget:
             head = pending[0]
             size = head.size
-            room = budget - len(taken_ids)
+            room = budget - taken
             if size > 0:
                 room = min(room, (block_size - payload) // size)
             take = min(room, head.count)
             if take <= 0:
                 break
-            client_id = head.client_id
-            start = head.start_seq
-            taken_ids.extend(
-                (client_id, seq) for seq in range(start, start + take)
-            )
+            if take == head.count:
+                runs.append(pending.popleft())
+            else:
+                run, pending[0] = head.split(take)
+                runs.append(run)
+            taken += take
             payload += take * size
             self._pending_txs -= take
-            if take == head.count:
-                pending.popleft()
-            else:
-                pending[0] = head.split(take)[1]
         # Backpressure release: space freed by the proposal re-admits
         # deferred transactions in arrival order. Deferred entries were
         # already counted as offered at arrival, so release must bypass
@@ -225,7 +233,22 @@ class MempoolWorkload:
             self._pending_txs += take
             self.admitted += take
             self.admitted_by_client[chunk.client_id] += take
-        return BlockFill(payload, len(taken_ids), tuple(taken_ids))
+        carried = sum(run.count for run in runs)
+        if carried != taken:
+            raise SimulationError(
+                f"block fill of {taken} txs carries runs of {carried}"
+            )
+        self._check_conservation()
+        return BlockFill(payload, taken, tuple(runs))
+
+    def _check_conservation(self) -> None:
+        """Raise unless ``offered == admitted + dropped + deferred_txs``."""
+        if self.offered != self.admitted + self.dropped + self._deferred_txs:
+            raise SimulationError(
+                f"mempool conservation broken: offered={self.offered} != "
+                f"admitted={self.admitted} + dropped={self.dropped} + "
+                f"deferred_txs={self._deferred_txs}"
+            )
 
     @property
     def queued_txs(self) -> int:

@@ -694,34 +694,44 @@ class WorkloadHarness:
     def _on_commit(self, record, block) -> None:
         """Account the block's transactions one *run* at a time.
 
-        A run is a stretch of consecutive ids of one client inside one
+        An accounted run is a stretch of ids of one client inside one
         tick's ``[submit_seqs[i], submit_seqs[i + 1])`` epoch: its
-        transactions share a submit time, hence a latency, so the lookups
-        happen once per run and the histograms take it as one weighted add.
+        transactions share a submit time, hence a latency, so each of the
+        block's ``tx_runs`` costs one epoch lookup and the histograms take
+        an accounted run as one weighted add. A run that starts inside the
+        open epoch of the same client extends it; one that crosses an epoch
+        boundary is split there. Unknown clients, and the part of a run
+        before the client's first epoch, are skipped.
         """
         commit_time = record.time
         by_client = self._class_by_client
         run_client = state = None
-        lo = hi = count = 0  # the run so far: ``count`` ids in [lo, hi)
+        lo = hi = count = 0  # the accounted run: ``count`` ids in [lo, hi)
         latency = 0.0
-        for client_id, seq in block.tx_ids:
-            if client_id == run_client and lo <= seq < hi:
-                count += 1
-                continue
-            if count:
-                self._account(state, latency, count)
-            run_client, lo, hi, count = client_id, 0, 0, 0
-            state = by_client.get(client_id)
-            if state is None:
-                continue
-            seqs = state.submit_seqs
-            index = bisect_right(seqs, seq) - 1
-            if index < 0:
-                continue
-            lo = seqs[index]
-            hi = seqs[index + 1] if index + 1 < len(seqs) else math.inf
-            latency = commit_time - state.submit_times[index]
-            count = 1
+        for run in block.tx_runs:
+            client_id = run.client_id
+            seq = run.start_seq
+            end = seq + run.count
+            while seq < end:
+                if client_id == run_client and lo <= seq < hi:
+                    take = min(end, hi) - seq
+                    count += take
+                    seq += take
+                    continue
+                if count:
+                    self._account(state, latency, count)
+                run_client, lo, hi, count = client_id, 0, 0, 0
+                state = by_client.get(client_id)
+                if state is None:
+                    break
+                seqs = state.submit_seqs
+                index = bisect_right(seqs, seq) - 1
+                if index < 0:  # skip to the first epoch, if there is one
+                    seq = min(end, seqs[0]) if seqs else end
+                    continue
+                lo = seqs[index]
+                hi = seqs[index + 1] if index + 1 < len(seqs) else math.inf
+                latency = commit_time - state.submit_times[index]
         if count:
             self._account(state, latency, count)
 

@@ -12,7 +12,7 @@ from repro.app import (
 from repro.config import KB
 from repro.consensus.block import GENESIS_HASH, Block
 from repro.errors import ConfigError
-from repro.runtime.clients import MempoolWorkload
+from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
 
 
@@ -49,9 +49,9 @@ class TestStateMachineUnit:
         registry.record((0, 2), KvOp("delete", "a"))
         machine = KvStateMachine(registry)
         block1 = Block.create(1, 0, GENESIS_HASH, 0, 100, 2, 0.0,
-                              tx_ids=((0, 0), (0, 1)))
+                              tx_runs=(TxChunk(0, 0, 2, 50, 0.0),))
         block2 = Block.create(2, 0, block1.hash, 0, 100, 1, 0.0,
-                              tx_ids=((0, 2),))
+                              tx_runs=(TxChunk(0, 2, 1, 100, 0.0),))
         machine.apply_block(block1)
         assert machine.get("a") == "1"
         machine.apply_block(block2)
@@ -69,7 +69,8 @@ class TestStateMachineUnit:
         registry = OpRegistry()
         registry.record((0, 0), KvOp("set", "x", "1"))
         a, b = KvStateMachine(registry), KvStateMachine(registry)
-        block = Block.create(1, 0, GENESIS_HASH, 0, 100, 1, 0.0, tx_ids=((0, 0),))
+        block = Block.create(1, 0, GENESIS_HASH, 0, 100, 1, 0.0,
+                             tx_runs=(TxChunk(0, 0, 1, 100, 0.0),))
         a.apply_block(block)
         assert a.digest() != b.digest()
         b.apply_block(block)
@@ -77,7 +78,8 @@ class TestStateMachineUnit:
 
     def test_unknown_tx_counted_not_fatal(self):
         machine = KvStateMachine(OpRegistry())
-        block = Block.create(1, 0, GENESIS_HASH, 0, 100, 1, 0.0, tx_ids=((9, 9),))
+        block = Block.create(1, 0, GENESIS_HASH, 0, 100, 1, 0.0,
+                             tx_runs=(TxChunk(9, 9, 1, 100, 0.0),))
         machine.apply_block(block)
         assert machine.unknown_txs == 1
 

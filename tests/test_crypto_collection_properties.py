@@ -161,3 +161,35 @@ class TestForgeryResistance:
             assert merged.signers_for("v") == frozenset(range(3))
             assert merged.has("v", 3)
             assert not merged.has("v", 4)
+
+
+class _CountingEntries(frozenset):
+    """A signature set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuple_specs, tuple_specs, tuple_specs)
+def test_secp_cardinality_is_counted_once(specs_a, specs_b, forged_specs):
+    """The memoised cardinality equals the distinct (signer, value) count
+    across ⊕ chains, duplicate signatures and forged MACs, and the
+    signature set is walked once per collection, not once per call."""
+    scheme = SCHEMES["secp"]
+    forged = SecpCollection(
+        PKI,
+        scheme.costs,
+        frozenset(SecpSignature(s, v, b"\x00" * 32) for s, v in forged_specs),
+    )
+    chain = build("secp", specs_a) | forged | build("secp", specs_b + specs_a)
+    expected = len(set(specs_a) | set(specs_b) | set(forged_specs))
+    counted = SecpCollection(PKI, scheme.costs, _CountingEntries(chain._entries))
+    _CountingEntries.iterations = 0
+    for _ in range(3):
+        assert chain.cardinality() == expected
+        assert counted.cardinality() == expected
+    assert _CountingEntries.iterations == 1

@@ -11,13 +11,16 @@ The load-bearing invariants pinned here:
   admits one transaction at a time (``tests/reference_mempool.py``), and
   invariant to how a batch is partitioned into chunks;
 * the admission conservation law ``offered == admitted + dropped +
-  deferred_txs`` holds at every step across defer -> release cycles;
+  deferred_txs`` holds at every step across defer -> release cycles, and
+  the mempool itself raises when a counter breaks it;
+* ``next_fill`` hands blocks the drained runs, and their ids, counts and
+  payloads equal a per-transaction fill (``tests/reference_mempool.py``);
 * ``LatencyHistogram`` percentiles track the exact nearest-rank
   percentile within the documented relative-error bound, in O(buckets)
   memory regardless of sample volume;
 * accounting a block's commits per run of equal latency (one weighted
   ``add`` each) leaves every histogram bit-equal to the per-transaction
-  loop it replaced.
+  loop it replaced, with as many ``add`` calls as the per-id run merge.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ProtocolConfig
 from repro.config import KB
+from repro.errors import SimulationError
 from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.metrics import (
     E2E_PERCENTILES,
@@ -46,7 +50,11 @@ from repro.runtime.workload import (
     WorkloadSpec,
     make_workload_factory,
 )
-from tests.reference_mempool import PerItemMempool
+from tests.reference_mempool import (
+    PerItemMempool,
+    PerTxFillMempool,
+    expand_runs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ def drain(pool, rounds=200):
         fill = pool.next_fill(float(now))
         if fill.num_txs == 0 and pool.queued_txs == 0 and pool.deferred_txs == 0:
             break
-        ids.extend(fill.tx_ids)
+        ids.extend(expand_runs(fill.tx_runs))
         payloads.append(fill.payload_size)
     return ids, payloads
 
@@ -190,11 +198,46 @@ def test_chunk_drain_splits_across_blocks():
     second = pool.next_fill(1.0)
     third = pool.next_fill(2.0)
     assert first.num_txs == 4 and second.num_txs == 4 and third.num_txs == 2
-    assert list(first.tx_ids + second.tx_ids + third.tx_ids) == [
-        (7, seq) for seq in range(100, 110)
-    ]
+    runs = first.tx_runs + second.tx_runs + third.tx_runs
+    assert [run.count for run in runs] == [4, 4, 2]
+    assert list(expand_runs(runs)) == [(7, seq) for seq in range(100, 110)]
     assert first.payload_size == 4 * 512
     assert pool.queued_txs == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rounds=st.lists(
+        st.tuples(batch_items, st.integers(min_value=0, max_value=3)),
+        min_size=1,
+        max_size=5,
+    ),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+    policy=st.sampled_from(["drop", "defer"]),
+    block_size=st.sampled_from([1024, 2048, 4 * 512 + 100, 64 * KB]),
+)
+def test_next_fill_matches_per_tx_reference(rounds, capacity, policy,
+                                            block_size):
+    """Interleaved admissions and fills: every fill's expanded runs, count
+    and payload equal a fill that drains one transaction at a time, and so
+    does every counter after it."""
+    items = build_items([raw for batch, _ in rounds for raw in batch])
+    fast = make_pool(capacity, policy, block_size=block_size)
+    ref = make_pool(capacity, policy, block_size=block_size,
+                    mempool=PerTxFillMempool)
+    now = 0.0
+    for batch, fills in rounds:
+        part, items = items[:len(batch)], items[len(batch):]
+        fast.admit_batch(part)
+        ref.admit_batch(part)
+        for _ in range(fills):
+            now += 1.0
+            fill = fast.next_fill(now)
+            assert all(isinstance(run, TxChunk) and run.count > 0
+                       for run in fill.tx_runs)
+            assert (fill.payload_size, fill.num_txs,
+                    expand_runs(fill.tx_runs)) == ref.next_fill_ids(now)
+            assert pool_state(fast) == pool_state(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +282,25 @@ def test_conservation_law_across_release_cycles(policy, use_batch):
     if policy == "defer":
         assert pool.dropped == 0
         assert pool.admitted == pool.offered
+
+
+@pytest.mark.parametrize("counter", ["offered", "admitted", "dropped",
+                                     "_deferred_txs"])
+@pytest.mark.parametrize("step", ["admit_batch", "next_fill"])
+def test_broken_conservation_law_raises(counter, step):
+    """A corrupted counter is caught at the end of the next admission or
+    fill, and the error names all four counters."""
+    pool = make_pool(capacity=4, policy="defer")
+    pool.admit_batch([TxChunk(0, 0, 6, 512, 0.0)])
+    setattr(pool, counter, getattr(pool, counter) + 1)
+    with pytest.raises(SimulationError) as excinfo:
+        if step == "admit_batch":
+            pool.admit_batch([TxChunk(0, 6, 1, 512, 0.0)])
+        else:
+            pool.next_fill(1.0)
+    message = str(excinfo.value)
+    for name in ("offered=", "admitted=", "dropped=", "deferred_txs="):
+        assert name in message
 
 
 def test_release_preserves_arrival_order_with_chunks():
@@ -507,16 +569,26 @@ class PerTxAccounting:
         self.total = LatencyHistogram()
         self.hists = {state.client_id: LatencyHistogram() for state in harness.classes}
         self.within_slo = {state.client_id: 0 for state in harness.classes}
+        #: Accounted runs under the merge rule: an id joins the open run
+        #: when it is in the same client's same epoch as the id before it.
+        self.runs = 0
 
     def on_commit(self, record, block):
         by_client = self.harness._class_by_client
-        for tx_id in block.tx_ids:
+        open_epoch = None
+        for tx_id in expand_runs(block.tx_runs):
             state = by_client.get(tx_id[0])
             if state is None:
+                open_epoch = None
                 continue
             index = bisect_right(state.submit_seqs, tx_id[1]) - 1
             if index < 0:
+                open_epoch = None
                 continue
+            epoch = (tx_id[0], index)
+            if epoch != open_epoch:
+                self.runs += 1
+                open_epoch = epoch
             latency = record.time - state.submit_times[index]
             self.hists[tx_id[0]].add(latency)
             if latency <= state.slo_target_s:
@@ -531,14 +603,19 @@ class PerTxAccounting:
             assert state.within_slo == self.within_slo[state.client_id]
 
 
-def test_run_accounting_matches_per_tx_oracle():
+def make_harness(seed=3):
     spec = digest_spec()
     config = ProtocolConfig()
     cluster = Cluster(
-        n=7, mode="kauri", scenario="national", config=config, seed=3,
+        n=7, mode="kauri", scenario="national", config=config, seed=seed,
         workload_factory=make_workload_factory(spec, config),
     )
-    harness = WorkloadHarness(cluster, spec, seed=3)
+    return WorkloadHarness(cluster, spec, seed=seed)
+
+
+def test_run_accounting_matches_per_tx_oracle():
+    harness = make_harness()
+    cluster = harness.cluster
     oracle = PerTxAccounting(harness)
     cluster.metrics.commit_listeners.append(oracle.on_commit)
     cluster.start()
@@ -549,22 +626,87 @@ def test_run_accounting_matches_per_tx_oracle():
     assert all(state.hist.count > 0 for state in harness.classes)
     oracle.assert_matches()
 
-    # A block no proposer would build: ids of a client the harness does not
+    # A block no proposer would build: runs of a client the harness does not
     # know, a sequence number before the first tick, epochs visited out of
-    # order, the open-ended last epoch, and the classes interleaved.
+    # order, the open-ended last epoch, the classes interleaved, and runs
+    # that cross epoch boundaries (one starting before the first tick).
     mobile, api = (state.client_id for state in harness.classes)
     seqs = harness.classes[0].submit_seqs
-    assert len(seqs) > 3
+    assert len(seqs) > 3 and seqs[0] == 0 and seqs[1] >= 2
     last = seqs[-1]
-    block = SimpleNamespace(tx_ids=(
-        (999, 0), (999, 1), (mobile, -1),
-        (mobile, last), (mobile, last + 1), (mobile, last + 10_000),
-        (mobile, seqs[2]), (mobile, seqs[2] - 1), (mobile, seqs[1]),
-        (api, 0), (mobile, 0), (api, 1), (api, 1),
+
+    def run(client_id, start, count=1):
+        return TxChunk(client_id, start, count, 512, 0.0)
+
+    block = SimpleNamespace(tx_runs=(
+        run(999, 0, 2), run(mobile, -1),
+        run(mobile, last, 2), run(mobile, last + 10_000),
+        run(mobile, seqs[2]), run(mobile, seqs[2] - 1), run(mobile, seqs[1]),
+        run(api, 0), run(mobile, 0), run(api, 1), run(api, 1),
+        run(mobile, seqs[1] - 2, seqs[3] - seqs[1] + 4),
+        run(mobile, -3, seqs[1] + 3),
     ))
+    crossing = (seqs[3] - seqs[1] + 4) + seqs[1]
     record = SimpleNamespace(time=cluster.sim.now + 1.0)
     before = harness.committed_txs
     harness._on_commit(record, block)
     oracle.on_commit(record, block)
-    assert harness.committed_txs == before + 10
+    assert harness.committed_txs == before + 10 + crossing
     oracle.assert_matches()
+
+
+epoch_starts = st.tuples(
+    st.integers(min_value=0, max_value=3),                            # first
+    st.lists(st.integers(min_value=1, max_value=6), max_size=5),      # gaps
+).map(lambda drawn: [drawn[0] + sum(drawn[1][:k])
+                     for k in range(len(drawn[1]) + 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    starts=st.tuples(st.one_of(st.just([]), epoch_starts), epoch_starts),
+    blocks=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),      # 2: unknown
+                st.integers(min_value=-4, max_value=30),    # start seq
+                st.integers(min_value=1, max_value=12),     # count
+            ),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_run_accounting_matches_per_tx_oracle_on_random_runs(starts, blocks):
+    """Random runs against random epoch arrays: unknown clients, seqs
+    before the first epoch (or a class with no epoch yet), runs crossing
+    epochs and the open-ended last one, classes interleaved. Histograms
+    and SLO counts equal the per-transaction oracle's, and the weighted
+    adds equal the runs the per-id merge rule forms."""
+    harness = make_harness()
+    for state, seqs in zip(harness.classes, starts):
+        state.submit_seqs = list(seqs)
+        state.submit_times = [0.4 * k for k in range(len(seqs))]
+    client_ids = [state.client_id for state in harness.classes] + [999]
+    oracle = PerTxAccounting(harness)
+    accounted = []
+    account = harness._account
+
+    def counting_account(state, latency, count):
+        accounted.append(count)
+        account(state, latency, count)
+
+    harness._account = counting_account
+    for height, raw in enumerate(blocks):
+        block = SimpleNamespace(tx_runs=tuple(
+            TxChunk(client_ids[pick], start, count, 512, 0.0)
+            for pick, start, count in raw
+        ))
+        # Latencies from 0.1 s to 2.7 s straddle the 1 s SLO target.
+        record = SimpleNamespace(time=2.1 + 0.3 * height)
+        harness._on_commit(record, block)
+        oracle.on_commit(record, block)
+    oracle.assert_matches()
+    assert len(accounted) == oracle.runs
+    assert sum(accounted) == harness.committed_txs

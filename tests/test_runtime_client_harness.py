@@ -10,6 +10,7 @@ from repro.config import KB
 from repro.errors import ConfigError
 from repro.runtime.clients import MempoolWorkload, TxChunk
 from repro.runtime.workload import ClientClassSpec, WorkloadHarness, WorkloadSpec
+from tests.reference_mempool import expand_runs
 
 
 def client_spec(rate=2000.0, clients=4):
@@ -61,14 +62,15 @@ class TestMempoolWorkload:
         fill = pool.next_fill(1.0)
         assert fill.num_txs == 2  # 2 * 400 <= 1024 < 3 * 400
         assert fill.payload_size == 800
-        assert fill.tx_ids == ((0, 0), (0, 1))
+        assert fill.tx_runs == (TxChunk(0, 0, 2, 400, 0.0),)
+        assert expand_runs(fill.tx_runs) == ((0, 0), (0, 1))
         assert pool.queued_txs == 3
 
     def test_empty_mempool_gives_empty_block(self):
         pool = MempoolWorkload(ProtocolConfig())
         fill = pool.next_fill(0.0)
         assert fill.num_txs == 0
-        assert fill.tx_ids == ()
+        assert fill.tx_runs == ()
 
     def test_non_tx_garbage_ignored(self):
         pool = MempoolWorkload(ProtocolConfig())
@@ -107,9 +109,10 @@ class TestClientHarness:
         assert committed_with_txs
         leader = cluster.nodes[cluster.policy.leader_of(0)]
         block = next(
-            b for b in leader.store.committed_chain() if b.tx_ids
+            b for b in leader.store.committed_chain() if b.tx_runs
         )
-        assert all(isinstance(tx_id, tuple) for tx_id in block.tx_ids)
+        assert all(isinstance(run, TxChunk) for run in block.tx_runs)
+        assert sum(run.count for run in block.tx_runs) == block.num_txs
 
     def test_clients_survive_leader_change(self):
         cluster, harness = make_client_cluster(seed=2)
@@ -184,7 +187,8 @@ class TestPinnedClientPath:
         harness.start()
         cluster.run(duration=duration)
         logs = [
-            [block.tx_ids for block in node.store.committed_chain()]
+            [expand_runs(block.tx_runs)
+             for block in node.store.committed_chain()]
             for node in cluster.nodes
         ]
         digest = hashlib.sha256(repr(logs).encode()).hexdigest()
