@@ -12,10 +12,10 @@ process, so the slow path cannot contradict a fast commit either.
 
 When the fast quorum does not form (faults, slow links, a partition), the
 leader explicitly signals *fallback* down the dissemination tree and both
-sides rerun the instance through the regular chained rounds
-(:class:`~repro.consensus.protocol.Protocol.run_rounds`), guaranteeing the
-slow path's liveness. A crashed or silent leader is handled the same way
-as in the chained protocol: the pacemaker expires and the view changes.
+sides go on to the regular chained rounds in the same instance
+(:meth:`KudzuProtocol.qc_missed`), guaranteeing the slow path's liveness.
+A crashed or silent leader is handled the same way as in the chained
+protocol: the pacemaker expires and the view changes.
 
 Fast certificates subsume the prepare/lock state
 (:meth:`~repro.consensus.safety.SafetyRules.observe_fast_qc`) and are
@@ -27,9 +27,8 @@ fast commits.
 from __future__ import annotations
 
 from repro.config import max_faults
-from repro.consensus.protocol import HotStuffProtocol
-from repro.consensus.vote import Phase, QuorumCert, vote_value
-from repro.core.comm import BOTTOM
+from repro.consensus.protocol import VOTE_PHASES, HotStuffProtocol
+from repro.consensus.vote import Phase, QuorumCert
 
 #: Wire sentinel the leader sends on the fast QC tag when the fast quorum
 #: missed, so replicas fall back immediately instead of waiting out Δ.
@@ -67,78 +66,35 @@ class KudzuProtocol(HotStuffProtocol):
             return justify.verify(self.fast_quorum(node))
         return super().verify_justify(node, justify)
 
-    def fast_commit_rule(self, node, qc: QuorumCert, block) -> None:
+    # ------------------------------------------------------------------
+    # One optimistic round; on a miss, the full chained slow path.
+    # ------------------------------------------------------------------
+    vote_phases = (Phase.FAST,) + VOTE_PHASES
+
+    def qc_quorum(self, node, phase: Phase) -> int:
+        if phase is Phase.FAST:
+            return self.fast_quorum(node)
+        return super().qc_quorum(node, phase)
+
+    def qc_missed(self, node, view, height, phase, is_leader) -> bool:
+        """A missed fast certificate falls back to the chained rounds. The
+        root says so down the tree, so replicas fall back at once instead
+        of waiting out Δ; timeouts and malformed data also mean fallback
+        -- never a hang."""
+        if phase is not Phase.FAST:
+            return super().qc_missed(node, view, height, phase, is_leader)
+        if is_leader:
+            node.comm.send_to_children(
+                self.qc_tag(view, height, phase), FALLBACK, FALLBACK_SIZE
+            )
+        node.fast_fallbacks += 1
+        return True
+
+    def commit_rule(self, node, qc: QuorumCert, block) -> bool:
         """A verified fast certificate commits immediately."""
-        node.safety.observe_qc(qc)
-        assert node.pacemaker is not None
-        node.pacemaker.record_progress()
+        if qc.phase is not Phase.FAST:
+            return super().commit_rule(node, qc, block)
+        node._handle_qc(qc, block)  # safety and pacemaker progress
         node.fast_commits += 1
         node._commit(block)
-
-    # ------------------------------------------------------------------
-    def run_rounds(self, node, view, block, can_vote, is_leader, recorder):
-        """One optimistic round; on a miss, the full chained slow path."""
-        height = block.height
-        phase = Phase.FAST
-        own = yield from self.vote_rule(node, view, height, phase, block, can_vote)
-        aggregate_started = node.sim.now
-        collection = yield from node.comm.wait_for(
-            self.vote_tag(view, height, phase), own, node.scheme, node.cpu
-        )
-        resolve_started = node.sim.now
-        if recorder is not None:
-            recorder.aggregate(height, resolve_started - aggregate_started)
-        qc = yield from self._resolve_fast_qc(
-            node, view, height, block, collection, is_leader
-        )
-        if recorder is not None:
-            recorder.wait(height, node.sim.now - resolve_started)
-        if qc is not None:
-            self.fast_commit_rule(node, qc, block)
-            return True
-        node.fast_fallbacks += 1
-        return (
-            yield from super().run_rounds(
-                node, view, block, can_vote, is_leader, recorder
-            )
-        )
-
-    def _resolve_fast_qc(self, node, view, height, block, collection, is_leader):
-        """Coroutine: the fast certificate, or None to fall back.
-
-        The root checks the aggregate against the fast quorum and sends
-        either the certificate or an explicit fallback notice down the
-        tree; replicas receive and verify it. Timeouts and malformed data
-        also mean fallback -- never a hang.
-        """
-        fast_quorum = self.fast_quorum(node)
-        tag = self.qc_tag(view, height, Phase.FAST)
-        if is_leader:
-            value = vote_value(Phase.FAST, view, height, block.hash)
-            if not collection.has(value, fast_quorum):
-                node.comm.send_to_children(tag, FALLBACK, FALLBACK_SIZE)
-                return None
-            qc = QuorumCert(Phase.FAST, view, height, block.hash, collection)
-            signal = node._prepare_signals.get(height)
-            if signal is not None:
-                # The pacing chain waits on the instance's first QC; on the
-                # fast path that is the fast certificate.
-                signal.fire_if_unfired()
-            node.comm.send_to_children(tag, qc, qc.wire_size())
-            return qc
-        data = yield from node.comm.broadcast(tag)
-        if data is BOTTOM or not isinstance(data, QuorumCert):
-            return None
-        qc = data
-        if (
-            qc.phase is not Phase.FAST
-            or qc.view != view
-            or qc.height != height
-            or qc.block_hash != block.hash
-            or qc.is_genesis
-        ):
-            return None
-        yield from node.cpu.consume(node.scheme.cost_verify_collection(qc.collection))
-        if not qc.verify(fast_quorum):
-            return None
-        return qc
+        return True

@@ -2,11 +2,12 @@
 
 A :class:`Protocol` packages everything that distinguishes one BFT protocol
 from another *on the shared fabric*: which vote rounds run and in what
-order, when a replica may vote, how quorum certificates are formed and
-verified, what justifies a proposal, when a block commits, and how the
-leader paces new instances. Everything else -- view lifecycle, task
-management, tree/star communication, the client pump, commit plumbing and
-observability hooks -- lives in the protocol-agnostic
+order, when a replica may vote, how many signers each round's quorum
+certificate needs, what a missed certificate means, what justifies a
+proposal, when a block commits, and how the leader paces new instances.
+Everything else -- view lifecycle, task management, tree/star
+communication, the round loop of one instance, the client pump, commit
+plumbing and observability hooks -- lives in the protocol-agnostic
 :class:`~repro.core.smr.SmrNode` base, which calls into its strategy at the
 decision points.
 
@@ -16,7 +17,8 @@ pre-commit / commit), QCs formed at the root and disseminated down, commit
 on the commit-phase quorum. :class:`KauriProtocol` and
 :class:`HotStuffProtocol` differ only in leader pacing (stretch-timed
 pipelining vs QC-chained depth 4); the Kudzu fast path
-(:mod:`repro.consensus.kudzu`) overrides the round structure itself.
+(:mod:`repro.consensus.kudzu`) prepends an optimistic round and changes
+what its certificate, or its absence, means.
 
 Adding a protocol is: subclass :class:`Protocol`, override the relevant
 rules, and register the class in ``PROTOCOLS`` in
@@ -26,7 +28,7 @@ to ``SmrNode`` are required.
 Strategies hold no per-instance state: every method receives the node, so
 one strategy object serves all heights and views of its replica. Byzantine
 behaviours keep working unchanged -- the default rules delegate to the
-node-level mechanism hooks (``_make_vote``, ``_resolve_qc``,
+node-level mechanism hooks (``_make_vote``, ``_form_qc``, ``_handle_qc``,
 ``_disseminate_proposal``) that :mod:`repro.consensus.byzantine`
 subclasses override.
 """
@@ -34,7 +36,7 @@ subclasses override.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.consensus import tags
 from repro.consensus.vote import Phase, QuorumCert
@@ -48,8 +50,8 @@ class Protocol:
     """Strategy interface consumed by :class:`~repro.core.smr.SmrNode`.
 
     The base class *is* the chained HotStuff/Kauri protocol; subclasses
-    override individual rules (or the whole round loop) to change protocol
-    behaviour without touching the node.
+    override individual rules to change protocol behaviour without
+    touching the node.
     """
 
     #: Registry name; also used for display (``repro modes``).
@@ -126,62 +128,40 @@ class Protocol:
         return justify.phase is Phase.PREPARE and justify.verify(node.quorum)
 
     # ------------------------------------------------------------------
-    # The vote rounds
+    # The vote rounds (run by ``SmrNode._instance``, in ``vote_phases``
+    # order: vote, aggregate, then the round's QC -- formed by the root,
+    # received, relayed and verified by everyone else)
     # ------------------------------------------------------------------
     def vote_rule(self, node, view, height, phase, block, can_vote):
         """Coroutine: this replica's (possibly absent) vote for ``phase``.
 
         Returns the mechanism's coroutine itself rather than delegating to
         it from a generator of its own, so a parked vote is one frame
-        shallower. An override may do either: the round loop only runs
-        the result with ``yield from``.
+        shallower. An override may do either: the instance runs the result
+        with ``yield from``.
         """
         return node._make_vote(view, height, phase, block, can_vote)
 
-    def qc_rule(self, node, view, height, phase, block, collection, is_leader):
-        """Coroutine: resolve ``phase``'s QC from the aggregate (root) or
-        from the parent's dissemination (everyone else); None fails the
-        instance. Returns the mechanism's coroutine, as :meth:`vote_rule`."""
-        return node._resolve_qc(view, height, phase, block, collection, is_leader)
+    def qc_quorum(self, node, phase: Phase) -> int:
+        """Signers ``phase``'s certificate needs: the root forms it only
+        from that many, and every replica verifies against it."""
+        return node.quorum
 
-    def commit_rule(self, node, qc: QuorumCert, block) -> None:
+    def qc_missed(
+        self, node, view: int, height: int, phase: Phase, is_leader: bool
+    ) -> bool:
+        """React to ``phase`` ending without a verified QC (the aggregate
+        was short at the root; a replica received ⊥, garbage or a QC that
+        failed verification). True runs the next round anyway, False fails
+        the instance -- always, in the chained protocol."""
+        return False
+
+    def commit_rule(self, node, qc: QuorumCert, block) -> bool:
         """React to a verified QC: safety bookkeeping, pacemaker progress,
-        and the commit decision."""
+        and the commit decision. True iff the instance has decided, in
+        which case no later round runs."""
         node._handle_qc(qc, block)
-
-    # ------------------------------------------------------------------
-    # The round loop
-    # ------------------------------------------------------------------
-    def run_rounds(self, node, view, block, can_vote, is_leader, recorder):
-        """Coroutine: drive every vote round of one instance; True iff the
-        instance decided. The proposal is already in hand (disseminated by
-        the root / validated by the replica)."""
-        height = block.height
-        # One instance lives inside one view, so its comm layer, scheme and
-        # CPU are fixed: resolve the read-through properties once, not per
-        # phase.
-        wait_for = node.comm.wait_for
-        scheme = node.scheme
-        cpu = node.cpu
-        for phase in self.vote_phases:
-            own = yield from self.vote_rule(node, view, height, phase, block, can_vote)
-            aggregate_started = node.sim.now
-            collection = yield from wait_for(
-                self.vote_tag(view, height, phase), own, scheme, cpu
-            )
-            resolve_started = node.sim.now
-            if recorder is not None:
-                recorder.aggregate(height, resolve_started - aggregate_started)
-            qc = yield from self.qc_rule(
-                node, view, height, phase, block, collection, is_leader
-            )
-            if recorder is not None:
-                recorder.wait(height, node.sim.now - resolve_started)
-            if qc is None:
-                return False
-            self.commit_rule(node, qc, block)
-            can_vote = True  # a verified QC re-enables voting downstream
-        return True
+        return qc.phase is Phase.COMMIT
 
 
 class KauriProtocol(Protocol):

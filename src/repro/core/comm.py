@@ -120,6 +120,15 @@ class TreeComm:
     # ------------------------------------------------------------------
     # Algorithm 2: broadcastMsg
     # ------------------------------------------------------------------
+    def relay(self, tag: Hashable, msg: Any) -> Any:
+        """Algorithm 2's step after the receive at a non-root: forward the
+        parent's message down one level and return its value; for
+        :data:`~repro.sim.process.TIMEOUT`, forward nothing and return ⊥."""
+        if msg is TIMEOUT:
+            return BOTTOM
+        self.send_to_children(tag, msg.payload, msg.size)
+        return msg.payload
+
     def broadcast(
         self,
         tag: Hashable,
@@ -133,18 +142,21 @@ class TreeComm:
         other processes they are ignored and the value is received from
         the parent (⊥ on timeout, in which case nothing is forwarded and
         ⊥ is returned). Returns the disseminated value.
+
+        At a non-root this is ``Endpoint.receive``'s two steps from the
+        parent followed by :meth:`relay` -- the composition that
+        ``SmrNode._instance`` writes out for each round's QC, so an
+        instance parked on its parent's QC is one frame.
         """
         parent = self.parent
-        if parent is not None:
-            endpoint = self._endpoint  # receive's two steps, as in wait_for
-            msg = endpoint.try_receive(tag, None, parent)
-            if msg is None:
-                msg = yield endpoint.wait(tag, timeout, parent)
-                if msg is TIMEOUT:
-                    return BOTTOM
-            data, size = msg.payload, msg.size
-        self.send_to_children(tag, data, size)
-        return data
+        if parent is None:
+            self.send_to_children(tag, data, size)
+            return data
+        endpoint = self._endpoint
+        msg = endpoint.try_receive(tag, None, parent)
+        if msg is None:
+            msg = yield endpoint.wait(tag, timeout, parent)
+        return self.relay(tag, msg)
 
     # ------------------------------------------------------------------
     # Algorithm 3: waitFor

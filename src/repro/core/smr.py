@@ -13,9 +13,10 @@ mode's ``protocol`` field:
 - a *proposal pump* (non-roots): receives round-1 proposals from the
   parent, forwards them down (Algorithm 2), and spawns one instance
   handler per height;
-- *instance handlers*: dissemination/validation followed by the strategy's
-  vote rounds (``Protocol.run_rounds``) -- the §3.1 three-round chain for
-  Kauri/HotStuff, the one-round optimistic fast path for Kudzu;
+- *instance handlers*, one generator frame each: dissemination/validation
+  followed by the strategy's vote rounds (``Protocol.vote_phases``) -- the
+  §3.1 three-round chain for Kauri/HotStuff, the optimistic fast round
+  ahead of it for Kudzu;
 - the *leader loop* (root): collects 2f+1 new-view messages when taking
   over (§6), then paces proposals according to the strategy -- stretch-timed
   for Kauri (§4.2), QC-chained with depth 4 for HotStuff (§4.1), strictly
@@ -23,8 +24,8 @@ mode's ``protocol`` field:
 - the *pacemaker*: resets on verified quorum certificates and commits;
   expiry sends a new-view message to the next root and advances the view.
 
-The *mechanism* coroutines (signing a vote, forming/verifying a QC,
-disseminating a proposal) also live here as overridable hooks: Byzantine
+The *mechanisms* (signing a vote, forming a QC, disseminating a
+proposal) also live here as overridable hooks: Byzantine
 behaviours in :mod:`repro.consensus.byzantine` subclass them directly,
 independent of which strategy is plugged in.
 """
@@ -40,7 +41,7 @@ from repro.consensus.pacemaker import Pacemaker
 from repro.consensus.safety import SafetyRules
 from repro.consensus.tags import CLIENT_TX_TAG
 from repro.consensus.vote import Phase, QuorumCert, vote_value
-from repro.core.comm import BOTTOM, TreeComm
+from repro.core.comm import TreeComm
 from repro.core.modes import ModeSpec, protocol_for, protocol_kind
 from repro.core.perfmodel import PROPOSAL_OVERHEAD, PerfModel
 from repro.crypto.collection import Collection
@@ -432,8 +433,7 @@ class SmrNode:
             msg = yield from self.comm.receive_from_parent(tag, timeout=None)
             # Algorithm 2: forward before validating -- internal nodes are
             # relays; validation happens before *voting*.
-            self.comm.send_to_children(tag, msg.payload, msg.size)
-            parsed = self.protocol.on_proposal(self, view, msg.payload)
+            parsed = self.protocol.on_proposal(self, view, self.comm.relay(tag, msg))
             if parsed is None:
                 continue
             block, justify, parent_meta = parsed
@@ -491,6 +491,17 @@ class SmrNode:
         is_leader: bool,
         parent_meta: Optional[Block] = None,
     ):
+        """Coroutine: one consensus instance, in one generator frame;
+        returns whether it decided.
+
+        The proposal prelude, then every round of the strategy's
+        ``vote_phases``: vote, aggregate (Algorithm 3), and the round's QC,
+        formed by the root (:meth:`_form_qc`) and received, relayed and
+        verified right here by everyone else -- ``TreeComm.broadcast``'s
+        steps written out, as ``TreeComm.wait_for`` writes out
+        ``Endpoint.receive``'s. An instance parked on its parent's QC,
+        where pipelining keeps most of them, is thus this frame alone.
+        """
         height = block.height
         recorder = self.obs
         decided = False
@@ -514,9 +525,55 @@ class SmrNode:
                 )
                 if recorder is not None:
                     recorder.disseminate(height, self.sim.now - entered)
-            decided = yield from self.protocol.run_rounds(
-                self, view, block, can_vote, is_leader, recorder
-            )
+            # One instance lives inside one view, so its strategy, comm
+            # layer, scheme and CPU are fixed: resolve them once, not per
+            # round.
+            protocol = self.protocol
+            comm = self.comm
+            parent = comm.parent
+            endpoint = self.endpoint
+            scheme = self.shared.scheme
+            cpu = self.cpu
+            sim = self.sim
+            for phase in protocol.vote_phases:
+                own = yield from protocol.vote_rule(
+                    self, view, height, phase, block, can_vote
+                )
+                aggregate_started = sim.now
+                collection = yield from comm.wait_for(
+                    protocol.vote_tag(view, height, phase), own, scheme, cpu
+                )
+                resolve_started = sim.now
+                if recorder is not None:
+                    recorder.aggregate(height, resolve_started - aggregate_started)
+                tag = protocol.qc_tag(view, height, phase)
+                quorum = protocol.qc_quorum(self, phase)
+                if is_leader:
+                    qc = self._form_qc(
+                        tag, view, height, phase, block, collection, quorum
+                    )
+                else:
+                    msg = endpoint.try_receive(tag, None, parent)
+                    if msg is None:
+                        msg = yield endpoint.wait(tag, None, parent)
+                    data = comm.relay(tag, msg)
+                    qc = self._accept_qc(data, view, height, phase, block)
+                    if qc is not None:
+                        yield from cpu.consume(
+                            scheme.cost_verify_collection(qc.collection)
+                        )
+                        if not qc.verify(quorum):
+                            qc = None
+                if recorder is not None:
+                    recorder.wait(height, sim.now - resolve_started)
+                if qc is None:
+                    if protocol.qc_missed(self, view, height, phase, is_leader):
+                        continue
+                    break
+                if protocol.commit_rule(self, qc, block):
+                    decided = True
+                    break
+                can_vote = True  # a verified QC re-enables voting downstream
             if not decided:
                 self.instance_failures += 1
             return decided
@@ -528,7 +585,10 @@ class SmrNode:
                 # by a view change, it runs this after the new view began.)
                 self._view_tasks.pop(height, None)
             self._inflight.discard(height)
-            done = self._prepare_signals.get(("done", height))
+            # The pacing reads of both signals (Protocol.pace right after
+            # the spawn, _form_qc inside this instance) are over by now.
+            self._prepare_signals.pop(height, None)
+            done = self._prepare_signals.pop(("done", height), None)
             if done is not None:
                 done.fire_if_unfired()
 
@@ -553,50 +613,50 @@ class SmrNode:
         yield from self.cpu.consume(scheme.cost_sign())
         return scheme.new(self.keypair, vote_value(phase, view, height, block.hash))
 
-    def _resolve_qc(
+    def _form_qc(
         self,
+        tag: Any,
         view: int,
         height: int,
         phase: Phase,
         block: Block,
         collection: Collection,
-        is_leader: bool,
-    ):
-        """Coroutine: obtain this phase's QC.
+        quorum: int,
+    ) -> Optional[QuorumCert]:
+        """The root's half of a round: form ``phase``'s QC from the
+        aggregate and disseminate it under ``tag``; None (nothing sent) if
+        fewer than ``quorum`` signed.
 
-        The root forms it from the aggregate (failing the instance if the
-        quorum is short) and disseminates it; everyone else receives it
-        from the parent (Algorithm 2) and verifies it.
+        The instance's first QC also releases the leader's pacing chain
+        (HotStuff's next proposal waits on it).
         """
-        shared = self.shared  # past the read-through properties: once per phase
-        if is_leader:
-            value = vote_value(phase, view, height, block.hash)
-            if not collection.has(value, shared.quorum):
-                return None
-            qc = QuorumCert(phase, view, height, block.hash, collection)
-            signal = self._prepare_signals.get(height)
-            if phase is Phase.PREPARE and signal is not None:
-                signal.fire_if_unfired()
-            self.comm.send_to_children(
-                self.protocol.qc_tag(view, height, phase), qc, qc.wire_size()
-            )
-            return qc
-        data = yield from self.comm.broadcast(self.protocol.qc_tag(view, height, phase))
-        if data is BOTTOM or not isinstance(data, QuorumCert):
+        if not collection.has(vote_value(phase, view, height, block.hash), quorum):
             return None
-        qc = data
+        qc = QuorumCert(phase, view, height, block.hash, collection)
+        signal = self._prepare_signals.get(height)
+        if signal is not None:
+            signal.fire_if_unfired()
+        self.comm.send_to_children(tag, qc, qc.wire_size())
+        return qc
+
+    @staticmethod
+    def _accept_qc(
+        data: Any, view: int, height: int, phase: Phase, block: Block
+    ) -> Optional[QuorumCert]:
+        """What the parent disseminated for ``phase``, if it is a QC for
+        this very round and block (⊥, garbage, a fallback notice or a
+        genesis QC are not); its signatures are verified after this, at
+        their CPU cost."""
         if (
-            qc.phase is not phase
-            or qc.view != view
-            or qc.height != height
-            or qc.block_hash != block.hash
-            or qc.is_genesis
+            not isinstance(data, QuorumCert)
+            or data.phase is not phase
+            or data.view != view
+            or data.height != height
+            or data.block_hash != block.hash
+            or data.is_genesis
         ):
             return None
-        yield from self.cpu.consume(shared.scheme.cost_verify_collection(qc.collection))
-        if not qc.verify(shared.quorum):
-            return None
-        return qc
+        return data
 
     def _handle_qc(self, qc: QuorumCert, block: Block) -> None:
         self.safety.observe_qc(qc)

@@ -237,7 +237,9 @@ class Task:
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._gen = gen
-        self._done_signal = Signal()
+        #: Created by the first join or ``done_signal`` read: most tasks
+        #: are never joined, and then allocate no signal at all.
+        self._done_signal: Optional[Signal] = None
         self._pending_timer: Optional[EventHandle] = None
         #: What the task is parked on besides a timer: the ``Signal`` of a
         #: signal wait, the ``Task`` being joined, or the ``Hold`` /
@@ -361,7 +363,7 @@ class Task:
                 else:
                     sim.schedule_now(self._step, token, "send", request.result)
             else:
-                request._done_signal._waiters.append((self, token))
+                request.done_signal._waiters.append((self, token))
                 self._pending_wait = request
         else:
             err = SimulationError(f"task {self.name!r} yielded {request!r}")
@@ -374,7 +376,8 @@ class Task:
         self.result = result
         self.exception = exception
         self._gen.close()
-        self._done_signal.fire(result)
+        if self._done_signal is not None:
+            self._done_signal.fire(result)
 
     # ------------------------------------------------------------------
     def cancel(self) -> None:
@@ -405,8 +408,14 @@ class Task:
 
     @property
     def done_signal(self) -> Signal:
-        """Signal fired (with the task's result) when the task finishes."""
-        return self._done_signal
+        """Signal fired (with the task's result) when the task finishes;
+        already fired if it has."""
+        signal = self._done_signal
+        if signal is None:
+            signal = self._done_signal = Signal()
+            if self.done:
+                signal.fire(self.result)
+        return signal
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "running"

@@ -7,6 +7,7 @@ from repro.consensus.block import Block, GENESIS_HASH
 from repro.consensus.vote import Phase, QuorumCert, genesis_qc
 from repro.consensus.tags import is_stale_tag
 from repro.core.smr import SmrNode
+from repro.sim.process import MailboxWait
 from tests.test_wait_requests import _fingerprint
 
 
@@ -195,21 +196,57 @@ class TestViewTasks:
         self.assert_only_live_tasks(cluster)
 
 
+class TestInstanceFrames:
+    """DESIGN.md, "Frames per resume": an instance parked on its parent's
+    QC -- where pipelining keeps most of them -- is one generator frame,
+    and the leader keeps a pacing signal only for an instance in flight."""
+
+    @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls", "kudzu"])
+    def test_instance_parked_on_its_parents_qc_is_one_frame(self, mode):
+        cluster = Cluster(n=31, mode=mode, scenario="global", seed=0)
+        cluster.start()
+        cluster.run(duration=120.0, max_commits=12)
+        parked = [
+            task
+            for node in cluster.nodes
+            for height, task in node._view_tasks.items()
+            if height is not None
+            and type(task._pending_wait) is MailboxWait
+            and task._pending_wait.tag[0] == "qc"
+        ]
+        assert parked
+        assert all(task._gen.gi_yieldfrom is None for task in parked)
+
+    @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls"])
+    def test_leader_keeps_pacing_signals_only_for_instances_in_flight(self, mode):
+        cluster = Cluster(n=31, mode=mode, scenario="global", seed=0)
+        cluster.start()
+        cluster.run(duration=120.0, max_commits=36)
+        assert cluster.metrics.committed_blocks == 36
+        leader = cluster.nodes[cluster.policy.leader_of(0)]
+        assert len(leader._prepare_signals) <= len(leader._inflight) + 1
+
+
 class TestStrategyContract:
-    """DESIGN.md, "Adding a protocol": a rule may return the mechanism's
+    """DESIGN.md, "Adding a protocol": the instance runs a round only
+    through the strategy's rules. ``vote_rule`` may return the mechanism's
     coroutine (the built-in style) or be a generator function delegating
-    to it; both must drive the very same run."""
+    to it; the plain rules may be overridden by delegation. Either way the
+    very same run must result."""
 
     class GeneratorRules:
         def vote_rule(self, node, view, height, phase, block, can_vote):
             own = yield from node._make_vote(view, height, phase, block, can_vote)
             return own
 
-        def qc_rule(self, node, view, height, phase, block, collection, is_leader):
-            qc = yield from node._resolve_qc(
-                view, height, phase, block, collection, is_leader
-            )
-            return qc
+        def qc_quorum(self, node, phase):
+            return super().qc_quorum(node, phase)
+
+        def qc_missed(self, node, view, height, phase, is_leader):
+            return super().qc_missed(node, view, height, phase, is_leader)
+
+        def commit_rule(self, node, qc, block):
+            return super().commit_rule(node, qc, block)
 
     @pytest.mark.parametrize("mode", ["kauri", "kudzu"])
     def test_generator_style_rules_reproduce_the_default_run(self, mode):

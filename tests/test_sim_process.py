@@ -369,6 +369,71 @@ def test_done_signal_fires_with_result():
     assert seen == ["finished"]
 
 
+def test_unjoined_task_allocates_no_done_signal():
+    """The done signal is lazy: finishing, and a join that finds the task
+    already finished, allocate none."""
+    sim = Simulator()
+    results = []
+
+    def worker():
+        yield Sleep(1.0)
+        return 7
+
+    def late_joiner(task):
+        yield Sleep(5.0)
+        value = yield task
+        results.append((sim.now, value))
+
+    worker_task = spawn(sim, worker())
+    spawn(sim, late_joiner(worker_task))
+    sim.run()
+    assert results == [(5.0, 7)]
+    assert worker_task._done_signal is None
+
+
+def test_done_signal_read_after_finish_is_already_fired():
+    sim = Simulator()
+
+    def worker():
+        yield Sleep(1.0)
+        return "finished"
+
+    task = spawn(sim, worker())
+    sim.run()
+    signal = task.done_signal
+    assert signal.fired and signal.value == "finished"
+    assert task.done_signal is signal
+    seen = []
+
+    def waiter():
+        seen.append((yield WaitSignal(signal)))
+
+    spawn(sim, waiter())
+    sim.run()
+    assert seen == ["finished"]
+
+
+def test_cancelling_a_joined_task_resumes_its_joiner():
+    sim = Simulator()
+    results = []
+
+    def worker():
+        yield Sleep(10.0)
+        return "never"
+
+    def joiner(task):
+        value = yield task
+        results.append((sim.now, value))
+
+    worker_task = spawn(sim, worker())
+    spawn(sim, joiner(worker_task))
+    sim.schedule(2.0, worker_task.cancel)
+    sim.run()
+    assert worker_task.cancelled
+    assert results == [(2.0, None)]
+    assert worker_task.done_signal.fired
+
+
 def test_task_requires_generator():
     sim = Simulator()
     with pytest.raises(Exception):
