@@ -285,9 +285,7 @@ class PbftNode:
     def _preprepare_pump(self, view: int):
         primary = self.policy.leader_of(view)
         while True:
-            msg = yield from self.endpoint.receive(
-                _preprepare_tag(view), match=lambda m: m.src == primary
-            )
+            msg = yield from self.endpoint.receive(_preprepare_tag(view), src=primary)
             if not (isinstance(msg.payload, tuple) and len(msg.payload) == 2):
                 continue
             block, parent_meta = msg.payload

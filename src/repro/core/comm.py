@@ -8,17 +8,20 @@ pattern with zero forwarding hops.
 
 Timeout discipline: vote receives (Algorithm 3) always use the impatient
 bound Δ, so a faulty child can never block aggregation -- the liveness
-mechanism Theorem 2 relies on. Dissemination receives (Algorithm 2) accept
-an optional timeout; the protocol passes ``None`` for rounds whose arrival
-time depends on pipelining depth and lets the pacemaker bound the wait
-instead (a documented deviation from Algorithm 1's fixed Δ that preserves
-its guarantees: the receive still always terminates, via view change).
+mechanism Theorem 2 relies on. Dissemination receives (Algorithm 2) are
+unbounded: their arrival time depends on pipelining depth, so the
+pacemaker bounds the wait instead (a documented deviation from Algorithm
+1's fixed Δ that preserves its guarantees: the receive still always
+terminates, via view change, which cancels it). A receiver writes them out
+as ``Endpoint.try_receive`` plus ``yield Endpoint.wait`` from its parent,
+then :meth:`TreeComm.relay`.
 
-Algorithm 1's impatient channel is these receives, not a class of its own:
-each returns the value the peer sent or :data:`BOTTOM` once its bound has
-passed, accepts only its one peer's messages, and is single-use because
-every consensus (instance, round) has a fresh tag. Validity, Termination
-and Conditional Accuracy are checked in ``tests/test_net_impatient.py``.
+Algorithm 1's impatient channel is :meth:`TreeComm.wait_for`'s per-child
+receive, not a class of its own: it yields the value the child sent or ⊥
+(the child is left out of the aggregate) once its bound has passed,
+accepts only that child's messages, and is single-use because every
+consensus (instance, round) has a fresh tag. Validity, Termination and
+Conditional Accuracy are checked in ``tests/test_net_impatient.py``.
 """
 
 from __future__ import annotations
@@ -28,26 +31,12 @@ from typing import Any, Hashable, Optional, Tuple
 from repro.crypto.collection import Collection
 from repro.crypto.signature import SignatureScheme
 from repro.errors import CryptoError
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
 from repro.sim.process import TIMEOUT
 from repro.topology.tree import Tree
-
-
-class _Bottom:
-    """Singleton ⊥ returned when the sender is faulty or the net unstable."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "BOTTOM"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-BOTTOM = _Bottom()
 
 
 class TreeComm:
@@ -106,57 +95,21 @@ class TreeComm:
             raise ValueError("the root has no parent")
         self.network.send(self.node_id, self.parent, tag, payload, size)
 
-    def receive_from_parent(self, tag: Hashable, timeout: Optional[float]):
-        """Coroutine: next message with ``tag`` from the parent, or ⊥."""
-        if self.parent is None:
-            raise ValueError("the root has no parent")
-        msg = yield from self._endpoint.receive(
-            tag, timeout=timeout, src=self.parent
-        )
-        if msg is TIMEOUT:
-            return BOTTOM
-        return msg
-
     # ------------------------------------------------------------------
     # Algorithm 2: broadcastMsg
     # ------------------------------------------------------------------
-    def relay(self, tag: Hashable, msg: Any) -> Any:
+    def relay(self, tag: Hashable, msg: Message) -> Any:
         """Algorithm 2's step after the receive at a non-root: forward the
-        parent's message down one level and return its value; for
-        :data:`~repro.sim.process.TIMEOUT`, forward nothing and return ⊥."""
-        if msg is TIMEOUT:
-            return BOTTOM
+        parent's message down one level and return its value.
+
+        The root's Algorithm 2 is :meth:`send_to_children` alone; every
+        other process receives from its parent (``Endpoint.try_receive``,
+        then ``yield Endpoint.wait`` on a miss) and relays. Callers write
+        the receive out themselves, so a task parked on it is the caller's
+        frame alone.
+        """
         self.send_to_children(tag, msg.payload, msg.size)
         return msg.payload
-
-    def broadcast(
-        self,
-        tag: Hashable,
-        data: Any = None,
-        size: int = 0,
-        timeout: Optional[float] = None,
-    ):
-        """Coroutine implementing Algorithm 2 at this process.
-
-        At the root, ``data``/``size`` are the value to disseminate; at
-        other processes they are ignored and the value is received from
-        the parent (⊥ on timeout, in which case nothing is forwarded and
-        ⊥ is returned). Returns the disseminated value.
-
-        At a non-root this is ``Endpoint.receive``'s two steps from the
-        parent followed by :meth:`relay` -- the composition that
-        ``SmrNode._instance`` writes out for each round's QC, so an
-        instance parked on its parent's QC is one frame.
-        """
-        parent = self.parent
-        if parent is None:
-            self.send_to_children(tag, data, size)
-            return data
-        endpoint = self._endpoint
-        msg = endpoint.try_receive(tag, None, parent)
-        if msg is None:
-            msg = yield endpoint.wait(tag, timeout, parent)
-        return self.relay(tag, msg)
 
     # ------------------------------------------------------------------
     # Algorithm 3: waitFor
@@ -192,7 +145,7 @@ class TreeComm:
         for child in self.children:
             # Endpoint.receive's two steps, written out: a parked receive is
             # then this frame alone, not this one plus receive's.
-            msg = endpoint.try_receive(tag, None, child)
+            msg = endpoint.try_receive(tag, child)
             if msg is None:
                 deadline = start + base_bound * self._child_depth_factor[child]
                 bound = max(0.0, deadline - self.sim.now)

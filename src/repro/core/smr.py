@@ -264,10 +264,9 @@ class SmrNode:
 
         An instance removes itself when it ends (``_instance``'s
         ``finally``), so a long fault-free view does not keep every decided
-        instance's task, generator and done-signal alive until the next
-        view change. The rest keep their spawn order: cancelling them in
-        that order is what allocates the cancellations' event sequence
-        numbers.
+        instance's task and generator alive until the next view change.
+        The rest keep their spawn order: cancelling them in that order is
+        what allocates the cancellations' event sequence numbers.
         """
         task = spawn(self.sim, gen, name=f"n{self.node_id}-{name}")
         self._view_tasks[height] = task
@@ -338,13 +337,14 @@ class SmrNode:
             justify = yield from self._collect_new_views(view)
         parent_hash = justify.block_hash
         next_height = justify.height + 1
-        stretch = self._effective_stretch()
+        protocol = self.protocol
+        stretch = protocol.effective_stretch(self)
         interval = self.model.proposal_interval(stretch)
-        cap = self._inflight_cap(stretch)
-        self.pacer = self.protocol.make_pacer(self, stretch)
+        cap = protocol.inflight_cap(self, stretch)
+        self.pacer = protocol.make_pacer(self, stretch)
         while True:
             if len(self._inflight) < cap:
-                block = self.protocol.propose(self, view, next_height, parent_hash)
+                block = protocol.propose(self, view, next_height, parent_hash)
                 justify_now = self.safety.high_prepare_qc
                 self._inflight.add(block.height)
                 self._prepare_signals[block.height] = Signal()
@@ -356,19 +356,9 @@ class SmrNode:
                 parent_hash = block.hash
                 proposed_height = next_height
                 next_height += 1
-                yield from self._pace(proposed_height, interval)
+                yield from protocol.pace(self, proposed_height, interval)
             else:
                 yield Sleep(interval)
-
-    def _effective_stretch(self) -> float:
-        return self.protocol.effective_stretch(self)
-
-    def _inflight_cap(self, stretch: float) -> int:
-        return self.protocol.inflight_cap(self, stretch)
-
-    def _pace(self, height: int, interval: float):
-        """Coroutine: strategy-defined wait before the next proposal."""
-        yield from self.protocol.pace(self, height, interval)
 
     def _make_block(self, view: int, height: int, parent_hash: str) -> Block:
         self._salt += 1
@@ -427,13 +417,22 @@ class SmrNode:
     # Replica side
     # ------------------------------------------------------------------
     def _proposal_pump(self, view: int):
-        """Receive proposals from the parent, forward, spawn handlers."""
+        """Receive proposals from the parent, forward, spawn handlers.
+
+        The receive is written out (``try_receive``, then ``yield wait``),
+        as in :meth:`_instance`: a parked pump is this frame alone.
+        """
         tag = self.protocol.prop_tag(view)
+        comm = self.comm
+        parent = comm.parent
+        endpoint = self.endpoint
         while True:
-            msg = yield from self.comm.receive_from_parent(tag, timeout=None)
+            msg = endpoint.try_receive(tag, parent)
+            if msg is None:
+                msg = yield endpoint.wait(tag, None, parent)
             # Algorithm 2: forward before validating -- internal nodes are
             # relays; validation happens before *voting*.
-            parsed = self.protocol.on_proposal(self, view, self.comm.relay(tag, msg))
+            parsed = self.protocol.on_proposal(self, view, comm.relay(tag, msg))
             if parsed is None:
                 continue
             block, justify, parent_meta = parsed
@@ -497,10 +496,11 @@ class SmrNode:
         The proposal prelude, then every round of the strategy's
         ``vote_phases``: vote, aggregate (Algorithm 3), and the round's QC,
         formed by the root (:meth:`_form_qc`) and received, relayed and
-        verified right here by everyone else -- ``TreeComm.broadcast``'s
-        steps written out, as ``TreeComm.wait_for`` writes out
-        ``Endpoint.receive``'s. An instance parked on its parent's QC,
-        where pipelining keeps most of them, is thus this frame alone.
+        verified right here by everyone else -- Algorithm 2's receive,
+        written out as ``TreeComm.wait_for`` writes out
+        ``Endpoint.receive``, then :meth:`TreeComm.relay`. An instance
+        parked on its parent's QC, where pipelining keeps most of them, is
+        thus this frame alone.
         """
         height = block.height
         recorder = self.obs
@@ -553,7 +553,7 @@ class SmrNode:
                         tag, view, height, phase, block, collection, quorum
                     )
                 else:
-                    msg = endpoint.try_receive(tag, None, parent)
+                    msg = endpoint.try_receive(tag, parent)
                     if msg is None:
                         msg = yield endpoint.wait(tag, None, parent)
                     data = comm.relay(tag, msg)
@@ -644,7 +644,7 @@ class SmrNode:
         data: Any, view: int, height: int, phase: Phase, block: Block
     ) -> Optional[QuorumCert]:
         """What the parent disseminated for ``phase``, if it is a QC for
-        this very round and block (⊥, garbage, a fallback notice or a
+        this very round and block (garbage, a fallback notice or a
         genesis QC are not); its signatures are verified after this, at
         their CPU cost."""
         if (

@@ -3,8 +3,8 @@
 ``Network.send`` charges the sender's NIC (serialization at the pair's
 bandwidth), adds the pair's propagation delay, consults the fault injector,
 and delivers into the destination :class:`Endpoint`. Endpoints hand
-messages to blocked ``receive`` coroutines by tag (and optional sender
-filter), queueing unclaimed messages per tag.
+messages to blocked ``receive`` coroutines by tag (and optional sender),
+queueing unclaimed messages per tag.
 
 Delivered-but-stale traffic is garbage collected by tag prefix when a view
 ends (:meth:`Endpoint.purge`), mirroring a real implementation discarding
@@ -27,11 +27,14 @@ from repro.sim.process import MailboxWait
 #: Fixed per-message framing overhead (TCP/IP + protocol header), bytes.
 HEADER_BYTES = 64
 
-MatchFn = Callable[[Message], bool]
-
 
 class Endpoint:
-    """Receiving side of one process."""
+    """Receiving side of one process: a mailbox keyed by tag.
+
+    Every receive names a tag and, optionally, the one sender it accepts
+    (``src``); :meth:`try_receive` takes a queued message, :meth:`wait`
+    parks for the next arrival, and :meth:`receive` is the two in turn.
+    """
 
     __slots__ = (
         "sim", "node_id", "_inbox", "_waiters", "messages_delivered",
@@ -67,9 +70,7 @@ class Endpoint:
         if waiters is not None:
             sender = msg.src
             for index, waiter in enumerate(waiters):
-                if (waiter.src is None or waiter.src == sender) and (
-                    waiter.match is None or waiter.match(msg)
-                ):
+                if waiter.src is None or waiter.src == sender:
                     if len(waiters) == 1:
                         del self._waiters[msg.tag]
                     else:
@@ -84,25 +85,20 @@ class Endpoint:
             self.max_queued = self._queued
 
     def try_receive(
-        self,
-        tag: Hashable,
-        match: Optional[MatchFn] = None,
-        src: Optional[int] = None,
+        self, tag: Hashable, src: Optional[int] = None
     ) -> Optional[Message]:
-        """Non-blocking receive: pop the first queued message accepted by
-        the sender filter (``src`` and/or ``match``), if any."""
+        """Non-blocking receive: pop the first queued message from ``src``
+        (from anyone if ``None``), if any."""
         queue = self._inbox.get(tag)
         if not queue:
             return None
-        if match is None and src is None:
+        if src is None:
             msg = queue.popleft()
         else:
             # Locate by index and rotate/pop: deque.remove would rescan the
             # queue comparing every element a second time.
             for index, candidate in enumerate(queue):
-                if (src is None or candidate.src == src) and (
-                    match is None or match(candidate)
-                ):
+                if candidate.src == src:
                     break
             else:
                 return None
@@ -122,7 +118,6 @@ class Endpoint:
         tag: Hashable,
         timeout: Optional[float] = None,
         src: Optional[int] = None,
-        match: Optional[MatchFn] = None,
     ) -> MailboxWait:
         """Wait request for the next message tagged ``tag`` that *arrives*.
 
@@ -133,26 +128,24 @@ class Endpoint:
         coroutines on the hot path compose the two themselves, one
         generator frame shallower than ``yield from receive(...)``.
         """
-        return MailboxWait(self._waiters, tag, timeout, src, match)
+        return MailboxWait(self._waiters, tag, timeout, src)
 
     def receive(
         self,
         tag: Hashable,
         timeout: Optional[float] = None,
-        match: Optional[MatchFn] = None,
         src: Optional[int] = None,
     ):
         """Coroutine: block until a message tagged ``tag`` arrives.
 
         Returns the :class:`Message`, or :data:`~repro.sim.process.TIMEOUT` if
         ``timeout`` elapses first. ``src`` restricts candidates to one
-        sender, ``match`` to those an arbitrary predicate accepts.
-        Cancellation-safe: a cancelled receiver never consumes a message,
+        sender. Cancellation-safe: a cancelled receiver never consumes a message,
         from the moment ``cancel()`` returns.
         """
-        msg = self.try_receive(tag, match, src)
+        msg = self.try_receive(tag, src)
         if msg is None:
-            msg = yield self.wait(tag, timeout, src, match)
+            msg = yield self.wait(tag, timeout, src)
         return msg
 
     # ------------------------------------------------------------------

@@ -84,7 +84,12 @@ def build_policy(
 
 
 class Cluster:
-    """A fully wired deployment, ready to run."""
+    """A fully wired deployment, ready to run.
+
+    An exception escaping any task or callback aborts :meth:`run`; the
+    faults a run tolerates are the ones ``crashes`` and ``byzantine``
+    inject.
+    """
 
     def __init__(
         self,
@@ -99,7 +104,6 @@ class Cluster:
         byzantine: Optional[Dict[int, Callable[..., SmrNode]]] = None,
         workload_factory: Optional[Callable[[int], Any]] = None,
         uplink_lanes: int = 1,
-        strict: bool = True,
         observability: bool = False,
     ):
         self.mode = mode_spec(mode) if isinstance(mode, str) else mode
@@ -118,7 +122,7 @@ class Cluster:
         self.n = n
         self.f = max_faults(n)
 
-        self.sim = Simulator(seed=seed, strict=strict)
+        self.sim = Simulator(seed=seed)
         self.faults = FaultInjector(self.sim)
         self.network = Network(
             self.sim, self.netem, faults=self.faults, uplink_lanes=uplink_lanes

@@ -84,18 +84,13 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`. All stochastic
         behaviour in the library draws from :attr:`rng`, so a seed fully
         determines a run.
-    strict:
-        When ``True`` (default) an exception escaping a task or callback
-        aborts :meth:`run` immediately. When ``False`` failures are recorded
-        in :attr:`failures` and the run continues (useful for fault-injection
-        experiments that expect tasks to die).
+
+    An exception escaping a task or callback aborts :meth:`run` at once.
     """
 
-    def __init__(self, seed: int = 0, strict: bool = True):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self.strict = strict
-        self.failures: List[BaseException] = []
         #: (time, seq, handle) or handle-free (time, seq, fn, args) tuples.
         self._heap: List[tuple] = []
         #: Zero-delay raw entries (time, seq, fn, args), FIFO == (time, seq).
@@ -213,21 +208,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until both stores drain, ``until`` is reached, the
-        ``max_events`` budget is spent, or :meth:`stop` is called.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until both stores drain, ``until`` is reached, or
+        :meth:`stop` is called.
 
         When nothing at or before ``until`` is left the clock advances to
         exactly ``until``, matching the common "simulate T seconds" usage; a
-        run cut short by ``max_events`` or :meth:`stop` leaves it at the last
-        event fired, so the next ``run`` resumes there. ``max_events`` counts
-        only events that fired, never lazily cancelled entries drained.
+        run cut short by :meth:`stop` leaves it at the last event fired, so
+        the next ``run`` resumes there.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
-        processed = 0
         # The aliases are safe because nothing rebinds these attributes
         # mid-run (`_compact` mutates the heap list in place).
         heap = self._heap
@@ -275,15 +268,7 @@ class Simulator:
                     args = handle.args
                     handle.fn = None
                     handle.args = ()
-                try:
-                    fn(*args)
-                except Exception as exc:
-                    if self.strict:
-                        raise
-                    self.failures.append(exc)
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
+                fn(*args)
         finally:
             self._running = False
 

@@ -3,14 +3,12 @@
 A task is a Python generator that suspends by yielding a *wait request*;
 :meth:`Task._step` -- the task kernel -- installs the request, and whatever
 completes it schedules ``_step`` again with the value to resume with. There
-are five kinds, dispatched on the exact type of the yielded object:
+are four kinds, dispatched on the exact type of the yielded object:
 
 - ``yield Sleep(duration)`` -- resume after ``duration`` simulated seconds.
 - ``yield WaitSignal(signal)`` -- resume when the signal fires; evaluates to
   the value the signal was fired with. With ``timeout=d`` it evaluates to
   the sentinel :data:`TIMEOUT` if the signal has not fired within ``d``.
-- ``yield other_task`` -- join: resume when the task finishes; evaluates to
-  its return value (re-raising its exception, if any).
 - ``yield Hold(resource, duration)`` -- occupy a busy-server (a
   :class:`~repro.sim.cpu.Cpu`) for ``duration``: queue for a turn while it
   is taken, hold it, release it. Callers write ``yield from
@@ -21,6 +19,9 @@ are five kinds, dispatched on the exact type of the yielded object:
   :data:`TIMEOUT`). Callers write ``yield from endpoint.receive(tag)``, or
   on hot paths its two steps: ``endpoint.try_receive(tag)`` and, on a
   miss, ``yield endpoint.wait(tag)``.
+
+An exception escaping a task's generator propagates out of
+:meth:`~repro.sim.engine.Simulator.run`.
 
 Sub-coroutines compose with plain ``yield from``; their ``return`` value is
 the expression value, exactly like real coroutines. This lets the paper's
@@ -50,7 +51,7 @@ generator at its current suspension point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Hashable, List, Optional, Union
+from typing import Any, Generator, Hashable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError, TaskCancelled
 from repro.sim.engine import EventHandle, Simulator
@@ -85,9 +86,10 @@ class Sleep:
 class Signal:
     """One-shot broadcast event carrying an optional value.
 
-    ``fire`` wakes every current waiter (in wait order) and makes all future
-    waits complete immediately. Firing twice raises, preserving single-use
-    semantics; use :meth:`fire_if_unfired` for races that are benign.
+    ``fire`` wakes every task parked on it (in wait order) and makes all
+    future waits complete immediately. Firing twice raises, preserving
+    single-use semantics; use :meth:`fire_if_unfired` for races that are
+    benign.
     """
 
     __slots__ = ("fired", "value", "_waiters")
@@ -95,9 +97,8 @@ class Signal:
     def __init__(self) -> None:
         self.fired = False
         self.value: Any = None
-        #: In wait order: ``(task, token)`` pairs parked by the task kernel
-        #: and callbacks registered through :meth:`add_waiter`.
-        self._waiters: List[Any] = []
+        #: ``(task, token)`` pairs parked by the task kernel, in wait order.
+        self._waiters: List[Tuple["Task", int]] = []
 
     def fire(self, value: Any = None) -> None:
         if self.fired:
@@ -105,12 +106,8 @@ class Signal:
         self.fired = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if type(waiter) is tuple:
-                task, token = waiter
-                task.sim.schedule_now(task._step, token, "send", value)
-            else:
-                waiter(value)
+        for task, token in waiters:
+            task.sim.schedule_now(task._step, token, "send", value)
 
     def fire_if_unfired(self, value: Any = None) -> bool:
         """Fire unless already fired; returns whether this call fired it."""
@@ -118,20 +115,6 @@ class Signal:
             return False
         self.fire(value)
         return True
-
-    def add_waiter(self, callback: Callable[[Any], None]) -> Callable[[], None]:
-        """Register a callback; returns an unsubscribe function."""
-        if self.fired:
-            raise SimulationError("cannot wait on an already-fired signal")
-        self._waiters.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._waiters.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
 
 
 class WaitSignal:
@@ -175,12 +158,12 @@ class MailboxWait:
     and ``token`` and appends it to the tag's list (creating the key). The
     owner of ``waiters`` completes the wait by popping the entry (deleting
     an emptied key), setting ``task`` to ``None`` and scheduling
-    ``task._step(token, "send", item)``; ``src`` and ``match`` are its
-    selection criteria and opaque to the kernel. A timed-out or cancelled
-    waiter withdraws its entry synchronously, so every parked entry is live.
+    ``task._step(token, "send", item)``; ``src`` is its sender filter and
+    opaque to the kernel. A timed-out or cancelled waiter withdraws its
+    entry synchronously, so every parked entry is live.
     """
 
-    __slots__ = ("waiters", "tag", "timeout", "src", "match", "task", "token")
+    __slots__ = ("waiters", "tag", "timeout", "src", "task", "token")
 
     def __init__(
         self,
@@ -188,7 +171,6 @@ class MailboxWait:
         tag: Hashable,
         timeout: Optional[float] = None,
         src: Any = None,
-        match: Optional[Callable[[Any], bool]] = None,
     ):
         if timeout is not None and not timeout >= 0:
             raise SimulationError(f"negative timeout: {timeout}")
@@ -196,12 +178,11 @@ class MailboxWait:
         self.tag = tag
         self.timeout = timeout
         self.src = src
-        self.match = match
         self.task: Optional["Task"] = None
         self.token = 0
 
 
-WaitRequest = Union[Sleep, WaitSignal, "Task", Hold, MailboxWait]
+WaitRequest = Union[Sleep, WaitSignal, Hold, MailboxWait]
 
 
 class Task:
@@ -217,11 +198,8 @@ class Task:
         "sim",
         "name",
         "done",
-        "result",
-        "exception",
         "cancelled",
         "_gen",
-        "_done_signal",
         "_pending_timer",
         "_pending_wait",
         "_wait_token",
@@ -234,16 +212,10 @@ class Task:
         self.name = name
         self.done = False
         self.cancelled = False
-        self.result: Any = None
-        self.exception: Optional[BaseException] = None
         self._gen = gen
-        #: Created by the first join or ``done_signal`` read: most tasks
-        #: are never joined, and then allocate no signal at all.
-        self._done_signal: Optional[Signal] = None
         self._pending_timer: Optional[EventHandle] = None
         #: What the task is parked on besides a timer: the ``Signal`` of a
-        #: signal wait, the ``Task`` being joined, or the ``Hold`` /
-        #: ``MailboxWait`` request itself.
+        #: signal wait, or the ``Hold`` / ``MailboxWait`` request itself.
         self._pending_wait: Any = None
         self._wait_token = 0
         sim.schedule_now(self._step, self._wait_token, "send", None)
@@ -259,10 +231,8 @@ class Task:
                 parked.remove(wait)
                 if not parked:
                     del wait.waiters[wait.tag]
-        else:
-            signal = wait._done_signal if type(wait) is Task else wait
-            if not signal.fired:
-                signal._waiters.remove((self, token))
+        elif not wait.fired:
+            wait._waiters.remove((self, token))
 
     def _step(self, token: int, mode: str, payload: Any) -> None:
         """Resume the generator with a value ("send") or exception ("throw").
@@ -292,10 +262,6 @@ class Task:
             elif kind is MailboxWait:
                 if wait.task is not None:
                     self._unpark(wait, token)  # timed out
-            elif kind is Task:
-                if wait.exception is not None:
-                    mode = "throw"
-                    payload = wait.exception
             elif not wait.fired:
                 self._unpark(wait, token)  # timed out
             self._pending_wait = None
@@ -305,19 +271,16 @@ class Task:
                 request = self._gen.send(payload)
             else:
                 request = self._gen.throw(payload)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
+        except StopIteration:
+            self._finish()
             return
         except TaskCancelled:
             self.cancelled = True
-            self._finish(result=None)
+            self._finish()
             return
-        except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
-            self._finish(exception=exc)
-            if sim.strict:
-                raise
-            sim.failures.append(exc)
-            return
+        except BaseException:
+            self._finish()
+            raise
         # -- install the wait the generator asked for.
         token += 1
         kind = type(request)
@@ -356,28 +319,13 @@ class Task:
                     self._pending_timer = sim.schedule_timeout(
                         request.timeout, self._step, token, "send", TIMEOUT
                     )
-        elif kind is Task:
-            if request.done:
-                if request.exception is not None:
-                    sim.schedule_now(self._step, token, "throw", request.exception)
-                else:
-                    sim.schedule_now(self._step, token, "send", request.result)
-            else:
-                request.done_signal._waiters.append((self, token))
-                self._pending_wait = request
         else:
             err = SimulationError(f"task {self.name!r} yielded {request!r}")
             sim.schedule_now(self._step, token, "throw", err)
 
-    def _finish(
-        self, result: Any = None, exception: Optional[BaseException] = None
-    ) -> None:
+    def _finish(self) -> None:
         self.done = True
-        self.result = result
-        self.exception = exception
         self._gen.close()
-        if self._done_signal is not None:
-            self._done_signal.fire(result)
 
     # ------------------------------------------------------------------
     def cancel(self) -> None:
@@ -406,17 +354,6 @@ class Task:
             self._step, self._wait_token, "throw", TaskCancelled(self.name)
         )
 
-    @property
-    def done_signal(self) -> Signal:
-        """Signal fired (with the task's result) when the task finishes;
-        already fired if it has."""
-        signal = self._done_signal
-        if signal is None:
-            signal = self._done_signal = Signal()
-            if self.done:
-                signal.fire(self.result)
-        return signal
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "running"
         return f"Task({self.name!r}, {state})"
@@ -425,11 +362,3 @@ class Task:
 def spawn(sim: Simulator, gen: Generator, name: str = "task") -> Task:
     """Create and start a task from a generator."""
     return Task(sim, gen, name=name)
-
-
-def wait_all(tasks: List[Task]) -> Generator:
-    """Coroutine helper: join every task in ``tasks``; returns their results."""
-    results = []
-    for task in tasks:
-        results.append((yield task))
-    return results

@@ -1,7 +1,7 @@
 """Reference oracles for the task kernel's native waits.
 
-``Cpu.consume`` and ``Endpoint.receive`` / ``deliver`` / ``purge`` as they
-were written before the kernel learned ``Hold`` and ``MailboxWait``: on top
+``Cpu.consume`` and ``Endpoint.try_receive`` / ``receive`` / ``deliver`` /
+``purge`` as they were written before the kernel learned ``Hold`` and ``MailboxWait``: on top
 of ``Signal`` / ``WaitSignal`` / ``Sleep``, one ``Signal`` per wait and a
 ``try/finally`` generator frame around it. The method bodies are verbatim
 but for where ``_record_busy`` keeps the coalesced interval (now the
@@ -23,9 +23,11 @@ from typing import Callable, Hashable, Optional
 
 from repro.errors import SimulationError
 from repro.net.message import Message
-from repro.net.network import Endpoint, MatchFn
+from repro.net.network import Endpoint
 from repro.sim.cpu import Cpu
 from repro.sim.process import Signal, Sleep, WaitSignal
+
+MatchFn = Callable[[Message], bool]
 
 
 class SignalCpu(Cpu):
@@ -83,7 +85,9 @@ class SignalCpu(Cpu):
 
 class SignalEndpoint(Endpoint):
     """``Endpoint`` with the Signal-based wait path; ``_waiters`` holds
-    ``(match, signal)`` tuples. ``try_receive`` is inherited."""
+    ``(match, signal)`` tuples. ``try_receive`` is the ``match``-taking one
+    the native ``Endpoint`` had then, copied verbatim: the native one now
+    filters by ``src`` alone."""
 
     __slots__ = ("lost_to_cancelled",)
 
@@ -122,6 +126,40 @@ class SignalEndpoint(Endpoint):
         self._queued += 1
         if self._queued > self.max_queued:
             self.max_queued = self._queued
+
+    def try_receive(
+        self,
+        tag: Hashable,
+        match: Optional[MatchFn] = None,
+        src: Optional[int] = None,
+    ) -> Optional[Message]:
+        """Non-blocking receive: pop the first queued message accepted by
+        the sender filter (``src`` and/or ``match``), if any."""
+        queue = self._inbox.get(tag)
+        if not queue:
+            return None
+        if match is None and src is None:
+            msg = queue.popleft()
+        else:
+            # Locate by index and rotate/pop: deque.remove would rescan the
+            # queue comparing every element a second time.
+            for index, candidate in enumerate(queue):
+                if (src is None or candidate.src == src) and (
+                    match is None or match(candidate)
+                ):
+                    break
+            else:
+                return None
+            if index:
+                queue.rotate(-index)
+                msg = queue.popleft()
+                queue.rotate(index)
+            else:
+                msg = queue.popleft()
+        if not queue:
+            del self._inbox[tag]
+        self._queued -= 1
+        return msg
 
     def receive(
         self,

@@ -3,7 +3,10 @@
 import pytest
 
 from repro import Cluster
+from repro.consensus.block import GENESIS_HASH, Block
+from repro.consensus.tags import prop_tag
 from repro.core.modes import mode_spec
+from repro.core.perfmodel import PROPOSAL_OVERHEAD
 
 
 def run_pbft(n=7, duration=10.0, seed=0, crashes=(), scenario="national"):
@@ -141,3 +144,31 @@ class TestPbftFaults:
         cluster.run(duration=60.0)
         survivors = [x for x in cluster.nodes if x.node_id not in victims]
         assert max(node.committed_height for node in survivors) > 0
+
+
+def test_preprepare_from_a_non_primary_is_ignored():
+    """A replica that is not the view's primary sends every other
+    replica a well-formed pre-prepare for height 1 on the view's
+    pre-prepare tag, before the primary's own arrives: replicas take
+    pre-prepares from the primary only, so none stores the forgery and
+    the chain committed is the primary's."""
+    cluster = Cluster(n=7, mode="pbft", scenario="national")
+    primary = cluster.policy.leader_of(0)
+    forger = (primary + 1) % cluster.n
+    forged = Block.create(
+        height=1, view=0, parent=GENESIS_HASH, proposer=primary,
+        payload_size=1000, num_txs=4, created_at=0.0, salt=999,
+    )
+    cluster.start()
+    for peer in range(cluster.n):
+        if peer != forger:
+            cluster.network.send(
+                forger, peer, prop_tag(0), (forged, None),
+                forged.payload_size + PROPOSAL_OVERHEAD,
+            )
+    cluster.run(duration=10.0)
+    records = cluster.metrics.records()
+    assert records and records[0].height == 1
+    assert forged.hash not in {record.block_hash for record in records}
+    assert not any(forged.hash in node.store for node in cluster.nodes)
+    cluster.check_agreement()

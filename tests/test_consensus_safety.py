@@ -186,7 +186,7 @@ def test_vote_once_state_is_bounded_by_the_pipeline():
     cluster.run(duration=120.0, max_commits=40)
     assert cluster.metrics.committed_blocks >= 40
     for node in cluster.nodes:
-        cap = node._inflight_cap(node._effective_stretch())
+        cap = node.protocol.inflight_cap(node, node.protocol.effective_stretch(node))
         assert vote_records(node.safety) <= 3 * cap, node.node_id
 
 

@@ -7,14 +7,14 @@ Theorem 2 (Fulfillment) scenarios.
 import pytest
 
 from repro.config import NetworkParams, quorum_size
-from repro.core.comm import BOTTOM, TreeComm
+from repro.core.comm import TreeComm
 from repro.crypto.keys import Pki
 from repro.crypto.signature import make_scheme
 from repro.net.netem import HomogeneousNetem
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
-from repro.sim.process import spawn, wait_all
+from repro.sim.process import TIMEOUT, spawn
 from repro.topology.builder import build_star, build_tree
 from repro.topology.tree import Tree
 
@@ -39,15 +39,27 @@ class Deployment:
             self.cpus[node] = Cpu(self.sim)
 
     def broadcast_all(self, tag, data, size=100, exclude=()):
-        """Run Algorithm 2 at every process; return {node: delivered}."""
+        """Run Algorithm 2 at every process; return {node: delivered}.
+
+        The root sends to its children; everyone else receives from its
+        parent and relays. The protocol leaves the receive unbounded and
+        lets its pacemaker end it; this harness bounds it at Δ instead and
+        records :data:`TIMEOUT` (⊥) for a receive that ran out, relaying
+        nothing.
+        """
         results = {}
 
         def runner(node):
-            if node == self.tree.root:
-                value = yield from self.comms[node].broadcast(tag, data, size)
-            else:
-                value = yield from self.comms[node].broadcast(tag, timeout=DELTA)
-            results[node] = value
+            comm = self.comms[node]
+            if comm.is_root:
+                comm.send_to_children(tag, data, size)
+                results[node] = data
+                return
+            endpoint = self.network.endpoint(node)
+            msg = endpoint.try_receive(tag, comm.parent)
+            if msg is None:
+                msg = yield endpoint.wait(tag, DELTA, comm.parent)
+            results[node] = msg if msg is TIMEOUT else comm.relay(tag, msg)
 
         for node in self.tree.nodes:
             if node not in exclude:
@@ -88,21 +100,21 @@ class TestBroadcast:
         assert results == {node: "blockdata" for node in range(7)}
 
     def test_faulty_internal_cuts_subtree(self, tree7):
-        """Non-robust tree: the faulty internal node's subtree gets ⊥ but
-        every receive still terminates (impatient channels)."""
+        """Non-robust tree: the faulty internal node's subtree gets ⊥ once
+        its bounded receives run out."""
         deployment = Deployment(tree7)
         deployment.network.faults.crash(1)
         results = deployment.broadcast_all("t", "blockdata", exclude=(1,))
         assert results[2] == "blockdata"
         assert results[5] == "blockdata"
-        assert results[3] is BOTTOM
-        assert results[4] is BOTTOM
+        assert results[3] is TIMEOUT
+        assert results[4] is TIMEOUT
 
     def test_faulty_root_yields_bottom_everywhere(self, tree7):
         deployment = Deployment(tree7)
         deployment.network.faults.crash(0)
         results = deployment.broadcast_all("t", "blockdata", exclude=(0,))
-        assert all(value is BOTTOM for value in results.values())
+        assert results == {node: TIMEOUT for node in range(1, 7)}
 
     def test_broadcast_on_star_matches_hotstuff_pattern(self):
         star = build_star(range(5))

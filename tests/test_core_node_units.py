@@ -83,31 +83,31 @@ class TestLeaderPacing:
     def test_effective_stretch_by_mode(self):
         _, kauri = self.make_node("kauri", stretch=5.0)
         kauri.start()
-        assert kauri._effective_stretch() == 5.0
+        assert kauri.protocol.effective_stretch(kauri) == 5.0
         _, kauri_np = self.make_node("kauri-np")
         kauri_np.start()
-        assert kauri_np._effective_stretch() == 0.0
+        assert kauri_np.protocol.effective_stretch(kauri_np) == 0.0
         _, hotstuff = self.make_node("hotstuff-bls")
         hotstuff.start()
-        assert hotstuff._effective_stretch() == 3.0  # depth 4 = 1 + 3
+        assert hotstuff.protocol.effective_stretch(hotstuff) == 3.0  # depth 4 = 1 + 3
 
     def test_model_stretch_when_unset(self):
         cluster, node = self.make_node("kauri")
         node.start()
-        assert node._effective_stretch() == pytest.approx(
+        assert node.protocol.effective_stretch(node) == pytest.approx(
             node.model.pipelining_stretch
         )
 
     def test_inflight_caps(self):
         _, kauri = self.make_node("kauri", stretch=5.0)
         kauri.start()
-        assert kauri._inflight_cap(5.0) == 24  # 4 * (1 + 5)
+        assert kauri.protocol.inflight_cap(kauri, 5.0) == 24  # 4 * (1 + 5)
         _, np_node = self.make_node("kauri-np")
         np_node.start()
-        assert np_node._inflight_cap(0.0) == 1
+        assert np_node.protocol.inflight_cap(np_node, 0.0) == 1
         _, hs = self.make_node("hotstuff-bls")
         hs.start()
-        assert hs._inflight_cap(3.0) == 4
+        assert hs.protocol.inflight_cap(hs, 3.0) == 4
 
     def test_sequential_mode_never_overlaps_instances(self):
         cluster = Cluster(n=7, mode="kauri-np", scenario="national")
@@ -216,6 +216,22 @@ class TestInstanceFrames:
         ]
         assert parked
         assert all(task._gen.gi_yieldfrom is None for task in parked)
+
+    def test_proposal_pump_parked_on_its_parent_is_one_frame(self):
+        """The pump writes its parent receive out, as the instance does."""
+        cluster = Cluster(n=31, mode="kauri", scenario="global", seed=0)
+        cluster.start()
+        cluster.run(duration=120.0, max_commits=12)
+        pumps = [
+            node._view_tasks[None]
+            for node in cluster.nodes
+            if node.node_id != cluster.policy.leader_of(0)
+        ]
+        assert len(pumps) == 30
+        for task in pumps:
+            assert type(task._pending_wait) is MailboxWait
+            assert task._pending_wait.tag == ("prop", 0)
+            assert task._gen.gi_yieldfrom is None
 
     @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls"])
     def test_leader_keeps_pacing_signals_only_for_instances_in_flight(self, mode):

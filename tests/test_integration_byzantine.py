@@ -19,7 +19,6 @@ def run_byzantine(byzantine, n=13, mode="kauri", duration=40.0, seed=0, **kwargs
         scenario="national",
         seed=seed,
         byzantine=byzantine,
-        strict=True,
         **kwargs,
     )
     cluster.start()

@@ -1,12 +1,12 @@
 """Impatient channels (Algorithm 1 and its properties) on the code that runs.
 
-Algorithm 1's receive-or-⊥ is :class:`~repro.core.comm.TreeComm`'s:
-``receive_from_parent`` for a bounded receive from the parent, and
-``wait_for``'s per-child receives bounded by ``Δ·(1 + subtree height)``.
+Algorithm 1's receive-or-⊥ is :meth:`~repro.core.comm.TreeComm.wait_for`'s
+per-child receive, bounded by ``Δ·(1 + subtree height)``: a child whose
+partial does not arrive in time is ⊥, left out of the aggregate.
 """
 
 from repro.config import NetworkParams
-from repro.core.comm import BOTTOM, TreeComm
+from repro.core.comm import TreeComm
 from repro.crypto.keys import Pki
 from repro.crypto.signature import make_scheme
 from repro.net.netem import HomogeneousNetem
@@ -18,6 +18,10 @@ from repro.topology.tree import Tree
 
 PARAMS = NetworkParams("test", rtt=0.100, bandwidth_bps=1e9)
 DELTA = 1.0
+PKI = Pki(n=3, seed=0)
+SCHEME = make_scheme("bls", PKI)
+#: What the receive returns when it runs out: no partial was taken.
+BOTTOM = frozenset()
 
 
 def deploy(tree):
@@ -30,14 +34,29 @@ def deploy(tree):
 
 
 def make_channel():
-    """Node 1's receive from its parent 0; node 2 is 1's sibling."""
-    return deploy(Tree(0, {0: [1, 2]}))
+    """Node 0's receive from its child 1; node 2 is outside the tree."""
+    sim, net, comms = deploy(Tree(0, {0: [1]}))
+    net.register(2)
+    return sim, net, comms
 
 
-def receive_at_1(sim, comms, tag, got):
+def partial(node, value="v"):
+    """``node``'s vote for ``value``, as a child sends it up."""
+    return SCHEME.new(PKI.keypair(node), value)
+
+
+def send_partial(net, src, tag, value="v"):
+    share = partial(src, value)
+    net.send(src, 0, tag, share, share.wire_size())
+
+
+def receive_at_0(sim, comms, tag, got):
+    """Node 0 runs ``wait_for`` with no vote of its own: the signers of
+    what it returns are what the receive from child 1 delivered."""
+
     def receiver():
-        msg = yield from comms[1].receive_from_parent(tag, DELTA)
-        got.append((msg if msg is BOTTOM else msg.payload, sim.now))
+        coll = yield from comms[0].wait_for(tag, None, SCHEME, Cpu(sim))
+        got.append((coll.signers_for("v"), sim.now))
 
     spawn(sim, receiver())
 
@@ -46,28 +65,29 @@ def test_receive_returns_sent_value():
     """Conditional Accuracy: correct sender + receiver => value delivered."""
     sim, net, comms = make_channel()
     got = []
-    receive_at_1(sim, comms, "r1", got)
-    comms[0].send_to_children("r1", "value", 100)
+    receive_at_0(sim, comms, "r1", got)
+    share = partial(1)
+    comms[1].send_to_parent("r1", share, share.wire_size())
     sim.run()
-    assert [value for value, _ in got] == ["value"]
+    assert [value for value, _ in got] == [frozenset({1})]
+    assert got[0][1] < DELTA
 
 
 def test_receive_times_out_to_bottom():
     """Termination: receive always returns, ⊥ if the sender is silent."""
     sim, net, comms = make_channel()
     got = []
-    receive_at_1(sim, comms, "r1", got)
+    receive_at_0(sim, comms, "r1", got)
     sim.run()
     assert got == [(BOTTOM, DELTA)]
-    assert not BOTTOM  # ⊥ is falsy
 
 
 def test_receive_ignores_other_senders():
     """Validity: a non-⊥ value was sent by the channel's peer."""
     sim, net, comms = make_channel()
     got = []
-    receive_at_1(sim, comms, "r1", got)
-    net.send(2, 1, "r1", "imposter", 100)  # the sibling, same tag
+    receive_at_0(sim, comms, "r1", got)
+    send_partial(net, 2, "r1")  # not the child, same tag
     sim.run()
     assert got == [(BOTTOM, DELTA)]
 
@@ -76,30 +96,30 @@ def test_receive_ignores_stale_tags():
     """Single-use: tags isolate instances; old-instance traffic is invisible."""
     sim, net, comms = make_channel()
     got = []
-    receive_at_1(sim, comms, ("inst", 2), got)
-    net.send(0, 1, ("inst", 1), "stale", 100)
+    receive_at_0(sim, comms, ("inst", 2), got)
+    send_partial(net, 1, ("inst", 1))
     sim.run()
     assert got == [(BOTTOM, DELTA)]
 
 
 def test_crashed_sender_yields_bottom():
     sim, net, comms = make_channel()
-    net.faults.crash(0)
+    net.faults.crash(1)
     got = []
-    receive_at_1(sim, comms, "r1", got)
-    net.send(0, 1, "r1", "never", 100)
+    receive_at_0(sim, comms, "r1", got)
+    send_partial(net, 1, "r1")
     sim.run()
     assert got == [(BOTTOM, DELTA)]
 
 
 def test_value_arriving_before_receive_is_kept():
     sim, net, comms = make_channel()
-    net.send(0, 1, "r1", "early", 100)
+    send_partial(net, 1, "r1")
     sim.run()
     got = []
-    receive_at_1(sim, comms, "r1", got)
+    receive_at_0(sim, comms, "r1", got)
     sim.run()
-    assert [value for value, _ in got] == ["early"]
+    assert [value for value, _ in got] == [frozenset({1})]
 
 
 def test_value_slower_than_delta_becomes_bottom():
@@ -107,8 +127,8 @@ def test_value_slower_than_delta_becomes_bottom():
     sim, net, comms = make_channel()
     net.faults.set_delay_fn(lambda m: 5.0)  # way beyond delta
     got = []
-    receive_at_1(sim, comms, "r1", got)
-    net.send(0, 1, "r1", "late", 100)
+    receive_at_0(sim, comms, "r1", got)
+    send_partial(net, 1, "r1")
     sim.run()
     assert got == [(BOTTOM, DELTA)]
 

@@ -70,7 +70,7 @@ def test_match_filter_selects_sender():
     got = []
 
     def receiver():
-        msg = yield from net.endpoint(2).receive("t", match=lambda m: m.src == 1)
+        msg = yield from net.endpoint(2).receive("t", src=1)
         got.append(msg.src)
 
     spawn(sim, receiver())

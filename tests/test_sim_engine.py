@@ -142,32 +142,32 @@ def test_stop_halts_run():
 
 
 def test_single_event_runs_until_drained():
+    """A run without `until` fires the one pending event and stops with
+    the queue empty and the clock at that event; a run on an empty queue
+    fires nothing and leaves the clock where it is."""
     sim = Simulator()
-    sim.run(max_events=1)
-    assert sim.events_processed == 0
+    sim.run()
+    assert sim.events_processed == 0 and sim.now == 0.0
     sim.schedule(1.0, lambda: None)
-    sim.run(max_events=1)
+    sim.run()
     assert sim.events_processed == 1 and sim.now == 1.0
-    sim.run(max_events=1)
-    assert sim.events_processed == 1
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.events_processed == 1 and sim.now == 1.0
 
 
 def test_strict_mode_raises_callback_errors():
-    sim = Simulator(strict=True)
-    sim.schedule(1.0, lambda: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        sim.run()
-
-
-def test_lenient_mode_records_failures_and_continues():
-    sim = Simulator(strict=False)
+    """A callback's exception aborts the run; the events after it stay
+    pending and the simulator can run again."""
+    sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: 1 / 0)
     sim.schedule(2.0, fired.append, "after")
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert fired == [] and sim.now == 1.0 and sim.pending_events == 1
     sim.run()
     assert fired == ["after"]
-    assert len(sim.failures) == 1
-    assert isinstance(sim.failures[0], ZeroDivisionError)
 
 
 def test_deterministic_rng_from_seed():
@@ -185,28 +185,25 @@ def test_events_processed_counter():
     assert sim.events_processed == 5
 
 
-def test_max_events_bound():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=4)
-    assert fired == [0, 1, 2, 3]
-
-
 def test_event_budget_does_not_jump_the_clock_to_until():
-    """A run cut short by `max_events` leaves the clock at the last event
-    fired, not at `until`, so the events left behind are not in the past."""
+    """A run cut short by a callback's `stop` once its event budget is
+    spent leaves the clock at the last event fired, not at `until`, so the
+    events left behind are not in the past."""
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "f")
+
+    def fire_then_stop(name):
+        fired.append(name)
+        sim.stop()
+
+    sim.schedule(1.0, fire_then_stop, "f")
     sim.schedule(2.0, fired.append, "g")
-    sim.run(until=10.0, max_events=1)
+    sim.run(until=10.0)
     assert fired == ["f"] and sim.now == 1.0
     sim.run()
     assert fired == ["f", "g"] and sim.now == 2.0
-    # With budget to spare, `until` is reached as usual.
-    sim.run(until=10.0, max_events=5)
+    # With nothing stopping it, `until` is reached as usual.
+    sim.run(until=10.0)
     assert sim.now == 10.0
 
 
@@ -238,7 +235,8 @@ ACTION = st.tuples(
     st.integers(0, 3),
     st.none() | st.integers(0, 1000),
 )
-#: (until in ticks from now or None, max_events or None) per `run` call.
+#: (until in ticks from now or None, event budget or None) per `run` call;
+#: a callback spending the budget calls `stop`.
 CHUNK = st.tuples(st.none() | st.integers(0, 12), st.none() | st.integers(1, 6))
 
 
@@ -246,9 +244,10 @@ CHUNK = st.tuples(st.none() | st.integers(0, 12), st.none() | st.integers(1, 6))
 @given(st.lists(ACTION, min_size=1, max_size=60), st.integers(1, 8), st.lists(CHUNK, max_size=8))
 def test_firing_order_is_time_seq_of_live_entries(actions, upfront, chunks):
     """Random interleavings of all six primitives and cancellations, issued
-    before the run and from inside callbacks, run in random `until` /
-    `max_events` chunks: the fired sequence is the `(time, seq)`-sorted list
-    of the entries that were not cancelled before they fired."""
+    before the run and from inside callbacks, run in random `until` chunks
+    cut short by `stop` from a callback: the fired sequence is the
+    `(time, seq)`-sorted list of the entries that were not cancelled
+    before they fired."""
     sim = Simulator()
     script = iter(actions)
     compactions = []
@@ -257,10 +256,15 @@ def test_firing_order_is_time_seq_of_live_entries(actions, upfront, chunks):
     # The reference: every entry by (time, issue order), who was cancelled
     # in time, who fired. Issue order is seq order -- each call takes one.
     issued, cancelled, fired, handles, bursts = [], set(), [], [], []
+    budget = [None]  # events the current chunk may still fire
 
     def fire(ident, children):
         assert sim.now == issued[ident][0]
         fired.append(ident)
+        if budget[0] is not None:
+            budget[0] -= 1
+            if budget[0] == 0:
+                sim.stop()
         for action in islice(script, children):
             issue(*action)
 
@@ -306,15 +310,17 @@ def test_firing_order_is_time_seq_of_live_entries(actions, upfront, chunks):
 
     for action in islice(script, upfront):
         issue(*action)
-    for until_ticks, max_events in chunks:
+    for until_ticks, events in chunks:
         until = None if until_ticks is None else sim.now + 0.25 * until_ticks + 0.125
         before = len(fired)
-        sim.run(until=until, max_events=max_events)
+        budget[0] = events
+        sim.run(until=until)
         check_books()
-        if max_events is not None and len(fired) - before == max_events:
+        if events is not None and len(fired) - before == events:
             continue  # stopped on the budget
         assert until is None or sim.now == until
-        assert max_events is None or len(fired) - before < max_events
+        assert events is None or len(fired) - before < events
+    budget[0] = None
     sim.run()
     check_books()
     assert fired == [ident for _, ident in sorted(issued) if ident not in cancelled]
@@ -455,13 +461,3 @@ class TestAccounting:
         sim.schedule_call(0.3, lambda: None)
         sim.run()
         assert sim.events_processed == 3
-
-    def test_max_events_budget_spans_stores(self):
-        sim = Simulator()
-        order = []
-        sim.schedule_timeout(0.1, order.append, "a")
-        sim.schedule(0.2, order.append, "b")
-        sim.schedule_call(0.3, order.append, "c")
-        sim.run(max_events=2)
-        assert order == ["a", "b"]
-        assert sim.pending_events == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError, TaskCancelled
 from repro.net.network import Endpoint
 from repro.sim.engine import Simulator
-from repro.sim.process import TIMEOUT, Signal, Sleep, Task, WaitSignal, spawn, wait_all
+from repro.sim.process import TIMEOUT, Signal, Sleep, Task, WaitSignal, spawn
 
 
 def test_sleep_advances_task_clock():
@@ -49,6 +49,8 @@ def test_task_does_not_run_synchronously_at_spawn():
 
 
 def test_task_return_value():
+    """Returning a value ends the task cleanly at the time it returns;
+    the value itself is dropped, as nothing joins a task."""
     sim = Simulator()
 
     def proc():
@@ -57,8 +59,8 @@ def test_task_return_value():
 
     task = spawn(sim, proc())
     sim.run()
-    assert task.done
-    assert task.result == 42
+    assert task.done and not task.cancelled
+    assert sim.now == 1.0
 
 
 def test_signal_delivers_value():
@@ -180,80 +182,6 @@ def test_yield_from_subroutine_returns_value():
     assert results == [(1.0, 42)]
 
 
-def test_join_task_returns_its_result():
-    sim = Simulator()
-    results = []
-
-    def worker():
-        yield Sleep(3.0)
-        return "done"
-
-    def joiner(task):
-        value = yield task
-        results.append((sim.now, value))
-
-    worker_task = spawn(sim, worker())
-    spawn(sim, joiner(worker_task))
-    sim.run()
-    assert results == [(3.0, "done")]
-
-
-def test_join_finished_task_completes_immediately():
-    sim = Simulator()
-    results = []
-
-    def worker():
-        yield Sleep(1.0)
-        return 7
-
-    def joiner(task):
-        yield Sleep(5.0)
-        results.append((yield task))
-
-    worker_task = spawn(sim, worker())
-    spawn(sim, joiner(worker_task))
-    sim.run()
-    assert results == [7]
-
-
-def test_join_propagates_exception():
-    sim = Simulator(strict=False)
-    caught = []
-
-    def worker():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    def joiner(task):
-        try:
-            yield task
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    worker_task = spawn(sim, worker())
-    spawn(sim, joiner(worker_task))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_wait_all_helper():
-    sim = Simulator()
-    results = []
-
-    def worker(delay, value):
-        yield Sleep(delay)
-        return value
-
-    def collector(tasks):
-        values = yield from wait_all(tasks)
-        results.append((sim.now, values))
-
-    tasks = [spawn(sim, worker(3.0, "a")), spawn(sim, worker(1.0, "b"))]
-    spawn(sim, collector(tasks))
-    sim.run()
-    assert results == [(3.0, ["a", "b"])]
-
-
 def test_cancel_interrupts_sleep():
     sim = Simulator()
     trace = []
@@ -299,7 +227,7 @@ def test_cancel_finished_task_is_noop():
     sim.run()
     task.cancel()
     sim.run()
-    assert task.result == "ok"
+    assert task.done
     assert not task.cancelled
 
 
@@ -320,7 +248,8 @@ def test_cancelled_waiter_does_not_receive_signal():
 
 
 def test_task_exception_strict_mode():
-    sim = Simulator(strict=True)
+    """An exception escaping a task aborts the run."""
+    sim = Simulator()
 
     def proc():
         yield Sleep(1.0)
@@ -331,107 +260,22 @@ def test_task_exception_strict_mode():
         sim.run()
 
 
-def test_task_exception_lenient_mode_recorded():
-    sim = Simulator(strict=False)
-
-    def proc():
-        yield Sleep(1.0)
-        raise RuntimeError("explode")
-
-    task = spawn(sim, proc())
-    sim.run()
-    assert isinstance(task.exception, RuntimeError)
-    assert any(isinstance(f, RuntimeError) for f in sim.failures)
-
-
 def test_yielding_garbage_raises_inside_task():
-    sim = Simulator(strict=False)
+    sim = Simulator()
+    caught = []
 
     def proc():
-        yield "not a wait request"
+        try:
+            yield "not a wait request"
+        except SimulationError as exc:
+            caught.append(str(exc))
+            raise
 
     task = spawn(sim, proc())
-    sim.run()
-    assert task.exception is not None
-
-
-def test_done_signal_fires_with_result():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        yield Sleep(1.0)
-        return "finished"
-
-    task = spawn(sim, proc())
-    task.done_signal.add_waiter(seen.append)
-    sim.run()
-    assert seen == ["finished"]
-
-
-def test_unjoined_task_allocates_no_done_signal():
-    """The done signal is lazy: finishing, and a join that finds the task
-    already finished, allocate none."""
-    sim = Simulator()
-    results = []
-
-    def worker():
-        yield Sleep(1.0)
-        return 7
-
-    def late_joiner(task):
-        yield Sleep(5.0)
-        value = yield task
-        results.append((sim.now, value))
-
-    worker_task = spawn(sim, worker())
-    spawn(sim, late_joiner(worker_task))
-    sim.run()
-    assert results == [(5.0, 7)]
-    assert worker_task._done_signal is None
-
-
-def test_done_signal_read_after_finish_is_already_fired():
-    sim = Simulator()
-
-    def worker():
-        yield Sleep(1.0)
-        return "finished"
-
-    task = spawn(sim, worker())
-    sim.run()
-    signal = task.done_signal
-    assert signal.fired and signal.value == "finished"
-    assert task.done_signal is signal
-    seen = []
-
-    def waiter():
-        seen.append((yield WaitSignal(signal)))
-
-    spawn(sim, waiter())
-    sim.run()
-    assert seen == ["finished"]
-
-
-def test_cancelling_a_joined_task_resumes_its_joiner():
-    sim = Simulator()
-    results = []
-
-    def worker():
-        yield Sleep(10.0)
-        return "never"
-
-    def joiner(task):
-        value = yield task
-        results.append((sim.now, value))
-
-    worker_task = spawn(sim, worker())
-    spawn(sim, joiner(worker_task))
-    sim.schedule(2.0, worker_task.cancel)
-    sim.run()
-    assert worker_task.cancelled
-    assert results == [(2.0, None)]
-    assert worker_task.done_signal.fired
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert caught == ["task 'task' yielded 'not a wait request'"]
+    assert task.done and not task.cancelled
 
 
 def test_task_requires_generator():

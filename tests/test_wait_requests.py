@@ -177,11 +177,8 @@ def recv(timeouts):
         st.just("recv"),
         st.sampled_from(TAGS),
         timeouts,
-        # sender filter: none, Endpoint's src=, or an opaque match= predicate
-        st.one_of(
-            st.none(),
-            st.tuples(st.sampled_from(("src", "match")), st.sampled_from(SENDERS)),
-        ),
+        # sender filter: none, or one sender
+        st.one_of(st.none(), st.sampled_from(SENDERS)),
     )
 
 
@@ -214,10 +211,9 @@ def play(script, native):
     def receive(tag, timeout, sender):
         if sender is None:
             return endpoint.receive(tag, timeout=timeout)
-        how, who = sender
-        if how == "src" and native:
-            return endpoint.receive(tag, timeout=timeout, src=who)
-        return endpoint.receive(tag, timeout=timeout, match=lambda m: m.src == who)
+        if native:
+            return endpoint.receive(tag, timeout=timeout, src=sender)
+        return endpoint.receive(tag, timeout=timeout, match=lambda m: m.src == sender)
 
     def program(index, steps):
         try:
