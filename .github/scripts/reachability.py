@@ -15,8 +15,9 @@ while four entry sets run in this one interpreter:
 4. every ``examples/*.py``, run as ``__main__`` without arguments.
 
 It then prints, per file, the functions defined there that none of them
-reached, and a total. Functions are found by compiling each file and
-walking its code objects, so methods and nested functions count, and
+reached, and a total. Functions are found by compiling each file before
+the entry points run (so a file edited mid-run cannot shift line numbers)
+and walking its code objects, so methods and nested functions count, and
 lambdas, comprehensions and class bodies do not. The hook is on from
 before the first ``repro`` import, so what runs at import time counts as
 reached. Tests are not an entry set: a function that only its own unit
@@ -123,6 +124,9 @@ def entry_points(tmp):
 
 
 def main():
+    # Snapshot the definitions before anything runs: line numbers must be
+    # those of the code that runs, even if a source file is edited mid-run.
+    defined = defined_functions()
     failures = []
     reached = set()
     record = reached.add
@@ -155,7 +159,7 @@ def main():
     reached_keys = {(code.co_filename, code.co_firstlineno, code.co_qualname) for code in reached}
 
     total = unreached = 0
-    for path, functions in defined_functions().items():
+    for path, functions in defined.items():
         missing = [(line, name) for line, name in functions
                    if (path, line, name) not in reached_keys]
         total += len(functions)

@@ -553,6 +553,9 @@ class SmrNode:
                         tag, view, height, phase, block, collection, quorum
                     )
                 else:
+                    # Sent upward by wait_for and never read again: a parked
+                    # instance must not keep its vote and aggregate alive.
+                    own = collection = None
                     msg = endpoint.try_receive(tag, parent)
                     if msg is None:
                         msg = yield endpoint.wait(tag, None, parent)

@@ -34,6 +34,9 @@ class Endpoint:
     Every receive names a tag and, optionally, the one sender it accepts
     (``src``); :meth:`try_receive` takes a queued message, :meth:`wait`
     parks for the next arrival, and :meth:`receive` is the two in turn.
+    At most one receive is parked per tag at a time: every protocol tag
+    names one (view, instance, round, channel), which one coroutine
+    receives.
     """
 
     __slots__ = (
@@ -45,9 +48,9 @@ class Endpoint:
         self.sim = sim
         self.node_id = node_id
         self._inbox: Dict[Hashable, Deque[Message]] = {}
-        #: Parked receive requests per tag, in wait order; the task kernel
-        #: parks and withdraws them, :meth:`deliver` pops the one it serves.
-        self._waiters: Dict[Hashable, List[MailboxWait]] = {}
+        #: The one parked receive request per tag; the task kernel parks
+        #: and withdraws it, :meth:`deliver` pops it when it serves it.
+        self._waiters: Dict[Hashable, MailboxWait] = {}
         self.messages_delivered = 0
         self.bytes_delivered = 0
         #: Live count of queued (delivered-but-unclaimed) messages, and its
@@ -59,27 +62,26 @@ class Endpoint:
     def deliver(self, msg: Message) -> None:
         """Fabric hook: hand ``msg`` to a blocked receiver or queue it.
 
-        The first parked waiter (in wait order) whose sender filter accepts
-        the message is popped and its task woken with it. Every parked
-        entry is live -- a timed-out or cancelled waiter withdraws its own
-        -- so there is nothing to prune on the way.
+        The tag's parked waiter, if its sender filter accepts the message,
+        is popped and its task woken with it; otherwise the message is
+        queued. Every parked entry is live -- a timed-out or cancelled
+        waiter withdraws its own -- so there is nothing to prune.
         """
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
-        waiters = self._waiters.get(msg.tag)
-        if waiters is not None:
-            sender = msg.src
-            for index, waiter in enumerate(waiters):
-                if waiter.src is None or waiter.src == sender:
-                    if len(waiters) == 1:
-                        del self._waiters[msg.tag]
-                    else:
-                        del waiters[index]
-                    task = waiter.task
-                    waiter.task = None
-                    self.sim.schedule_now(task._step, waiter.token, "send", msg)
-                    return
-        self._inbox.setdefault(msg.tag, deque()).append(msg)
+        tag = msg.tag
+        waiter = self._waiters.get(tag)
+        if waiter is not None and (waiter.src is None or waiter.src == msg.src):
+            del self._waiters[tag]
+            task = waiter.task
+            waiter.task = None
+            self.sim.schedule_now(task._step, waiter.token, "send", msg)
+            return
+        queue = self._inbox.get(tag)
+        if queue is None:
+            self._inbox[tag] = deque((msg,))
+        else:
+            queue.append(msg)
         self._queued += 1
         if self._queued > self.max_queued:
             self.max_queued = self._queued
@@ -123,7 +125,8 @@ class Endpoint:
 
         Yielding it evaluates to the :class:`Message`, or to
         :data:`~repro.sim.process.TIMEOUT` if ``timeout`` elapses first; the task
-        kernel parks the request on the tag. It does not look at the inbox:
+        kernel parks the request on the tag, which must have no receive
+        parked already. It does not look at the inbox:
         ask :meth:`try_receive` first, as :meth:`receive` does. Protocol
         coroutines on the hot path compose the two themselves, one
         generator frame shallower than ``yield from receive(...)``.

@@ -14,11 +14,12 @@ are four kinds, dispatched on the exact type of the yielded object:
   is taken, hold it, release it. Callers write ``yield from
   cpu.consume(cost)``; ``consume`` returns a tuple holding this request
   (empty for zero cost), so no generator frame of its own.
-- ``yield MailboxWait(...)`` -- park on a tag of a keyed mailbox until its
-  owner hands over an item or the timeout elapses (evaluates to
-  :data:`TIMEOUT`). Callers write ``yield from endpoint.receive(tag)``, or
-  on hot paths its two steps: ``endpoint.try_receive(tag)`` and, on a
-  miss, ``yield endpoint.wait(tag)``.
+- ``yield MailboxWait(...)`` -- park on a tag of a keyed mailbox (one
+  receive per tag) until its owner hands over an item or the timeout
+  elapses (evaluates to :data:`TIMEOUT`). Callers write ``yield from
+  endpoint.receive(tag)``, or on hot paths its two steps:
+  ``endpoint.try_receive(tag)`` and, on a miss, ``yield
+  endpoint.wait(tag)``.
 
 An exception escaping a task's generator propagates out of
 :meth:`~repro.sim.engine.Simulator.run`.
@@ -152,15 +153,17 @@ class Hold:
 
 
 class MailboxWait:
-    """Wait request: park on ``waiters[tag]`` until the mailbox hands over.
+    """Wait request: park as ``waiters[tag]`` until the mailbox hands over.
 
-    The request object is its own parked entry: the kernel fills in ``task``
-    and ``token`` and appends it to the tag's list (creating the key). The
-    owner of ``waiters`` completes the wait by popping the entry (deleting
-    an emptied key), setting ``task`` to ``None`` and scheduling
-    ``task._step(token, "send", item)``; ``src`` is its sender filter and
-    opaque to the kernel. A timed-out or cancelled waiter withdraws its
-    entry synchronously, so every parked entry is live.
+    The request object is its own parked entry, one per tag: the kernel
+    fills in ``task`` and ``token`` and stores it under the tag. A tag that
+    already holds a live entry takes no second one -- the kernel throws a
+    :class:`~repro.errors.SimulationError` naming the tag into the task
+    instead. The owner of ``waiters`` completes the wait by deleting the
+    key, setting ``task`` to ``None`` and scheduling ``task._step(token,
+    "send", item)``; ``src`` is its sender filter and opaque to the kernel.
+    A timed-out or cancelled waiter deletes its key synchronously, so every
+    parked entry is live.
     """
 
     __slots__ = ("waiters", "tag", "timeout", "src", "task", "token")
@@ -227,10 +230,7 @@ class Task:
         if type(wait) is MailboxWait:
             if wait.task is not None:
                 wait.task = None
-                parked = wait.waiters[wait.tag]
-                parked.remove(wait)
-                if not parked:
-                    del wait.waiters[wait.tag]
+                del wait.waiters[wait.tag]
         elif not wait.fired:
             wait._waiters.remove((self, token))
 
@@ -292,18 +292,21 @@ class Task:
                 resource._acquire(self, token, request)
             self._pending_wait = request
         elif kind is MailboxWait:
-            request.task = self
-            request.token = token
-            parked = request.waiters.get(request.tag)
-            if parked is None:
-                request.waiters[request.tag] = [request]
+            # One lookup both parks the request and finds a live one.
+            if request.waiters.setdefault(request.tag, request) is request:
+                request.task = self
+                request.token = token
+                self._pending_wait = request
+                if request.timeout is not None:
+                    self._pending_timer = sim.schedule_timeout(
+                        request.timeout, self._step, token, "send", TIMEOUT
+                    )
             else:
-                parked.append(request)
-            self._pending_wait = request
-            if request.timeout is not None:
-                self._pending_timer = sim.schedule_timeout(
-                    request.timeout, self._step, token, "send", TIMEOUT
+                err = SimulationError(
+                    f"task {self.name!r} parked a second receive on tag "
+                    f"{request.tag!r}"
                 )
+                sim.schedule_now(self._step, token, "throw", err)
         elif kind is Sleep:
             self._pending_timer = sim.schedule(
                 request.duration, self._step, token, "send", None

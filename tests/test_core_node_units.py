@@ -1,5 +1,7 @@
 """Mechanism-level tests of SmrNode internals."""
 
+import re
+
 import pytest
 
 from repro import Cluster, ProtocolConfig
@@ -7,7 +9,9 @@ from repro.consensus.block import Block, GENESIS_HASH
 from repro.consensus.vote import Phase, QuorumCert, genesis_qc
 from repro.consensus.tags import is_stale_tag
 from repro.core.smr import SmrNode
-from repro.sim.process import MailboxWait
+from repro.crypto.collection import Collection
+from repro.errors import SimulationError
+from repro.sim.process import MailboxWait, spawn
 from tests.test_wait_requests import _fingerprint
 
 
@@ -201,21 +205,53 @@ class TestInstanceFrames:
     QC -- where pipelining keeps most of them -- is one generator frame,
     and the leader keeps a pacing signal only for an instance in flight."""
 
-    @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls", "kudzu"])
-    def test_instance_parked_on_its_parents_qc_is_one_frame(self, mode):
+    @staticmethod
+    def _parked_on_parents_qc(mode):
+        """A run at n=31 and its non-root instances parked on a QC."""
         cluster = Cluster(n=31, mode=mode, scenario="global", seed=0)
         cluster.start()
         cluster.run(duration=120.0, max_commits=12)
         parked = [
-            task
+            (node, task)
             for node in cluster.nodes
+            if node.node_id != cluster.policy.leader_of(0)
             for height, task in node._view_tasks.items()
             if height is not None
             and type(task._pending_wait) is MailboxWait
             and task._pending_wait.tag[0] == "qc"
         ]
         assert parked
-        assert all(task._gen.gi_yieldfrom is None for task in parked)
+        return cluster, parked
+
+    @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls", "kudzu"])
+    def test_instance_parked_on_its_parents_qc_is_one_frame(self, mode):
+        _, parked = self._parked_on_parents_qc(mode)
+        assert all(task._gen.gi_yieldfrom is None for _, task in parked)
+
+    @pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls", "kudzu"])
+    def test_instance_parked_on_its_parents_qc_holds_no_collection(self, mode):
+        """Its own vote and the aggregate it sent upward are never read
+        again, so the parked frame does not keep them alive."""
+        _, parked = self._parked_on_parents_qc(mode)
+        for _, task in parked:
+            held = [
+                name
+                for name, value in task._gen.gi_frame.f_locals.items()
+                if isinstance(value, Collection)
+            ]
+            assert held == [], task.name
+
+    def test_second_receive_on_a_parked_instances_tag_raises(self):
+        """One receive per tag: a second one on the tag an instance is
+        parked on is thrown back, naming the tag; the instance stays."""
+        cluster, parked = self._parked_on_parents_qc("kauri")
+        node, task = parked[0]
+        tag = task._pending_wait.tag
+        spawn(cluster.sim, node.endpoint.receive(tag))
+        with pytest.raises(SimulationError, match=re.escape(repr(tag))):
+            cluster.sim.run(until=cluster.sim.now)
+        assert node.endpoint._waiters[tag] is task._pending_wait
+        assert task._pending_wait.task is task
 
     def test_proposal_pump_parked_on_its_parent_is_one_frame(self):
         """The pump writes its parent receive out, as the instance does."""

@@ -389,18 +389,21 @@ class TestWaitersWithdrawThemselves:
             got.append((yield from endpoint.receive(tag, timeout=timeout)))
 
         spawn(sim, receiver(stale, timeout=0.001))
-        spawn(sim, receiver(stale))
         spawn(sim, receiver(fresh))
-        sim.run(until=0.0005)  # all three parked
-        assert len(endpoint._waiters[stale]) == 2
-        sim.run(until=0.002)  # the first receive timed out
+        sim.run(until=0.0005)  # both parked
+        assert set(endpoint._waiters) == {stale, fresh}
+        sim.run(until=0.002)  # the stale receive timed out
         assert got == [TIMEOUT]
-        assert len(endpoint._waiters[stale]) == 1
+        assert stale not in endpoint._waiters
+        # The tag is free again: a new receive parks on it.
+        live = spawn(sim, receiver(stale))
+        sim.run(until=0.0025)
+        assert endpoint._waiters[stale].task is live
 
         # Purging the stale prefix leaves the live waiter alone (its task
         # is cancelled separately on view change) ...
         assert endpoint.purge(lambda tag: tag[1] < 2) == 0
-        assert len(endpoint._waiters[stale]) == 1
+        assert endpoint._waiters[stale].task is live
         assert fresh in endpoint._waiters
         # ... and it still is the one a delivery reaches.
         endpoint.deliver(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import NetworkParams
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.net.faults import FaultInjector
 from repro.net.netem import HomogeneousNetem
 from repro.net.network import Network, HEADER_BYTES
@@ -83,19 +83,48 @@ def test_match_filter_selects_sender():
 
 
 def test_multiple_receivers_fifo_by_tag():
+    """Receivers of one tag, one after another, take its messages in
+    arrival order: the first two parked, the third from the queue."""
     sim, net = make_network()
     got = []
 
-    def receiver(tag_order):
+    def receiver(tag_order, then=None):
         msg = yield from net.endpoint(1).receive("t")
         got.append((tag_order, msg.payload))
+        if then is not None:
+            spawn(sim, receiver(then))
 
-    spawn(sim, receiver("first"))
-    spawn(sim, receiver("second"))
-    net.send(0, 1, "t", "A", 10)
-    net.send(0, 1, "t", "B", 10)
+    spawn(sim, receiver("first", then="second"))
+    for payload in "ABC":
+        net.send(0, 1, "t", payload, 10)
     sim.run()
     assert got == [("first", "A"), ("second", "B")]
+    assert net.endpoint(1).queued_messages == 1
+    spawn(sim, receiver("third"))
+    sim.run()
+    assert got[2:] == [("third", "C")]
+    assert net.endpoint(1).queued_messages == 0
+
+
+def test_second_receive_parked_on_a_tag_raises():
+    """One receive per tag: a second one parked on a tag with a live
+    waiter is thrown back into its task, naming the tag, and the live
+    waiter still gets the tag's next message."""
+    sim, net = make_network()
+    got = []
+
+    def receiver():
+        msg = yield from net.endpoint(1).receive(("qc", 3))
+        got.append(msg.payload)
+
+    spawn(sim, receiver())
+    spawn(sim, receiver())
+    with pytest.raises(SimulationError, match=r"second receive on tag \('qc', 3\)"):
+        sim.run()
+    net.send(0, 1, ("qc", 3), "A", 10)
+    sim.run()
+    assert got == ["A"]
+    assert net.endpoint(1)._waiters == {}
 
 
 def test_self_send_is_immediate():

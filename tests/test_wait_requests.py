@@ -165,8 +165,11 @@ def test_a_release_with_k_waiters_costs_one_event():
 #: same-instant collisions are the norm, not the exception.
 GRID = st.integers(min_value=0, max_value=8).map(lambda k: k * 0.25)
 POSITIVE = st.integers(min_value=1, max_value=8).map(lambda k: k * 0.25)
+#: A task receives only on its own tags, ``(task index, "x" | "y")``, so no
+#: two tasks park on one tag at once (the mailbox takes one receive per tag).
 TAGS = ("x", "y")
 SENDERS = (0, 2, 3)
+MAX_TASKS = 5
 
 SLEEP = st.tuples(st.just("sleep"), GRID)
 HOLD = st.tuples(st.just("hold"), GRID)  # 0.0: the free, unqueued path
@@ -187,15 +190,33 @@ RECV_FOREVER = recv(st.none())
 
 
 def scripts(steps, off_grid_cancels):
-    """(per-task step lists, deliveries, cancellations)."""
+    """(per-task step lists, deliveries, cancellations).
+
+    A delivery is addressed to one of some task's tags; a receive step
+    names only the suffix of its task's tag.
+    """
     cancel_at = POSITIVE.map(lambda t: t + 0.125) if off_grid_cancels else POSITIVE
-    return st.tuples(
-        st.lists(st.lists(steps, min_size=1, max_size=6), min_size=1, max_size=5),
-        st.lists(
-            st.tuples(GRID, st.sampled_from(TAGS), st.sampled_from(SENDERS)),
-            max_size=10,
-        ),
-        st.lists(st.tuples(cancel_at, st.integers(min_value=0, max_value=4)), max_size=4),
+    return st.lists(
+        st.lists(steps, min_size=1, max_size=6), min_size=1, max_size=MAX_TASKS
+    ).flatmap(
+        lambda programs: st.tuples(
+            st.just(programs),
+            st.lists(
+                st.tuples(
+                    GRID,
+                    st.tuples(
+                        st.integers(min_value=0, max_value=len(programs) - 1),
+                        st.sampled_from(TAGS),
+                    ),
+                    st.sampled_from(SENDERS),
+                ),
+                max_size=10,
+            ),
+            st.lists(
+                st.tuples(cancel_at, st.integers(min_value=0, max_value=MAX_TASKS - 1)),
+                max_size=4,
+            ),
+        )
     )
 
 
@@ -225,7 +246,7 @@ def play(script, native):
                     yield from cpu.consume(step[1])
                     value = "held"
                 else:
-                    msg = yield from receive(*step[1:])
+                    msg = yield from receive((index, step[1]), *step[2:])
                     value = "timeout" if msg is TIMEOUT else msg.uid
                 trace.append((index, sim.now, value))
         except TaskCancelled:
