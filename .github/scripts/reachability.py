@@ -10,7 +10,8 @@ while four entry sets run in this one interpreter:
    ``benchmarks/ledger/workloads.py`` (imported only, as
    ``retained_by_file.py`` does): start, run and the correctness check;
 2. every pack of the scenario catalog at scale 0.05, serial and uncached,
-   with observability on;
+   with observability on, and its ``[[expect]]`` rows checked (a FAIL
+   verdict at that scale is not an error; only an exception is);
 3. one smallest-argument invocation of each CLI subcommand;
 4. every ``examples/*.py``, run as ``__main__`` without arguments.
 
@@ -93,13 +94,19 @@ def entry_points(tmp):
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "benchmarks", "ledger")]
     import workloads
     from repro import cli
-    from repro.scenarios import catalog, run_pack
+    from repro.scenarios import catalog, check_rows, run_pack
 
     def ledger(workload):
         deployment = workloads.Deployment(workload, 0)
         deployment.start()
         deployment.run()
         deployment.check()
+
+    def pack(name):
+        grid, results = run_pack(name, scale=PACK_SCALE, jobs=1, cache=False,
+                                 observability=True)
+        for verdict in check_rows(grid, results):
+            print(verdict.line())
 
     def command(argv):
         code = cli.main(argv)
@@ -111,11 +118,7 @@ def entry_points(tmp):
         runpy.run_path(path, run_name="__main__")
 
     entries = [(f"ledger {name}", lambda w=w: ledger(w)) for name, w in workloads.SMOKE.items()]
-    entries += [
-        (f"pack {name}", lambda name=name: run_pack(
-            name, scale=PACK_SCALE, jobs=1, cache=False, observability=True))
-        for name in catalog()
-    ]
+    entries += [(f"pack {name}", lambda name=name: pack(name)) for name in catalog()]
     entries += [(f"cli {' '.join(argv[:2])}", lambda argv=argv: command(argv))
                 for argv in cli_commands(tmp)]
     entries += [(f"example {os.path.basename(path)}", lambda path=path: example(path))

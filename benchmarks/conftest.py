@@ -5,8 +5,6 @@ Environment knobs:
 - ``REPRO_BENCH_SCALE`` (float, default 1.0): uniformly shrinks simulation
   horizons and commit budgets. 0.2 gives a quick smoke pass; 1.0 runs the
   evaluation at meaningful statistical depth.
-- ``REPRO_BENCH_FULL_N`` (set to 1): include N=400 points where the default
-  grid stops at N=200 to bound wall-clock time.
 - ``REPRO_BENCH_JOBS`` (int, default 1): worker processes for the sweep
   engine; every grid-shaped bench fans its independent cells out over this
   many processes (results are identical for any value -- each cell is a
@@ -16,7 +14,8 @@ Environment knobs:
 
 Every bench prints the paper-style table it regenerates and also writes it
 to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference the
-exact rows.
+exact rows. Figures 5-11 are not benches: their packs' ``[[expect]]`` rows
+hold the paper's claims, checked by ``repro scenarios run figN``.
 """
 
 import os
@@ -25,27 +24,10 @@ import pathlib
 import pytest
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-FULL_N = os.environ.get("REPRO_BENCH_FULL_N", "") not in ("", "0")
 JOBS = max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1"))
 CACHE = os.environ.get("REPRO_BENCH_CACHE", "") not in ("", "0")
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture
-def scale():
-    return SCALE
-
-
-@pytest.fixture
-def jobs():
-    return JOBS
-
-
-@pytest.fixture
-def bench_ns():
-    """System sizes for size sweeps (paper: 100/200/400)."""
-    return (100, 200, 400) if FULL_N else (100, 200)
 
 
 @pytest.fixture

@@ -11,7 +11,9 @@ Commands:
 - ``fig``    -- the figures that need a built cluster: Figure 3's
   pipelining Gantt and Figure 12's reconfiguration runs.
 - ``scenarios`` -- list / show / validate / run the declarative scenario
-  packs checked in under ``scenarios/`` (every other evaluation figure).
+  packs checked in under ``scenarios/`` (every other evaluation figure);
+  ``run`` prints a verdict per ``[[expect]]`` row of the pack and exits 1
+  if one fails.
 - ``capacity`` -- sweep offered load through the workload engine and
   report how many users fit a topology (the saturation knee).
 
@@ -354,11 +356,11 @@ def _scenario_label(scenario) -> str:
 def _axis_value(cell, axis: str) -> str:
     """One swept axis's value in a compiled cell: a composite axis by the
     cell's label, a scenario table by its keys, a scalar as written."""
-    from repro.scenarios.loader import CELL_FIELDS
+    from repro.scenarios.compiler import axis_value
 
-    if axis not in CELL_FIELDS:
-        return cell.label or "-"
-    value = cell.bindings.get(axis, "-")
+    value = axis_value(cell, axis)
+    if value is None:
+        return "-"
     if isinstance(value, dict):
         return " ".join(f"{key}={item}" for key, item in value.items())
     return str(value)
@@ -415,7 +417,10 @@ def _add_scenarios_parser(subparsers) -> None:
     )
     validate.add_argument("name", nargs="?", type=_pack_name, metavar="PACK",
                           help="one pack; default: every pack in the catalog")
-    run = sub.add_parser("run", help="compile a pack and run its grid")
+    run = sub.add_parser(
+        "run", help="compile a pack, run its grid and check its [[expect]] "
+                    "rows; exit 1 if a row fails"
+    )
     run.add_argument("name", type=_pack_name, metavar="PACK")
     run.add_argument("--scale", type=float, default=1.0,
                      help="horizon/budget scale (default 1.0)")
@@ -511,7 +516,7 @@ def _cmd_scenarios(args) -> int:
     # run
     from repro.analysis.figures import saturation_marker
     from repro.runtime.sweep import SweepRunner
-    from repro.scenarios import run_pack
+    from repro.scenarios import check_rows, run_pack
 
     runner = SweepRunner(jobs=args.jobs, cache=not args.no_cache)
     grid, results = run_pack(
@@ -544,9 +549,15 @@ def _cmd_scenarios(args) -> int:
         stats = runner.last_stats
         print(f"[{stats.backend} x{stats.jobs}: {stats.executed} simulated, "
               f"{stats.cache_hits} cached]")
+    # One verdict per [[expect]] row; on stderr under --json, so stdout
+    # stays one JSON document.
+    verdicts = check_rows(grid, results)
+    for verdict in verdicts:
+        print(verdict.line(), file=sys.stderr if args.json else sys.stdout)
+    code = int(any(verdict.status == "FAIL" for verdict in verdicts))
     if args.report:
-        return _emit_report(results[0].report, args.report)
-    return 0
+        return max(code, _emit_report(results[0].report, args.report))
+    return code
 
 
 def _add_capacity_parser(subparsers) -> None:

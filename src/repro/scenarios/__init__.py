@@ -14,7 +14,9 @@ Layers:
 - :mod:`repro.scenarios.compiler` -- lower a pack to ``ExperimentSpec``s;
 - :mod:`repro.scenarios.catalog`  -- the checked-in packs under
   ``<repo>/scenarios/``;
-- :mod:`repro.scenarios.runner`   -- one-call compile-and-run.
+- :mod:`repro.scenarios.runner`   -- one-call compile-and-run;
+- :mod:`repro.scenarios.expect`   -- verdicts for a pack's ``[[expect]]``
+  rows against its results.
 """
 
 from repro.scenarios.compiler import (
@@ -24,6 +26,7 @@ from repro.scenarios.compiler import (
     validate_pack,
 )
 from repro.scenarios.catalog import catalog, load_pack, pack_dir, pack_names
+from repro.scenarios.expect import Verdict, check_rows
 from repro.scenarios.loader import (
     PackError,
     ScenarioPack,
@@ -37,7 +40,9 @@ __all__ = [
     "CompiledGrid",
     "PackError",
     "ScenarioPack",
+    "Verdict",
     "catalog",
+    "check_rows",
     "compile_pack",
     "load_pack",
     "load_pack_file",

@@ -18,8 +18,8 @@ impossible quorum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import (
     KB,
@@ -40,12 +40,12 @@ from repro.runtime.workload import WorkloadSpec
 from repro.scenarios.loader import (
     CELL_FIELDS,
     SCENARIO_KEYS,
+    ExpectRow,
     PackError,
     PackGrid,
     ScenarioPack,
     _check_keys,
     _suggest,
-    _validate_axis,
 )
 
 #: Named multi-cluster deployments packs may reference via ``clusters = ...``.
@@ -159,10 +159,21 @@ class CompiledCell:
     index: int
     label: Optional[str]
     #: The merged raw cell mapping (defaults + set + axis bindings) --
-    #: benches key their output series by it, and ``repro scenarios run``
+    #: ``[[expect]]`` rows select cells by it, and ``repro scenarios run``
     #: prints each swept axis's value from it.
     bindings: Dict[str, Any]
     spec: ExperimentSpec
+
+
+@dataclass(frozen=True)
+class ResolvedRow:
+    """An ``[[expect]]`` row resolved against the grid's cells."""
+
+    row: ExpectRow
+    #: One ``(over value, of cell, to cell)`` per point the row reads: the
+    #: value is None for ``ratio_at_least``, the ``to`` cell None when the
+    #: row reads no ratio.
+    points: Tuple[Tuple[Any, int, Optional[int]], ...]
 
 
 @dataclass
@@ -172,6 +183,7 @@ class CompiledGrid:
     pack: ScenarioPack
     scale: float
     cells: List[CompiledCell]
+    expect: List[ResolvedRow] = field(default_factory=list)
 
     @property
     def specs(self) -> List[ExperimentSpec]:
@@ -184,6 +196,94 @@ class CompiledGrid:
             if cell.label is not None and cell.label not in seen:
                 seen.append(cell.label)
         return seen
+
+
+def axis_value(cell: CompiledCell, axis: str) -> Any:
+    """A cell's value on a swept axis: its label on a composite axis."""
+    return cell.bindings.get(axis) if axis in CELL_FIELDS else cell.label
+
+
+def _axis_values(pack: ScenarioPack, axis: str) -> List[Any]:
+    """An axis's declared values across the grids, labels for a composite axis."""
+    values: List[Any] = []
+    for grid in pack.grids:
+        for name, declared in grid.axes:
+            if name != axis:
+                continue
+            for value in declared:
+                if axis not in CELL_FIELDS:
+                    value = value.get("label")
+                if value not in values:
+                    values.append(value)
+    return values
+
+
+def _selects(value: Any, wanted: Any) -> bool:
+    """A selector's ``wanted`` picks an axis ``value``: equal, or for a
+    table value, a sub-table of it (``{rtt_ms = 50}``)."""
+    if isinstance(value, dict) and isinstance(wanted, dict):
+        return all(value.get(key) == item for key, item in wanted.items())
+    return value == wanted
+
+
+def _check_axis(pack: ScenarioPack, axis: str, where: str) -> None:
+    known = pack.axis_names
+    if axis not in known:
+        raise PackError(
+            f"{where}: unknown axis {axis!r}{_suggest(axis, known)} "
+            f"(axes: {', '.join(known)})"
+        )
+
+
+def _check_value(pack: ScenarioPack, axis: str, wanted: Any, where: str) -> None:
+    _check_axis(pack, axis, where)
+    if not any(_selects(value, wanted) for value in _axis_values(pack, axis)):
+        raise PackError(f"{where}: {wanted!r} is not a value of axis {axis!r}")
+
+
+def _pick(
+    pack: ScenarioPack, cells: List[CompiledCell], selector: Mapping[str, Any], where: str
+) -> int:
+    """The index of the one cell ``selector`` picks; PackError otherwise."""
+    hits = [
+        cell.index
+        for cell in cells
+        if all(_selects(axis_value(cell, a), w) for a, w in selector.items())
+    ]
+    if len(hits) != 1:
+        for axis, wanted in selector.items():
+            _check_value(pack, axis, wanted, where)
+        raise PackError(
+            f"{where}: selector {dict(selector)!r} picks {len(hits)} cells, not one"
+        )
+    return hits[0]
+
+
+def _resolve_row(
+    pack: ScenarioPack, cells: List[CompiledCell], row: ExpectRow
+) -> ResolvedRow:
+    where = f"pack {pack.name!r}, expect[{row.index}] ({row.kind})"
+    for axis in {**row.where, **row.of, **(row.to or {})}:
+        _check_axis(pack, axis, where)
+    if row.over is None:  # ratio_at_least: one point
+        values: List[Any] = [None]
+    else:
+        _check_axis(pack, row.over, where)
+        if row.kind == "winner":
+            _check_value(pack, row.over, row.args["is"], where)
+        if row.kind == "crossover_between":
+            values = [row.args["lo"], row.args["hi"]]
+        else:
+            values = _axis_values(pack, row.over)
+    points = []
+    for value in values:
+        base = dict(row.where) if row.over is None else {**row.where, row.over: value}
+        points.append((
+            value,
+            _pick(pack, cells, {**base, **row.of}, where),
+            None if row.to is None else _pick(pack, cells, {**base, **row.to}, where),
+        ))
+    return ResolvedRow(row=row, points=tuple(points))
 
 
 def _expect(condition: bool, where: str, message: str) -> None:
@@ -371,52 +471,21 @@ def _build_spec(
         raise PackError(f"{where}: {exc}") from None
 
 
-def _apply_axis_overrides(
-    pack: ScenarioPack, axes: Mapping[str, Sequence[Any]]
-) -> List[PackGrid]:
-    unused = set(axes)
-    grids: List[PackGrid] = []
-    for grid in pack.grids:
-        declared = dict(grid.axes)
-        for axis in axes:
-            if axis in declared:
-                declared[axis] = _validate_axis(
-                    pack.name, grid.name, axis, list(axes[axis])
-                )
-                unused.discard(axis)
-        grids.append(
-            PackGrid(name=grid.name, set=grid.set, axes=tuple(declared.items()))
-        )
-    if unused:
-        known = pack.axis_names
-        missing = sorted(unused)[0]
-        raise PackError(
-            f"pack {pack.name!r}: axis override {missing!r} matches no "
-            f"declared axis{_suggest(missing, known)} "
-            f"(declared: {', '.join(known) or 'none'})"
-        )
-    return grids
-
-
 def compile_pack(
     pack: ScenarioPack,
     scale: float = 1.0,
     seed: Optional[int] = None,
     observability: Optional[bool] = None,
-    axes: Optional[Mapping[str, Sequence[Any]]] = None,
 ) -> CompiledGrid:
     """Expand a pack's grids into a :class:`CompiledGrid`.
 
     ``scale`` shrinks horizons/budgets uniformly (the figures' knob);
     ``seed`` replaces every cell's seed; ``observability`` forces the flag
-    on or off; ``axes`` substitutes a declared axis's values (same raw
-    vocabulary as the pack file).
+    on or off. Each ``[[expect]]`` row is resolved to its cells.
     """
     if not isinstance(scale, (int, float)) or scale <= 0:
         raise PackError(f"pack {pack.name!r}: scale must be positive, got {scale!r}")
-    grids = _apply_axis_overrides(pack, axes) if axes else list(pack.grids)
-    if not grids:
-        grids = [PackGrid(name="default")]
+    grids = list(pack.grids) or [PackGrid(name="default")]
 
     cells: List[CompiledCell] = []
     for grid in grids:
@@ -441,7 +510,8 @@ def compile_pack(
             cells.append(
                 CompiledCell(index=index, label=label, bindings=merged, spec=spec)
             )
-    return CompiledGrid(pack=pack, scale=scale, cells=cells)
+    expect = [_resolve_row(pack, cells, row) for row in pack.expect]
+    return CompiledGrid(pack=pack, scale=scale, cells=cells, expect=expect)
 
 
 def validate_pack(pack: ScenarioPack) -> CompiledGrid:

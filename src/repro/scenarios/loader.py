@@ -22,9 +22,38 @@ The format::
     scenario = ["national", "regional", "global"]
     mode = ["kauri", "hotstuff-secp"]
 
+    [[expect]]                 # optional: one checked claim per row
+    kind = "winner"            # or ratio_at_least / monotone_in / crossover_between
+    over = "mode"
+    is = "kauri"
+    where = { scenario = "global", n = 100 }
+
 Axis values are either scalars binding the axis's own field, or tables
 binding several fields at once (a *composite* axis, e.g. a ``system`` axis
 binding ``label``/``mode``/``height`` together).
+
+An ``[[expect]]`` row states a claim about the results, and ``repro
+scenarios run`` prints its verdict after the results table. A row names
+its cells by *selectors*: tables mapping axis names to axis values, where
+a composite axis is selected by its label and a table-valued axis (a
+scenario table) by a sub-table (``{ rtt_ms = 50 }``). ``where`` holds the
+bindings a row's cells share; ``of`` and ``to`` add to it, and every
+selector must pick exactly one cell. A row's value at a point is the
+``metric`` (default ``throughput_txs``) of its ``of`` cell, divided by that
+of its ``to`` cell when the row has one. The kinds:
+
+- ``winner``: over every value of axis ``over``, the highest value is
+  the one at ``is``;
+- ``ratio_at_least``: ``of`` / ``to`` is at least ``at_least``;
+- ``monotone_in``: the value is strictly ``direction`` (``"increasing"``
+  or ``"decreasing"``) along axis ``over``;
+- ``crossover_between``: ``of`` / ``to`` is below 1 at ``over = lo`` and
+  above 1 at ``over = hi``, and grows by at least ``at_least`` (default 1)
+  between the two.
+
+A row may carry ``known_deviation = "reason"``: it is still measured, but
+if it fails its verdict is ``known_deviation`` with that reason, and the
+run does not fail.
 
 Validation here is structural (sections, keys, shapes) with precise
 messages including did-you-mean suggestions; value-level validation (modes,
@@ -75,6 +104,18 @@ CELL_FIELDS: Dict[str, str] = {
     "workload": "workload-engine table (classes, capacity_txs, policy, ...)",
 }
 
+#: ``[[expect]]`` row kinds: their required keys, then their optional ones
+#: (besides ``kind``, ``metric``, ``where`` and ``known_deviation``).
+EXPECT_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "winner": (("over", "is"), ()),
+    "ratio_at_least": (("of", "to", "at_least"), ()),
+    "monotone_in": (("over", "direction"), ("of", "to")),
+    "crossover_between": (("over", "lo", "hi", "of", "to"), ("at_least",)),
+}
+
+#: The result fields a row may read; ``latency.p50`` reads ``latency["p50"]``.
+EXPECT_METRICS = ("throughput_txs", "latency.p50")
+
 #: Keys allowed inside a ``scenario`` table.
 SCENARIO_KEYS = ("name", "base", "clusters", "per_cluster", "rtt_ms", "bandwidth_mbps")
 
@@ -110,6 +151,22 @@ class PackGrid:
 
 
 @dataclass
+class ExpectRow:
+    """One parsed ``[[expect]]`` row (see the module docstring)."""
+
+    index: int
+    kind: str
+    metric: str
+    where: Dict[str, Any]
+    of: Dict[str, Any]
+    to: Optional[Dict[str, Any]]
+    over: Optional[str]
+    #: The kind's own keys: ``is``, ``at_least``, ``direction``, ``lo``, ``hi``.
+    args: Dict[str, Any]
+    known_deviation: Optional[str]
+
+
+@dataclass
 class ScenarioPack:
     """A parsed, structurally valid scenario pack."""
 
@@ -120,6 +177,7 @@ class ScenarioPack:
     defaults: Dict[str, Any]
     grids: Tuple[PackGrid, ...]
     source: Optional[Path] = None
+    expect: Tuple[ExpectRow, ...] = ()
 
     @property
     def axis_names(self) -> List[str]:
@@ -151,6 +209,57 @@ def _validate_axis(pack: str, grid: str, axis: str, values: Any) -> Tuple[Any, .
     return tuple(values)
 
 
+def _parse_row(pack: str, index: int, raw: Any) -> ExpectRow:
+    """Structurally validate one ``[[expect]]`` row; the compiler checks
+    its axes and values against the grid."""
+    where = f"pack {pack!r}, expect[{index}]"
+    if not isinstance(raw, Mapping):
+        raise PackError(f"{where}: each [[expect]] entry must be a table")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in EXPECT_KINDS:
+        raise PackError(
+            f"{where}: unknown kind {kind!r}{_suggest(str(kind), list(EXPECT_KINDS))} "
+            f"(kinds: {', '.join(EXPECT_KINDS)})"
+        )
+    where = f"{where} ({kind})"
+    required, optional = EXPECT_KINDS[kind]
+    _check_keys(raw, ("kind", "metric", "where", "known_deviation", *required, *optional), where)
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise PackError(f"{where}: missing {', '.join(map(repr, missing))}")
+    metric = raw.get("metric", "throughput_txs")
+    if metric not in EXPECT_METRICS:
+        raise PackError(
+            f"{where}: unknown metric {metric!r}{_suggest(str(metric), list(EXPECT_METRICS))} "
+            f"(metrics: {', '.join(EXPECT_METRICS)})"
+        )
+    for key in ("where", "of", "to"):
+        if key in raw and not isinstance(raw[key], Mapping):
+            raise PackError(f"{where}: {key!r} must be a table of axis = value")
+    if "over" in raw and not isinstance(raw["over"], str):
+        raise PackError(f"{where}: 'over' must name an axis")
+    if "at_least" in raw and not (
+        isinstance(raw["at_least"], (int, float)) and raw["at_least"] > 0
+    ):
+        raise PackError(f"{where}: 'at_least' must be a positive number")
+    if raw.get("direction", "increasing") not in ("increasing", "decreasing"):
+        raise PackError(f"{where}: 'direction' must be 'increasing' or 'decreasing'")
+    reason = raw.get("known_deviation")
+    if reason is not None and not (isinstance(reason, str) and reason):
+        raise PackError(f"{where}: 'known_deviation' must be a non-empty reason")
+    return ExpectRow(
+        index=index,
+        kind=kind,
+        metric=metric,
+        where=dict(raw.get("where", {})),
+        of=dict(raw.get("of", {})),
+        to=dict(raw["to"]) if "to" in raw else None,
+        over=raw.get("over"),
+        args={key: raw[key] for key in ("is", "at_least", "direction", "lo", "hi") if key in raw},
+        known_deviation=reason,
+    )
+
+
 def parse_pack(
     data: Mapping[str, Any], source: Optional[Path] = None
 ) -> ScenarioPack:
@@ -158,7 +267,7 @@ def parse_pack(
     origin = str(source) if source is not None else "<pack>"
     if not isinstance(data, Mapping):
         raise PackError(f"{origin}: top level must be a table/object")
-    _check_keys(data, ("pack", "defaults", "grid"), origin)
+    _check_keys(data, ("pack", "defaults", "grid", "expect"), origin)
     header = data.get("pack")
     if not isinstance(header, Mapping):
         raise PackError(f"{origin}: missing [pack] header table")
@@ -199,6 +308,10 @@ def parse_pack(
         )
         grids.append(PackGrid(name=gname, set=fixed, axes=axes))
 
+    raw_rows = data.get("expect", [])
+    if not isinstance(raw_rows, list):
+        raise PackError(f"pack {name!r}: [[expect]] must be an array of tables")
+
     return ScenarioPack(
         name=name,
         title=str(header.get("title", name)),
@@ -207,6 +320,7 @@ def parse_pack(
         defaults=defaults,
         grids=tuple(grids),
         source=source,
+        expect=tuple(_parse_row(name, i, raw) for i, raw in enumerate(raw_rows)),
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.runtime.experiment import ExperimentResult
 from repro.runtime.sweep import SweepRunner
@@ -18,15 +18,12 @@ def run_pack(
     jobs: Optional[int] = None,
     cache: bool = False,
     observability: Optional[bool] = None,
-    axes: Optional[Mapping[str, Sequence[Any]]] = None,
     runner: Optional[SweepRunner] = None,
 ) -> Tuple[CompiledGrid, List[ExperimentResult]]:
     """Compile a pack (by name or value) and run it through the sweep
     engine; results align index-for-index with ``grid.cells``."""
     if isinstance(pack, str):
         pack = load_pack(pack)
-    grid = compile_pack(
-        pack, scale=scale, seed=seed, observability=observability, axes=axes
-    )
+    grid = compile_pack(pack, scale=scale, seed=seed, observability=observability)
     engine = runner if runner is not None else SweepRunner(jobs=jobs, cache=cache)
     return grid, engine.run(grid.specs)

@@ -14,8 +14,9 @@ from repro.analysis import (
     table2_rows,
 )
 from repro.analysis.tables import TABLE1_HEADERS, TABLE2_HEADERS
-from repro.config import GLOBAL, KB, NATIONAL
+from repro.config import GLOBAL, KB, NATIONAL, max_faults
 from repro.runtime.horizon import adaptive_duration
+from repro.topology.reconfig import ReconfigurationPolicy
 
 
 class TestFormatTable:
@@ -49,6 +50,31 @@ class TestTables:
     def test_table2_custom_grid(self):
         rows = table2_rows(configs=[("national", NATIONAL, 100)])
         assert len(rows) == 2
+
+    def test_table1_kauri_row(self):
+        """Kauri's row: the full f = (n-1)/3 resilience, deterministic
+        finality (unlike committee designs) and its policy's bound."""
+        kauri = next(r for r in table1_rows(n=100) if r[0] == "Kauri")
+        assert f"f={max_faults(100)}" in kauri[3]
+        assert kauri[4] == "yes"
+        policy = ReconfigurationPolicy(range(100), height=2)
+        assert str(policy.worst_case_reconfigurations(max_faults(100))) in kauri[5]
+
+    def test_table2_paper_values(self):
+        rows = table2_rows()
+
+        def row(scenario, system, n):
+            return next(r for r in rows if r[:3] == (scenario, system, n))
+
+        # §4.3: max speedup 19.95 at N=400, fanout 20
+        assert abs(row("global", "kauri", 400)[7] - 19.95) < 0.1
+        # Kauri's sending time is an order of magnitude below HotStuff's
+        for scenario, n in (("national", 100), ("regional", 100), ("global", 400)):
+            assert row(scenario, "kauri", n)[4] < row(scenario, "hotstuff-secp", n)[4] / 5
+        # the expected speedup grows with N in the global scenario (§7.4)
+        speedups = [row("global", "kauri", n)[8] for n in (100, 200, 400)]
+        assert speedups == sorted(speedups)
+        assert speedups[-1] > 15  # paper: ~30 predicted, 28.2 observed
 
 
 class TestAdaptiveDuration:

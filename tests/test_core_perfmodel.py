@@ -1,11 +1,14 @@
 """Unit tests for the §4.3 performance model."""
 
+import math
+
 import pytest
 
-from repro.config import GLOBAL, KB, NATIONAL, REGIONAL, ProtocolConfig
+from repro.config import GLOBAL, KB, NATIONAL, REGIONAL, NetworkParams, ProtocolConfig, ms
 from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS, SECP_COSTS
 from repro.errors import ConfigError
+from repro.runtime.horizon import model_for
 
 
 def kauri_model(n=100, fanout=10, height=2, params=GLOBAL, block=250 * KB):
@@ -148,6 +151,15 @@ class TestDerivedParameters:
 
     def test_suggested_delta_positive(self):
         assert kauri_model().suggested_delta() > 0
+
+    def test_infinite_bandwidth_latency_floors(self):
+        """Fig. 8's analytical floors: with infinite bandwidth HotStuff's
+        latency is below Kauri's but above a quarter of it (the paper: at
+        best half, one hop against h=2 hops per sweep)."""
+        params = NetworkParams("inf", rtt=ms(100), bandwidth_bps=math.inf)
+        kauri = model_for("kauri", 100, params, 250 * KB).instance_latency()
+        secp = model_for("hotstuff-secp", 100, params, 250 * KB).instance_latency()
+        assert 0.25 * kauri < secp < kauri
 
 
 class TestExpectedSpeedups:

@@ -50,6 +50,52 @@ def test_scenarios_run_table_prints_every_axis_value(tmp_path, monkeypatch):
     assert "simulated" in stats
 
 
+CHECKED_PACK = """
+[pack]
+name = "{name}"
+title = "Two cells, one checked claim"
+schema = 1
+
+[defaults]
+scenario = "national"
+n = 7
+duration = 4.0
+blocks = 10
+
+[[grid]]
+[grid.axes]
+mode = ["kauri", "hotstuff-secp"]
+
+[[expect]]
+kind = "ratio_at_least"
+of = {{ mode = "hotstuff-secp" }}
+to = {{ mode = "kauri" }}
+at_least = {bound}
+"""
+
+
+def test_scenarios_run_exits_on_its_expect_rows(tmp_path, monkeypatch, capsys):
+    """A row that holds exits 0; a row that cannot hold exits 1 and its
+    line names the row and the measured value; under --json the verdicts
+    go to stderr and stdout stays one JSON document."""
+    (tmp_path / "holds.toml").write_text(CHECKED_PACK.format(name="holds", bound=0.001))
+    (tmp_path / "fails.toml").write_text(CHECKED_PACK.format(name="fails", bound=1000))
+    monkeypatch.setenv("REPRO_SCENARIO_DIR", str(tmp_path))
+
+    assert main(["scenarios", "run", "holds", "--no-cache"]) == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.startswith("holds expect[0] pass: ratio_at_least throughput_txs")
+
+    assert main(["scenarios", "run", "fails", "--no-cache", "--json"]) == 1
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)
+    ratio = results[1]["throughput_txs"] / results[0]["throughput_txs"]
+    assert captured.err.splitlines()[-1] == (
+        "fails expect[0] FAIL: ratio_at_least throughput_txs mode=hotstuff-secp / "
+        f"mode=kauri: measured {ratio:.4g}; bound >= 1000"
+    )
+
+
 def test_scenarios_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["scenarios"])

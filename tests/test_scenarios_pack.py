@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.runtime.experiment import ExperimentResult
 from repro.scenarios import (
     PackError,
     catalog,
+    check_rows,
     compile_pack,
     load_pack,
     load_pack_file,
@@ -212,22 +214,6 @@ def test_expansion_order_first_axis_outermost():
     ]
 
 
-def test_axis_override_substitutes_values():
-    pack = parse_pack(make_pack(
-        defaults={"duration": 5.0, "n": 7, "scenario": "national"},
-        axes={"mode": ["kauri", "pbft"]},
-    ))
-    grid = compile_pack(pack, axes={"mode": ["hotstuff-bls"]})
-    assert [s.mode for s in grid.specs] == ["hotstuff-bls"]
-
-
-def test_unknown_axis_override_rejected():
-    pack = parse_pack(make_pack(defaults={"duration": 5.0, "n": 7, "scenario": "national"},
-                                axes={"mode": ["kauri"]}))
-    with pytest.raises(PackError, match="matches no declared axis"):
-        compile_pack(pack, axes={"modes": ["kauri"]})
-
-
 def test_composite_axis_binds_label_and_fields():
     pack = parse_pack(make_pack(
         defaults={"duration": 5.0, "n": 7, "scenario": "national",
@@ -264,3 +250,105 @@ def test_every_shipped_pack_validates():
     for name, path in catalog().items():
         grid = validate_pack(load_pack_file(path))
         assert grid.cells, name
+
+
+def test_every_figure_pack_states_its_claims():
+    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"):
+        assert load_pack(name).expect, name
+
+
+# ---------------------------------------------------------------------------
+# [[expect]] rows
+# ---------------------------------------------------------------------------
+def expect_pack(*rows):
+    """Four cells, in order: (7, kauri), (7, secp), (10, kauri), (10, secp)."""
+    data = make_pack(
+        defaults={"duration": 5.0, "scenario": "national"},
+        axes={"n": [7, 10], "mode": ["kauri", "hotstuff-secp"]},
+    )
+    data["expect"] = list(rows)
+    return parse_pack(data)
+
+
+def result(tput, p50=1.0):
+    return ExperimentResult(
+        mode="kauri", scenario="national", n=7, block_size=1, stretch=None,
+        duration=1.0, warmup=0.0, throughput_txs=tput, throughput_blocks=0.0,
+        latency={"p50": p50}, committed_blocks=1, view_changes=0, max_view=0,
+        cpu_saturated=False, leader_cpu_utilization=0.0, instance_failures=0,
+    )
+
+
+def verdicts(pack, *results):
+    return check_rows(compile_pack(pack), list(results))
+
+
+def test_expect_unknown_kind_names_pack_and_row():
+    with pytest.raises(
+        PackError, match=r"pack 't', expect\[1\]: unknown kind 'winer'; did you mean 'winner'"
+    ):
+        expect_pack({"kind": "winner", "over": "mode", "is": "kauri"},
+                    {"kind": "winer", "over": "mode", "is": "kauri"})
+
+
+def test_expect_unknown_axis_value_names_pack_and_row():
+    pack = expect_pack({"kind": "winner", "over": "mode", "is": "kauri", "where": {"n": 8}})
+    with pytest.raises(
+        PackError, match=r"pack 't', expect\[0\] \(winner\): 8 is not a value of axis 'n'"
+    ):
+        validate_pack(pack)
+
+
+def test_expect_selector_picking_several_cells_rejected():
+    pack = expect_pack({"kind": "ratio_at_least", "of": {"mode": "kauri"},
+                        "to": {"mode": "hotstuff-secp"}, "at_least": 1})
+    with pytest.raises(PackError, match=r"expect\[0\] \(ratio_at_least\): .* picks 2 cells, not one"):
+        validate_pack(pack)
+
+
+def test_expect_selector_picking_no_cell_rejected():
+    data = make_pack(defaults={"duration": 5.0, "scenario": "national"})
+    data["grid"] = [{"axes": {"n": [7], "mode": ["kauri"]}},
+                    {"axes": {"n": [10], "mode": ["hotstuff-secp"]}}]
+    data["expect"] = [{"kind": "ratio_at_least", "of": {"n": 7, "mode": "kauri"},
+                       "to": {"n": 7, "mode": "hotstuff-secp"}, "at_least": 1}]
+    with pytest.raises(PackError, match=r"pack 't', expect\[0\] .* picks 0 cells, not one"):
+        validate_pack(parse_pack(data))
+
+
+def test_expect_rows_read_the_unrounded_results():
+    pack = expect_pack(
+        {"kind": "winner", "over": "mode", "is": "kauri", "where": {"n": 7}},
+        {"kind": "ratio_at_least", "of": {"mode": "kauri"}, "to": {"mode": "hotstuff-secp"},
+         "at_least": 3, "where": {"n": 10}},
+        {"kind": "monotone_in", "over": "n", "direction": "increasing",
+         "of": {"mode": "kauri"}, "to": {"mode": "hotstuff-secp"}},
+        {"kind": "crossover_between", "metric": "latency.p50", "over": "n",
+         "lo": 7, "hi": 10, "of": {"mode": "kauri"}, "to": {"mode": "hotstuff-secp"},
+         "at_least": 4},
+        {"kind": "winner", "over": "mode", "is": "hotstuff-secp", "where": {"n": 10},
+         "known_deviation": "the star wins at this size"},
+    )
+    checked = verdicts(pack, result(200.0, p50=1.0), result(100.0, p50=2.0),
+                       result(500.0, p50=3.0), result(200.0, p50=1.5))
+    assert [v.status for v in checked] == ["pass", "FAIL", "pass", "pass", "known_deviation"]
+    assert checked[1].measured == "2.5" and checked[1].bound == ">= 3"
+    assert checked[2].measured == "7: 2, 10: 2.5"
+    assert checked[3].measured == "0.5 at 7, 2 at 10 (x4)"
+    assert checked[4].line().endswith("-- the star wins at this size")
+
+
+def test_expect_ratio_over_an_empty_cell_fails_naming_it():
+    pack = expect_pack({"kind": "ratio_at_least", "of": {"mode": "kauri"},
+                        "to": {"mode": "hotstuff-secp"}, "at_least": 1, "where": {"n": 7}})
+    (verdict,) = verdicts(pack, result(200.0), result(0.0), result(1.0), result(1.0))
+    assert verdict.status == "FAIL"
+    assert "empty cell n=7 mode=hotstuff-secp reads 0" in verdict.line()
+
+
+def test_expect_winner_skips_empty_cells_but_not_the_expected_one():
+    pack = expect_pack({"kind": "winner", "over": "mode", "is": "kauri", "where": {"n": 7}})
+    (verdict,) = verdicts(pack, result(1.0), result(0.0), result(1.0), result(1.0))
+    assert verdict.status == "pass"
+    (verdict,) = verdicts(pack, result(0.0), result(5.0), result(1.0), result(1.0))
+    assert verdict.status == "FAIL" and "empty cell n=7 mode=kauri" in verdict.measured
