@@ -76,7 +76,6 @@ def cli_commands(tmp):
         ["tune", "--n", "7"],
         ["table", "2"],
         ["fig", "3", "--scale", "0.05"],
-        ["fig", "12a"],
         ["scenarios", "list"],
         ["scenarios", "show", "smoke"],
         ["scenarios", "validate", "smoke"],

@@ -14,7 +14,7 @@ Environment knobs:
 
 Every bench prints the paper-style table it regenerates and also writes it
 to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference the
-exact rows. Figures 5-11 are not benches: their packs' ``[[expect]]`` rows
+exact rows. Figures 5-12 are not benches: their packs' ``[[expect]]`` rows
 hold the paper's claims, checked by ``repro scenarios run figN``.
 """
 

@@ -1,10 +1,9 @@
-"""Tables, the pipelining Gantt view and Figure 12.
+"""Tables, the pipelining Gantt view and the saturation marker.
 
-Tables 1-2 come from :mod:`repro.analysis.tables`, Figures 3-4 from the
-RunReport ``rounds`` of :mod:`repro.analysis.pipeline_viz`, and Figure 12 from
-:func:`fig12_reconfiguration`, whose fault placement needs the built
-cluster's leader schedule. Every other evaluation figure is a scenario
-pack under ``scenarios/``, run with ``repro scenarios run <pack>`` or
+Tables 1-2 come from :mod:`repro.analysis.tables` and Figures 3-4 from the
+RunReport ``rounds`` of :mod:`repro.analysis.pipeline_viz`. Every other
+evaluation figure, Figure 12 included, is a scenario pack under
+``scenarios/``, run with ``repro scenarios run <pack>`` or
 :func:`repro.scenarios.run_pack`. EXPERIMENTS.md records
 paper-vs-measured. ``format_table`` is the CLI's text renderer
 (:mod:`repro.cli`), re-exported for the benchmark scripts and examples.
@@ -18,11 +17,7 @@ from repro.analysis.pipeline_viz import (
     pipeline_rounds,
     render_gantt,
 )
-from repro.analysis.figures import (
-    RED_CIRCLE,
-    fig12_reconfiguration,
-    saturation_marker,
-)
+from repro.analysis.figures import RED_CIRCLE, saturation_marker
 
 __all__ = [
     "format_table",
@@ -35,5 +30,4 @@ __all__ = [
     "max_concurrency",
     "RED_CIRCLE",
     "saturation_marker",
-    "fig12_reconfiguration",
 ]

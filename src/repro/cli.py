@@ -8,8 +8,8 @@ Commands:
 - ``model``  -- evaluate the §4.3 performance model for a deployment.
 - ``tune``   -- automatic configuration search (§8 future work).
 - ``table``  -- regenerate Table 1 or Table 2.
-- ``fig``    -- the figures that need a built cluster: Figure 3's
-  pipelining Gantt and Figure 12's reconfiguration runs.
+- ``fig``    -- Figure 3's pipelining Gantt, which traces a built
+  cluster's messages.
 - ``scenarios`` -- list / show / validate / run the declarative scenario
   packs checked in under ``scenarios/`` (every other evaluation figure);
   ``run`` prints a verdict per ``[[expect]]`` row of the pack and exits 1
@@ -23,7 +23,7 @@ Examples::
     python -m repro model --n 400 --scenario global
     python -m repro tune --n 400 --scenario global --objective throughput
     python -m repro table 2
-    python -m repro fig 12a
+    python -m repro fig 3
     python -m repro scenarios validate
     python -m repro scenarios run fig7 --scale 0.3
     python -m repro scenarios run smoke --report run_report.json
@@ -293,10 +293,10 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-#: The figures no scenario pack can express: Figure 3 traces a built
-#: cluster's messages and Figure 12 places faults by its leader schedule.
-#: Every other figure runs as ``repro scenarios run <pack>``.
-FIG_CHOICES = ["3", "12a", "12b", "12c"]
+#: The figure no scenario pack can express: Figure 3 traces a built
+#: cluster's messages. Every other figure runs as
+#: ``repro scenarios run <pack>``.
+FIG_CHOICES = ["3"]
 
 
 def _add_engine_args(p) -> None:
@@ -312,7 +312,7 @@ def _add_engine_args(p) -> None:
 def _add_fig_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "fig",
-        help="Figure 3 or 12 (the others: `repro scenarios run <pack>`)",
+        help="Figure 3 (the others: `repro scenarios run <pack>`)",
     )
     p.add_argument("figure", choices=FIG_CHOICES)
     p.add_argument("--scale", type=float, default=0.3,
@@ -321,30 +321,13 @@ def _add_fig_parser(subparsers) -> None:
 
 
 def _cmd_fig(args) -> int:
-    if args.figure == "3":
-        from repro.analysis.pipeline_viz import pipeline_chart, pipeline_rounds
+    from repro.analysis.pipeline_viz import pipeline_chart, pipeline_rounds
 
-        for mode in ("kauri", "hotstuff-bls", "kauri-np"):
-            rows = pipeline_rounds(
-                mode, duration=60.0 * max(args.scale, 0.2), max_commits=30
-            )
-            print("\n" + pipeline_chart(mode, rows))
-        return 0
-    from repro.analysis.figures import fig12_reconfiguration
-
-    case = {"12a": "leader", "12b": "three-leaders", "12c": "internal+leaders"}[
-        args.figure
-    ]
-    scenario = "national" if args.figure == "12c" else "global"
-    duration = {"12a": 100.0, "12b": 160.0, "12c": 700.0}[args.figure]
-    run = fig12_reconfiguration(
-        case, scenario=scenario, duration=duration, bucket=5.0
-    )
-    print(format_table(("t (s)", "tx/s"), run.timeseries,
-                       title=f"Figure {args.figure}: {case}"))
-    print(f"reconfigurations: {run.max_view}; "
-          f"final topology: {'star' if run.final_is_star else 'tree'}; "
-          f"recovery gap: {run.recovery_gap}")
+    for mode in ("kauri", "hotstuff-bls", "kauri-np"):
+        rows = pipeline_rounds(
+            mode, duration=60.0 * max(args.scale, 0.2), max_commits=30
+        )
+        print("\n" + pipeline_chart(mode, rows))
     return 0
 
 

@@ -13,7 +13,9 @@ rather than re-deriving any of them.
 Value-level validation lives here (the loader is structural): unknown
 modes list the registry, unknown scenarios list the catalog, and fault
 schedules that exceed the deployment's resilience are rejected as an
-impossible quorum.
+impossible quorum. A fault placed by role (``{leaders = K, at = T}``) is
+resolved here, through the deployment's own topology policy, to the
+explicit ``(node, time)`` pairs a hand-written list would give.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from repro.config import (
     ms,
     resilientdb_clusters,
 )
-from repro.core.modes import MODES
-from repro.errors import ConfigError
+from repro.core.modes import MODES, mode_spec
+from repro.errors import ConfigError, TopologyError
+from repro.runtime.cluster import build_policy
 from repro.runtime.horizon import adaptive_duration
 from repro.runtime.sweep import ExperimentSpec, Scenario
 from repro.runtime.workload import WorkloadSpec
@@ -171,8 +174,8 @@ class ResolvedRow:
 
     row: ExpectRow
     #: One ``(over value, of cell, to cell)`` per point the row reads: the
-    #: value is None for ``ratio_at_least``, the ``to`` cell None when the
-    #: row reads no ratio.
+    #: value is None for a row with no ``over`` axis, the ``to`` cell None
+    #: when the row reads no ratio.
     points: Tuple[Tuple[Any, int, Optional[int]], ...]
 
 
@@ -188,14 +191,6 @@ class CompiledGrid:
     @property
     def specs(self) -> List[ExperimentSpec]:
         return [cell.spec for cell in self.cells]
-
-    def labels(self) -> List[str]:
-        """Unique cell labels in first-seen order (figure series)."""
-        seen: List[str] = []
-        for cell in self.cells:
-            if cell.label is not None and cell.label not in seen:
-                seen.append(cell.label)
-        return seen
 
 
 def axis_value(cell: CompiledCell, axis: str) -> Any:
@@ -265,7 +260,7 @@ def _resolve_row(
     where = f"pack {pack.name!r}, expect[{row.index}] ({row.kind})"
     for axis in {**row.where, **row.of, **(row.to or {})}:
         _check_axis(pack, axis, where)
-    if row.over is None:  # ratio_at_least: one point
+    if row.over is None:  # ratio_at_least, between: one point
         values: List[Any] = [None]
     else:
         _check_axis(pack, row.over, where)
@@ -289,6 +284,35 @@ def _resolve_row(
 def _expect(condition: bool, where: str, message: str) -> None:
     if not condition:
         raise PackError(f"{where}: {message}")
+
+
+def _leaders(
+    count: Any,
+    mode: str,
+    scenario: Scenario,
+    n: int,
+    height: int,
+    root_fanout: Optional[int],
+    where: str,
+) -> List[int]:
+    """The distinct leaders of views 0, 1, 2, ... until ``count`` are
+    chosen, from the policy :class:`~repro.runtime.cluster.Cluster` builds
+    for this deployment: the processes a ``{leaders = K}`` fault crashes."""
+    _expect(isinstance(count, int) and not isinstance(count, bool) and count >= 1,
+            where, f"fault 'leaders' must be a positive integer, got {count!r}")
+    try:
+        policy = build_policy(mode_spec(mode), scenario, n, height, root_fanout)
+    except TopologyError as exc:
+        raise PackError(f"{where}: {exc}") from None
+    chosen: List[int] = []
+    # Every process leads one view of a cycle, so the walk ends.
+    for view in range(policy.cycle_length):
+        if len(chosen) == count:
+            break
+        leader = policy.leader_of(view)
+        if leader not in chosen:
+            chosen.append(leader)
+    return chosen
 
 
 def _build_spec(
@@ -324,27 +348,38 @@ def _build_spec(
     _expect(n is not None, where, "cell does not resolve 'n'")
     _expect(isinstance(n, int) and n >= 1, where, f"n must be a positive integer, got {n!r}")
 
+    height = merged.get("height", 2)
+    _expect(isinstance(height, int) and height >= 1, where,
+            f"height must be a positive integer, got {height!r}")
+
     faults = merged.get("faults", [])
     crashes: List[Tuple[int, float]] = []
     _expect(isinstance(faults, list), where, "'faults' must be a list")
     for entry in faults:
         if isinstance(entry, Mapping):
-            _check_keys(entry, ("node", "at"), f"{where} faults")
-            _expect("node" in entry and "at" in entry, where,
-                    "each fault table needs 'node' and 'at'")
-            node, when = entry["node"], entry["at"]
+            _check_keys(entry, ("node", "leaders", "at"), f"{where} faults")
+            _expect(("node" in entry) != ("leaders" in entry) and "at" in entry,
+                    where, "each fault table needs 'at' and one of 'node' or 'leaders'")
+            when = entry["at"]
+            if "node" in entry:
+                nodes = [entry["node"]]
+            else:
+                nodes = _leaders(entry["leaders"], mode, scenario, n, height,
+                                 merged.get("root_fanout"), where)
         elif isinstance(entry, (list, tuple)) and len(entry) == 2:
             node, when = entry
+            nodes = [node]
         else:
             raise PackError(
-                f"{where}: each fault must be [node, at_seconds] or "
-                f"{{node=..., at=...}}, got {entry!r}"
+                f"{where}: each fault must be [node, at_seconds], "
+                f"{{node=..., at=...}} or {{leaders=..., at=...}}, got {entry!r}"
             )
-        _expect(isinstance(node, int) and 0 <= node < n, where,
-                f"fault node {node!r} outside 0..{n - 1}")
+        for node in nodes:
+            _expect(isinstance(node, int) and 0 <= node < n, where,
+                    f"fault node {node!r} outside 0..{n - 1}")
         _expect(isinstance(when, (int, float)) and when >= 0, where,
                 f"fault time {when!r} must be a non-negative number")
-        crashes.append((node, scale * float(when)))
+        crashes.extend((node, scale * float(when)) for node in nodes)
     if crashes:
         f = max_faults(n)
         if len(crashes) > f:
@@ -369,10 +404,6 @@ def _build_spec(
             config = ProtocolConfig(**dict(config_raw))
         except (ConfigError, TypeError) as exc:
             raise PackError(f"{where} [config]: {exc}") from None
-
-    height = merged.get("height", 2)
-    _expect(isinstance(height, int) and height >= 1, where,
-            f"height must be a positive integer, got {height!r}")
 
     duration_raw = merged.get("duration")
     _expect(duration_raw is not None, where,

@@ -6,7 +6,7 @@ fields -- the numbers :func:`repro.obs.report.report_sections` computed --
 and returns one :class:`Verdict` per row. A cell whose metric reads 0
 committed nothing in its window and holds no measurement: a row that needs
 it fails and names it (a ``winner`` row skips it unless it is the expected
-winner).
+winner). ``max_view`` counts view changes, so its 0 is a measurement.
 """
 
 from __future__ import annotations
@@ -105,11 +105,18 @@ def _crossover_between(row: ExpectRow, points, value: PointValue) -> Tuple[bool,
     return lo < 1 < hi and hi / lo >= row.args.get("at_least", 1.0), measured
 
 
+def _between(row: ExpectRow, points, value: PointValue) -> Tuple[bool, str]:
+    ((_, num, _),) = points
+    measured = value(num, None)
+    return row.args["lo"] <= measured <= row.args["hi"], _num(measured)
+
+
 _KINDS = {
     "winner": _winner,
     "ratio_at_least": _ratio_at_least,
     "monotone_in": _monotone_in,
     "crossover_between": _crossover_between,
+    "between": _between,
 }
 
 
@@ -120,6 +127,8 @@ def _bound(row: ExpectRow) -> str:
         return f">= {_num(row.args['at_least'])}"
     if row.kind == "monotone_in":
         return f"strictly {row.args['direction']}"
+    if row.kind == "between":
+        return f"in [{_num(row.args['lo'])}, {_num(row.args['hi'])}]"
     return f"< 1 then > 1, x >= {_num(row.args.get('at_least', 1.0))}"
 
 
@@ -145,7 +154,7 @@ def _verdict(
     def read(index: int) -> float:
         measured = getattr(results[index], field)
         measured = measured[key] if key else measured
-        if not measured:
+        if not measured and field != "max_view":
             raise _Empty(index)
         return measured
 

@@ -23,7 +23,7 @@ The format::
     mode = ["kauri", "hotstuff-secp"]
 
     [[expect]]                 # optional: one checked claim per row
-    kind = "winner"            # or ratio_at_least / monotone_in / crossover_between
+    kind = "winner"            # or ratio_at_least / monotone_in / crossover_between / between
     over = "mode"
     is = "kauri"
     where = { scenario = "global", n = 100 }
@@ -31,6 +31,15 @@ The format::
 Axis values are either scalars binding the axis's own field, or tables
 binding several fields at once (a *composite* axis, e.g. a ``system`` axis
 binding ``label``/``mode``/``height`` together).
+
+A cell's ``faults`` list crashes processes. An entry names a node
+(``[node, at]`` or ``{node = ..., at = ...}``) or a role: ``{leaders = K,
+at = T}`` crashes, at T, the distinct leaders of views 0, 1, 2, ... until
+K processes are chosen -- the leaders a run of that cell would walk
+through on successive view changes. Figure 12's four placements (one
+faulty leader, three, f leaders, and f faults poisoning every bin and then
+the first star leaders) are the leaders of the first K views, K = 1, 3, f
+and f: each bin's tree root is the leader of its view.
 
 An ``[[expect]]`` row states a claim about the results, and ``repro
 scenarios run`` prints its verdict after the results table. A row names
@@ -49,7 +58,8 @@ of its ``to`` cell when the row has one. The kinds:
   or ``"decreasing"``) along axis ``over``;
 - ``crossover_between``: ``of`` / ``to`` is below 1 at ``over = lo`` and
   above 1 at ``over = hi``, and grows by at least ``at_least`` (default 1)
-  between the two.
+  between the two;
+- ``between``: the ``of`` cell's value lies in the numbers ``[lo, hi]``.
 
 A row may carry ``known_deviation = "reason"``: it is still measured, but
 if it fails its verdict is ``known_deviation`` with that reason, and the
@@ -99,7 +109,7 @@ CELL_FIELDS: Dict[str, str] = {
     "lanes": "uplink lanes per process",
     "observability": "attach a full RunReport to every result",
     "saturation_threshold": "CPU-saturation flag threshold",
-    "faults": "crash schedule: list of [node, at_seconds] pairs",
+    "faults": "crash schedule: [node, at_seconds] pairs or {leaders=K, at=...} tables",
     "config": "ProtocolConfig overrides (base_timeout, tx_size, ...)",
     "workload": "workload-engine table (classes, capacity_txs, policy, ...)",
 }
@@ -111,10 +121,11 @@ EXPECT_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "ratio_at_least": (("of", "to", "at_least"), ()),
     "monotone_in": (("over", "direction"), ("of", "to")),
     "crossover_between": (("over", "lo", "hi", "of", "to"), ("at_least",)),
+    "between": (("of", "lo", "hi"), ()),
 }
 
 #: The result fields a row may read; ``latency.p50`` reads ``latency["p50"]``.
-EXPECT_METRICS = ("throughput_txs", "latency.p50")
+EXPECT_METRICS = ("throughput_txs", "latency.p50", "max_view")
 
 #: Keys allowed inside a ``scenario`` table.
 SCENARIO_KEYS = ("name", "base", "clusters", "per_cluster", "rtt_ms", "bandwidth_mbps")
@@ -242,6 +253,13 @@ def _parse_row(pack: str, index: int, raw: Any) -> ExpectRow:
         isinstance(raw["at_least"], (int, float)) and raw["at_least"] > 0
     ):
         raise PackError(f"{where}: 'at_least' must be a positive number")
+    if kind == "between" and not all(
+        isinstance(raw[key], (int, float)) and not isinstance(raw[key], bool)
+        for key in ("lo", "hi")
+    ):
+        raise PackError(f"{where}: 'lo' and 'hi' must be numbers")
+    if kind == "between" and raw["lo"] > raw["hi"]:
+        raise PackError(f"{where}: 'lo' {raw['lo']!r} exceeds 'hi' {raw['hi']!r}")
     if raw.get("direction", "increasing") not in ("increasing", "decreasing"):
         raise PackError(f"{where}: 'direction' must be 'increasing' or 'decreasing'")
     reason = raw.get("known_deviation")

@@ -1,21 +1,17 @@
 """Tests for the analysis layer: tables, formatting, adaptive horizons and
 Figure 12.
 
-Figure 12 runs at miniature scale here; the full-scale paper
-reproduction lives in benchmarks/.
+Figure 12 runs here as a miniature N=13 pack with leader-placed faults;
+the full-scale reproduction is ``repro scenarios run fig12``.
 """
 
 import pytest
 
-from repro.analysis import (
-    fig12_reconfiguration,
-    format_table,
-    table1_rows,
-    table2_rows,
-)
+from repro.analysis import format_table, table1_rows, table2_rows
 from repro.analysis.tables import TABLE1_HEADERS, TABLE2_HEADERS
 from repro.config import GLOBAL, KB, NATIONAL, max_faults
 from repro.runtime.horizon import adaptive_duration
+from repro.scenarios import PackError, check_rows, compile_pack, parse_pack, run_pack
 from repro.topology.reconfig import ReconfigurationPolicy
 
 
@@ -87,26 +83,42 @@ class TestAdaptiveDuration:
         )
 
 
+def fig12_pack(faults, duration, *rows):
+    """Figure 12 in miniature: kauri, N=13 (f=4, 3 bins), national, one
+    cell measured over the last 40% of the run."""
+    return parse_pack({
+        "pack": {"name": "fig12-small", "title": "t", "schema": 1},
+        "defaults": {"mode": "kauri", "scenario": "national", "n": 13,
+                     "duration": duration, "warmup_fraction": 0.6},
+        "grid": [{"axes": {"fault": [{"label": "faulty", "faults": faults}]}}],
+        "expect": [{"of": {"fault": "faulty"}, **row} for row in rows],
+    })
+
+
 class TestFigureGeneratorsSmoke:
     """Miniature runs: structure and basic sanity only."""
 
     def test_fig12_case_validation(self):
-        with pytest.raises(ValueError):
-            fig12_reconfiguration("meteor-strike", n=13, scenario="national")
+        pack = fig12_pack([{"meteor-strike": 1, "at": 10.0}], 30.0)
+        with pytest.raises(PackError, match="unknown key 'meteor-strike'"):
+            compile_pack(pack)
 
     def test_fig12_leader_case_small(self):
-        run = fig12_reconfiguration(
-            "leader", n=13, scenario="national", fault_time=10.0, duration=30.0
-        )
-        assert run.max_view == 1
-        assert len(run.faulty) == 1
-        assert run.recovery_gap is not None
-        assert not run.final_is_star
+        # One reconfiguration, to the next bin's tree (1 < m = 3) ...
+        pack = fig12_pack([{"leaders": 1, "at": 10.0}], 30.0,
+                          {"kind": "between", "metric": "max_view", "lo": 1, "hi": 1})
+        grid, (result,) = run_pack(pack, jobs=1)
+        assert len(grid.specs[0].crashes) == 1
+        assert [v.status for v in check_rows(grid, [result])] == ["pass"]
+        # ... which commits again.
+        assert result.throughput_txs > 0
 
     def test_fig12_f_leaders_small(self):
-        run = fig12_reconfiguration(
-            "f-leaders", n=13, scenario="national", fault_time=10.0, duration=200.0
-        )
-        assert len(run.faulty) == 4  # f for n=13
-        assert run.max_view > 1
-        assert run.recovery_gap is not None
+        # f faults walk past every bin to a star (view >= m = 3) within
+        # m + f + 1 = 8 reconfigurations, and the star commits.
+        pack = fig12_pack([{"leaders": 4, "at": 10.0}], 200.0,
+                          {"kind": "between", "metric": "max_view", "lo": 3, "hi": 8})
+        grid, (result,) = run_pack(pack, jobs=1)
+        assert len(grid.specs[0].crashes) == 4  # f for n=13
+        assert [v.status for v in check_rows(grid, [result])] == ["pass"]
+        assert result.throughput_txs > 0

@@ -211,10 +211,18 @@ def test_fig3_gantt():
 
 def test_fig_runs_only_the_cluster_built_figures():
     # Every pack-backed figure runs as `repro scenarios run <pack>`.
-    assert FIG_CHOICES == ["3", "12a", "12b", "12c"]
+    assert FIG_CHOICES == ["3"]
     with pytest.raises(SystemExit) as exc:
         main(["fig", "7"])
     assert exc.value.code == 2
+
+
+def test_fig_12a_is_a_pack_now(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig", "12a"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "12a" in err
 
 
 CAPACITY = ["capacity", "--n", "4", "--users", "100", "--points", "2",

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.config import max_faults
+from repro.core.modes import mode_spec
 from repro.errors import ConfigError
+from repro.runtime.cluster import build_policy
 from repro.runtime.experiment import ExperimentResult
 from repro.scenarios import (
     PackError,
@@ -200,6 +203,71 @@ def test_fault_times_scale_with_compile_scale():
     assert grid.specs[0].duration == pytest.approx(20.0)
 
 
+def leader_fault_pack(mode="kauri", **fault):
+    return parse_pack(make_pack(defaults={
+        "n": 13, "duration": 40.0, "mode": mode, "scenario": "national",
+        "faults": [fault],
+    }))
+
+
+@pytest.mark.parametrize("mode", ["kauri", "hotstuff-bls"])
+def test_leader_faults_resolve_to_the_policys_leader_order(mode):
+    policy = build_policy(mode_spec(mode), "national", 13, 2, None)
+    leaders = [policy.leader_of(view) for view in range(3)]
+    assert len(set(leaders)) == 3
+    grid = compile_pack(leader_fault_pack(mode, leaders=3, at=20.0), scale=0.5)
+    assert grid.specs[0].crashes == tuple((node, 10.0) for node in leaders)
+
+
+def test_more_leader_faults_than_f_is_an_impossible_quorum():
+    # N=13 tolerates f=4.
+    with pytest.raises(PackError, match="impossible quorum: 5 crash faults"):
+        compile_pack(leader_fault_pack(leaders=5, at=20.0))
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5, "3", True])
+def test_leader_fault_count_must_be_a_positive_integer(count):
+    with pytest.raises(PackError, match="'leaders' must be a positive integer"):
+        compile_pack(leader_fault_pack(leaders=count, at=20.0))
+
+
+def test_leader_faults_without_a_topology_name_the_cell():
+    pack = parse_pack(make_pack(defaults={
+        "n": 1, "duration": 40.0, "mode": "kauri", "scenario": "national",
+        "faults": [{"leaders": 1, "at": 20.0}],
+    }))
+    with pytest.raises(PackError, match="cell 0: need at least two processes"):
+        compile_pack(pack)
+
+
+def test_misspelt_fault_key_suggests_close_match():
+    with pytest.raises(PackError, match="unknown key 'leader'; did you mean 'leaders'"):
+        compile_pack(leader_fault_pack(leader=1, at=20.0))
+
+
+def test_leader_placed_cell_is_the_explicit_list_cell():
+    (role,) = compile_pack(leader_fault_pack(leaders=4, at=20.0)).specs
+    explicit = parse_pack(make_pack(defaults={
+        "n": 13, "duration": 40.0, "mode": "kauri", "scenario": "national",
+        "faults": [[node, 20.0] for node, _ in role.crashes],
+    }))
+    (spec,) = compile_pack(explicit).specs
+    assert role == spec
+    assert role.key() == spec.key()
+
+
+def test_fig12_between_bounds_are_the_policys():
+    """12c's bounds are m (a star from there on) and §5.3's m + f + 1;
+    12a's and 12b's single counts stay below m, on trees."""
+    policy = build_policy(mode_spec("kauri"), "national", 100, 2, None)
+    f = max_faults(100)
+    bounds = [(row.args["lo"], row.args["hi"])
+              for row in load_pack("fig12").expect if row.kind == "between"]
+    assert bounds == [(1, 1), (3, 3),
+                      (policy.num_bins, policy.worst_case_reconfigurations(f))]
+    assert 3 < policy.num_bins
+
+
 # ---------------------------------------------------------------------------
 # grid expansion
 # ---------------------------------------------------------------------------
@@ -224,7 +292,7 @@ def test_composite_axis_binds_label_and_fields():
         ]},
     ))
     grid = compile_pack(pack)
-    assert grid.labels() == ["kauri-h2", "kauri-h3"]
+    assert [c.bindings["height"] for c in grid.cells] == [2, 3]
     assert [(c.label, c.spec.height) for c in grid.cells] == [
         ("kauri-h2", 2), ("kauri-h3", 3),
     ]
@@ -236,7 +304,7 @@ def test_composite_axis_binds_label_and_fields():
 def test_catalog_lists_shipped_packs():
     names = pack_names()
     for expected in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                     "depth", "wan-geo", "flash-crowd", "cascading-faults",
+                     "fig12", "depth", "wan-geo", "flash-crowd", "cascading-faults",
                      "churn", "scenario-comparison", "smoke"):
         assert expected in names, expected
 
@@ -253,7 +321,7 @@ def test_every_shipped_pack_validates():
 
 
 def test_every_figure_pack_states_its_claims():
-    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"):
+    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"):
         assert load_pack(name).expect, name
 
 
@@ -352,3 +420,27 @@ def test_expect_winner_skips_empty_cells_but_not_the_expected_one():
     assert verdict.status == "pass"
     (verdict,) = verdicts(pack, result(0.0), result(5.0), result(1.0), result(1.0))
     assert verdict.status == "FAIL" and "empty cell n=7 mode=kauri" in verdict.measured
+
+
+def test_expect_between_bounds_one_cell_and_a_zero_count_is_measured():
+    pack = expect_pack(
+        {"kind": "between", "metric": "max_view", "of": {"n": 7, "mode": "kauri"},
+         "lo": 0, "hi": 0},
+        {"kind": "between", "metric": "max_view", "of": {"n": 10, "mode": "kauri"},
+         "lo": 1, "hi": 3},
+    )
+    quiet, faulted = result(1.0), result(1.0)
+    faulted.max_view = 4
+    checked = verdicts(pack, quiet, result(1.0), faulted, result(1.0))
+    assert [v.status for v in checked] == ["pass", "FAIL"]
+    assert checked[0].measured == "0" and checked[1].bound == "in [1, 3]"
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"lo": 3, "hi": 1}, "'lo' 3 exceeds 'hi' 1"),
+    ({"lo": "1", "hi": 3}, "'lo' and 'hi' must be numbers"),
+])
+def test_expect_between_bounds_checked(bounds, message):
+    with pytest.raises(PackError, match=message):
+        expect_pack({"kind": "between", "metric": "max_view",
+                     "of": {"n": 7, "mode": "kauri"}, **bounds})

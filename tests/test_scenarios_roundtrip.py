@@ -144,7 +144,9 @@ def test_fig10_pack_matches_inline_grid(scale):
         for _, mode, height in systems
     ]
     assert_identical(grid, inline)
-    assert grid.labels() == [label for label, _, _ in systems]
+    assert [cell.label for cell in grid.cells] == [
+        label for bw in (25, 50, 100, 1000) for label, _, _ in systems
+    ]
 
 
 @pytest.mark.parametrize("scale", SCALES)
