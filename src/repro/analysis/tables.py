@@ -8,10 +8,9 @@ properties the paper attributes to them (§1).
 
 Table 2 evaluates the §4.3 performance model per scenario -- processing,
 sending and remaining time, the ideal pipelining stretch, and the expected
-speedup over HotStuff-secp -- exactly the quantities the paper tabulates.
-:func:`table2_measured_rows` re-runs the same grid through the sweep
-engine (:mod:`repro.runtime.sweep`) and reports measured throughput and
-the measured speedup next to the model's expectation.
+speedup over HotStuff-secp -- exactly the quantities the paper tabulates. The measured side of that
+comparison is ``scenarios/fig6.toml``: its ratio rows and its
+``model_ratio`` rows check the simulated speedups and the model's accuracy.
 """
 
 from __future__ import annotations
@@ -158,86 +157,4 @@ def table2_rows(
                     round(expected_speedup, 1),
                 )
             )
-    return rows
-
-
-TABLE2_MEASURED_HEADERS = (
-    "Scenario",
-    "System",
-    "N",
-    "Stretch",
-    "Expected speedup",
-    "Measured Ktx/s",
-    "Measured speedup",
-)
-
-
-def table2_measured_rows(
-    block_size: int = 250 * KB,
-    configs: Optional[List[Tuple[str, NetworkParams, int]]] = None,
-    scale: float = 0.3,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    use_cache: bool = False,
-) -> List[Tuple]:
-    """Table 2's grid, simulated: model expectation vs measured speedup.
-
-    Builds one :class:`~repro.runtime.sweep.ExperimentSpec` per
-    (scenario, system, N) cell and runs the grid through a
-    :class:`~repro.runtime.sweep.SweepRunner` (``jobs`` workers, optional
-    result cache), mirroring the paper's predicted-vs-observed comparison.
-    """
-    from repro.runtime.horizon import adaptive_duration
-    from repro.runtime.sweep import ExperimentSpec, SweepRunner
-
-    if configs is None:
-        configs = [
-            ("national", NATIONAL, 100),
-            ("regional", REGIONAL, 100),
-            ("global", GLOBAL, 100),
-            ("global", GLOBAL, 200),
-        ]
-    cells = [
-        (name, params, n, system)
-        for name, params, n in configs
-        for system in ("hotstuff-secp", "kauri")
-    ]
-    specs = [
-        ExperimentSpec(
-            mode=system,
-            scenario=params,
-            n=n,
-            block_size=block_size,
-            duration=adaptive_duration(system, n, params, block_size, scale=scale),
-            max_commits=int(150 * scale) or 15,
-            seed=seed,
-        )
-        for name, params, n, system in cells
-    ]
-    results = SweepRunner(jobs=jobs, cache=use_cache).run(specs)
-    measured = {
-        (name, n, system): result.throughput_txs
-        for (name, params, n, system), result in zip(cells, results)
-    }
-    rows = []
-    for (name, params, n, system), result in zip(cells, results):
-        model = _model(system, n, params, block_size)
-        hotstuff = _model("hotstuff-secp", n, params, block_size)
-        expected = (
-            hotstuff.bottleneck_time / model.bottleneck_time
-            if system == "kauri"
-            else 1.0
-        )
-        baseline = measured[(name, n, "hotstuff-secp")]
-        rows.append(
-            (
-                name,
-                system,
-                n,
-                round(model.pipelining_stretch, 1),
-                round(expected, 1),
-                round(result.throughput_txs / 1000.0, 3),
-                round(result.throughput_txs / max(baseline, 1e-9), 1),
-            )
-        )
     return rows

@@ -7,7 +7,7 @@ Commands:
   (per-node utilization, saturation flags, phase spans).
 - ``model``  -- evaluate the §4.3 performance model for a deployment.
 - ``tune``   -- automatic configuration search (§8 future work).
-- ``table``  -- regenerate Table 1 or Table 2.
+- ``table``  -- regenerate Table 1 or Table 2 (the §4.3 model's terms).
 - ``fig``    -- Figure 3's pipelining Gantt, which traces a built
   cluster's messages.
 - ``scenarios`` -- list / show / validate / run the declarative scenario
@@ -240,32 +240,18 @@ def _add_table_parser(subparsers) -> None:
     p = subparsers.add_parser("table", help="regenerate a paper table")
     p.add_argument("number", choices=["1", "2"])
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--measured", action="store_true",
-                   help="table 2 only: simulate the grid through the sweep "
-                        "engine and report measured vs expected speedups")
-    p.add_argument("--scale", type=float, default=0.3,
-                   help="horizon scale for --measured runs")
-    _add_engine_args(p)
 
 
 def _cmd_table(args) -> int:
     from repro.analysis.tables import (
         TABLE1_HEADERS,
         TABLE2_HEADERS,
-        TABLE2_MEASURED_HEADERS,
         table1_rows,
-        table2_measured_rows,
         table2_rows,
     )
 
     if args.number == "1":
         print(format_table(TABLE1_HEADERS, table1_rows(n=args.n), title="Table 1"))
-    elif args.measured:
-        rows = table2_measured_rows(
-            scale=args.scale, jobs=args.jobs, use_cache=not args.no_cache
-        )
-        print(format_table(TABLE2_MEASURED_HEADERS, rows,
-                           title="Table 2 (measured)"))
     else:
         print(format_table(TABLE2_HEADERS, table2_rows(), title="Table 2"))
     return 0
@@ -292,6 +278,11 @@ def _cmd_modes(args) -> int:
     ))
     return 0
 
+
+#: The paper's marker for "data point obtained in a saturated testbed": the
+#: ``scenarios run`` table puts it on a cell whose leader CPU saturated over
+#: the measurement window.
+RED_CIRCLE = "●"
 
 #: The figure no scenario pack can express: Figure 3 traces a built
 #: cluster's messages. Every other figure runs as
@@ -497,7 +488,6 @@ def _cmd_scenarios(args) -> int:
         return 0
 
     # run
-    from repro.analysis.figures import saturation_marker
     from repro.runtime.sweep import SweepRunner
     from repro.scenarios import check_rows, run_pack
 
@@ -520,7 +510,7 @@ def _cmd_scenarios(args) -> int:
                 *(_axis_value(cell, axis) for axis in axes),
                 round(r.throughput_txs / 1000, 2),
                 round(r.latency["p50"] * 1000, 0),
-                saturation_marker(r),
+                RED_CIRCLE if r.cpu_saturated else "",
             )
             for cell, r in zip(grid.cells, results)
         ]

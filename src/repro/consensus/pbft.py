@@ -4,7 +4,7 @@ The paper's Table 1 contrasts Kauri with PBFT's communication pattern:
 "organizes participants in a clique and uses an all-to-all communication
 pattern that incurs in a quadratic message complexity". This module
 implements that pattern on the same substrate so the contrast is measured,
-not asserted (see ``benchmarks/bench_message_complexity.py``):
+not asserted (see ``tests/test_analysis.py::TestMessageComplexity``):
 
 - *pre-prepare*: the primary broadcasts the block to all replicas;
 - *prepare*: every replica broadcasts its prepare vote to **all** others,

@@ -1,12 +1,12 @@
-"""Adaptive simulation horizons, shared by packs, tables, and the CLI.
+"""Adaptive simulation horizons and the §4.3 model of one deployment.
 
-Every grid-shaped artifact (the scenario packs behind the paper figures,
-``table 2 --measured``, the ``sweep`` command) sizes each cell's simulated
-horizon from the §4.3 performance model: slow configurations need longer
-windows to commit a meaningful number of blocks, fast ones are capped by
-``max_commits``. This module is the single home of that rule so every
-grid lowers to *byte-identical*
-:class:`~repro.runtime.sweep.ExperimentSpec` durations.
+Every scenario pack cell with ``duration = "adaptive"`` sizes its
+simulated horizon from the §4.3 performance model: slow configurations
+need longer windows to commit a meaningful number of blocks, fast ones are
+capped by ``max_commits``. This module is the single home of that rule so
+every grid lowers to *byte-identical*
+:class:`~repro.runtime.sweep.ExperimentSpec` durations. :func:`model_for`
+is also the prediction a pack's ``model_ratio`` rows divide by.
 """
 
 from __future__ import annotations

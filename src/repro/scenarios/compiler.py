@@ -15,7 +15,9 @@ modes list the registry, unknown scenarios list the catalog, and fault
 schedules that exceed the deployment's resilience are rejected as an
 impossible quorum. A fault placed by role (``{leaders = K, at = T}``) is
 resolved here, through the deployment's own topology policy, to the
-explicit ``(node, time)`` pairs a hand-written list would give.
+explicit ``(node, time)`` pairs a hand-written list would give. A
+``model_ratio`` row's cells get their §4.3 model prediction here too, and a
+cell the model cannot describe (a cluster scenario) is rejected.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.config import (
 from repro.core.modes import MODES, mode_spec
 from repro.errors import ConfigError, TopologyError
 from repro.runtime.cluster import build_policy
-from repro.runtime.horizon import adaptive_duration
+from repro.runtime.horizon import adaptive_duration, model_for
 from repro.runtime.sweep import ExperimentSpec, Scenario
 from repro.runtime.workload import WorkloadSpec
 from repro.scenarios.loader import (
@@ -177,6 +179,8 @@ class ResolvedRow:
     #: value is None for a row with no ``over`` axis, the ``to`` cell None
     #: when the row reads no ratio.
     points: Tuple[Tuple[Any, int, Optional[int]], ...]
+    #: For a ``model_ratio`` row, each read cell's predicted tx/s by index.
+    predicted: Dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -278,7 +282,31 @@ def _resolve_row(
             _pick(pack, cells, {**base, **row.of}, where),
             None if row.to is None else _pick(pack, cells, {**base, **row.to}, where),
         ))
-    return ResolvedRow(row=row, points=tuple(points))
+    predicted: Dict[int, float] = {}
+    if row.metric == "model_ratio":
+        read = {i for _, num, den in points for i in (num, den) if i is not None}
+        predicted = {i: _predicted_txs(pack, cells[i], where) for i in sorted(read)}
+    return ResolvedRow(row=row, points=tuple(points), predicted=predicted)
+
+
+def _predicted_txs(pack: ScenarioPack, cell: CompiledCell, where: str) -> float:
+    """The §4.3 model's throughput for ``cell``'s deployment, in tx/s."""
+    spec = cell.spec
+    params = _model_params(spec.scenario)
+    if params is None:
+        at = " ".join(f"{axis}={axis_value(cell, axis)}" for axis in pack.axis_names)
+        raise PackError(
+            f"{where}: metric 'model_ratio' needs the §4.3 model, and cell "
+            f"{cell.index} ({at}) has a cluster scenario with no NetworkParams"
+        )
+    config = spec.config or ProtocolConfig()
+    if spec.block_size is not None:
+        config = config.with_block_size(spec.block_size)
+    try:
+        model = model_for(spec.mode, spec.n, params, config.block_size, spec.height)
+    except (ConfigError, TopologyError) as exc:
+        raise PackError(f"{where}: cell {cell.index}: {exc}") from None
+    return model.expected_throughput_txs(config, pipelined=mode_spec(spec.mode).pipelined)
 
 
 def _expect(condition: bool, where: str, message: str) -> None:

@@ -3,7 +3,8 @@
 The compiler resolves each row to the cells it reads; :func:`check_rows`
 reads those cells' unrounded :class:`~repro.runtime.experiment.ExperimentResult`
 fields -- the numbers :func:`repro.obs.report.report_sections` computed --
-and returns one :class:`Verdict` per row. A cell whose metric reads 0
+and returns one :class:`Verdict` per row; ``model_ratio`` divides a cell's
+throughput by the prediction the compiler attached. A cell whose metric reads 0
 committed nothing in its window and holds no measurement: a row that needs
 it fails and names it (a ``winner`` row skips it unless it is the expected
 winner). ``max_view`` counts view changes, so its 0 is a measurement.
@@ -152,8 +153,11 @@ def _verdict(
     field, _, key = row.metric.partition(".")
 
     def read(index: int) -> float:
-        measured = getattr(results[index], field)
-        measured = measured[key] if key else measured
+        if row.metric == "model_ratio":
+            measured = results[index].throughput_txs / resolved.predicted[index]
+        else:
+            measured = getattr(results[index], field)
+            measured = measured[key] if key else measured
         if not measured and field != "max_view":
             raise _Empty(index)
         return measured

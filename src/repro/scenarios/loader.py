@@ -49,7 +49,10 @@ scenario table) by a sub-table (``{ rtt_ms = 50 }``). ``where`` holds the
 bindings a row's cells share; ``of`` and ``to`` add to it, and every
 selector must pick exactly one cell. A row's value at a point is the
 ``metric`` (default ``throughput_txs``) of its ``of`` cell, divided by that
-of its ``to`` cell when the row has one. The kinds:
+of its ``to`` cell when the row has one. ``metric = "model_ratio"`` reads a
+cell's ``throughput_txs`` over the §4.3 model's prediction for that cell,
+so it needs a cell whose scenario the model can describe (not a cluster
+table). The kinds:
 
 - ``winner``: over every value of axis ``over``, the highest value is
   the one at ``is``;
@@ -124,8 +127,9 @@ EXPECT_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "between": (("of", "lo", "hi"), ()),
 }
 
-#: The result fields a row may read; ``latency.p50`` reads ``latency["p50"]``.
-EXPECT_METRICS = ("throughput_txs", "latency.p50", "max_view")
+#: The result fields a row may read; ``latency.p50`` reads ``latency["p50"]``,
+#: and ``model_ratio`` is ``throughput_txs`` over the §4.3 model's prediction.
+EXPECT_METRICS = ("throughput_txs", "latency.p50", "max_view", "model_ratio")
 
 #: Keys allowed inside a ``scenario`` table.
 SCENARIO_KEYS = ("name", "base", "clusters", "per_cluster", "rtt_ms", "bandwidth_mbps")

@@ -1,5 +1,5 @@
-"""Tests for the analysis layer: tables, formatting, adaptive horizons and
-Figure 12.
+"""Tests for the analysis layer: tables, formatting, Table 1's measured
+message complexity, adaptive horizons and Figure 12.
 
 Figure 12 runs here as a miniature N=13 pack with leader-placed faults;
 the full-scale reproduction is ``repro scenarios run fig12``.
@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import format_table, table1_rows, table2_rows
 from repro.analysis.tables import TABLE1_HEADERS, TABLE2_HEADERS
 from repro.config import GLOBAL, KB, NATIONAL, max_faults
+from repro.runtime.cluster import Cluster
 from repro.runtime.horizon import adaptive_duration
 from repro.scenarios import PackError, check_rows, compile_pack, parse_pack, run_pack
 from repro.topology.reconfig import ReconfigurationPolicy
@@ -71,6 +72,49 @@ class TestTables:
         speedups = [row("global", "kauri", n)[8] for n in (100, 200, 400)]
         assert speedups == sorted(speedups)
         assert speedups[-1] > 15  # paper: ~30 predicted, 28.2 observed
+
+
+@pytest.fixture(scope="module")
+def per_block():
+    """{(n, mode): (messages, root NIC bytes)} per committed block, from
+    one national run per size and topology: clique, star and tree."""
+    rows = {}
+    for n in (7, 16, 31):
+        for mode in ("pbft", "hotstuff-secp", "kauri"):
+            cluster = Cluster(n=n, mode=mode, scenario="national")
+            cluster.start()
+            cluster.run(duration=60.0, max_commits=40)
+            blocks = max(1, cluster.metrics.committed_blocks)
+            root = cluster.policy.leader_of(0)
+            rows[(n, mode)] = (
+                cluster.network.messages_sent / blocks,
+                cluster.network.nic(root).bytes_sent / blocks,
+            )
+    return rows
+
+
+class TestMessageComplexity:
+    """Table 1's communication patterns, measured per committed block:
+    PBFT's clique is O(n^2), HotStuff's star and Kauri's tree O(n) in
+    total, and the tree bounds the leader's bytes by its fanout."""
+
+    def test_messages_grow_quadratically_only_for_the_clique(self, per_block):
+        def msgs(mode, n):
+            return per_block[(n, mode)][0]
+
+        for lo, hi in ((7, 16), (16, 31)):
+            scale = hi / lo
+            assert msgs("pbft", hi) / msgs("pbft", lo) > 1.4 * scale
+            assert msgs("hotstuff-secp", hi) / msgs("hotstuff-secp", lo) < 1.6 * scale
+            assert msgs("kauri", hi) / msgs("kauri", lo) < 1.6 * scale
+
+    def test_tree_bounds_the_leaders_bytes_by_its_fanout(self, per_block):
+        def leader_kb(mode, n):
+            return per_block[(n, mode)][1]
+
+        # HotStuff's leader ships ~(N-1)/fanout times more bytes than Kauri's
+        for n in (16, 31):
+            assert leader_kb("hotstuff-secp", n) > 2 * leader_kb("kauri", n)
 
 
 class TestAdaptiveDuration:

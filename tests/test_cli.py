@@ -1,5 +1,6 @@
 """CLI tests: every command runs and produces the expected surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,6 +104,25 @@ def test_table_commands():
     code, out = run_cli(["table", "2"])
     assert code == 0
     assert "Stretch" in out
+
+
+def test_table_2_is_the_model_table_byte_for_byte():
+    # The SHA-256 of `repro table 2`'s stdout: the §4.3 model's terms,
+    # with no simulation. A change to the model's terms moves it on purpose.
+    _, out = run_cli(["table", "2"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9e85ed23e535c6906356e55fbf018b0f90f3a27f90a46981fd4945571f4129d"
+    )
+
+
+@pytest.mark.parametrize("option", [
+    ["--measured"], ["--scale", "0.3"], ["--jobs", "2"], ["--no-cache"],
+])
+def test_table_has_no_simulation_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "2", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 TWO_MODE_PACK = """

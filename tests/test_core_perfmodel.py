@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.config import GLOBAL, KB, NATIONAL, REGIONAL, NetworkParams, ProtocolConfig, ms
+from repro.config import (
+    GLOBAL, KB, NATIONAL, REGIONAL, NetworkParams, ProtocolConfig, default_root_fanout, ms,
+)
 from repro.core.perfmodel import PerfModel
 from repro.crypto.costs import BLS_COSTS, SECP_COSTS
 from repro.errors import ConfigError
@@ -182,6 +184,39 @@ class TestExpectedSpeedups:
             return kauri.expected_throughput_txs(config) / hotstuff.expected_throughput_txs(config)
 
         assert ratio(100, 10) < ratio(200, 14) < ratio(400, 20)
+
+    def test_projection_to_1000_validators(self):
+        """§1: Diem asks for 500-1,000 validators. Projected to N=1000
+        (global, 250 KB blocks), only pipelined trees keep usable
+        throughput, and §7.8's remedy, a taller tree, kicks in. The
+        measured N=1000 points are the ``depth`` pack's expect rows."""
+        config = ProtocolConfig()
+        rows = []
+        for n in (100, 200, 400, 700, 1000):
+            star = PerfModel.for_star(n, GLOBAL, config.block_size, SECP_COSTS)
+            entries = {"hotstuff-secp": star.expected_throughput_txs(config)}
+            for height in (2, 3):
+                model = PerfModel.for_tree_shape(
+                    n, height, default_root_fanout(n, height), GLOBAL,
+                    config.block_size, BLS_COSTS,
+                )
+                entries[f"kauri-h{height}"] = model.expected_throughput_txs(config)
+            rows.append((
+                n,
+                round(entries["hotstuff-secp"], 1),
+                round(entries["kauri-h2"], 1),
+                round(entries["kauri-h3"], 1),
+                round(entries["kauri-h3"] / max(entries["hotstuff-secp"], 1e-9), 1),
+            ))
+        by_n = {row[0]: row for row in rows}
+        # HotStuff collapses towards zero at 1000 validators
+        assert by_n[1000][1] < 0.1 * by_n[100][1]
+        # deeper trees recover throughput at scale (§7.8's remedy)
+        assert by_n[1000][3] > by_n[1000][2]
+        # the speedup keeps growing with N
+        speedups = [row[4] for row in rows]
+        assert speedups == sorted(speedups)
+        assert by_n[1000][4] > 50
 
 
 class TestTreeShapeAwareness:

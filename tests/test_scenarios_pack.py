@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.config import max_faults
+from repro.config import NATIONAL, ProtocolConfig, max_faults
 from repro.core.modes import mode_spec
 from repro.errors import ConfigError
 from repro.runtime.cluster import build_policy
 from repro.runtime.experiment import ExperimentResult
+from repro.runtime.horizon import model_for
 from repro.scenarios import (
     PackError,
     catalog,
@@ -305,7 +306,7 @@ def test_catalog_lists_shipped_packs():
     names = pack_names()
     for expected in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
                      "fig12", "depth", "wan-geo", "flash-crowd", "cascading-faults",
-                     "churn", "scenario-comparison", "smoke"):
+                     "churn", "scenario-comparison", "smoke", "ablations"):
         assert expected in names, expected
 
 
@@ -321,7 +322,8 @@ def test_every_shipped_pack_validates():
 
 
 def test_every_figure_pack_states_its_claims():
-    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"):
+    for name in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+                 "depth", "ablations"):
         assert load_pack(name).expect, name
 
 
@@ -444,3 +446,63 @@ def test_expect_between_bounds_checked(bounds, message):
     with pytest.raises(PackError, match=message):
         expect_pack({"kind": "between", "metric": "max_view",
                      "of": {"n": 7, "mode": "kauri"}, **bounds})
+
+
+# ---------------------------------------------------------------------------
+# metric = "model_ratio"
+# ---------------------------------------------------------------------------
+def test_model_ratio_is_throughput_over_the_models_prediction():
+    data = make_pack(defaults={"duration": 5.0, "scenario": "national", "n": 7},
+                     axes={"mode": ["kauri", "kauri-np"]})
+    data["expect"] = [
+        {"kind": "between", "metric": "model_ratio", "of": {"mode": mode},
+         "lo": 0.5, "hi": 1.0}
+        for mode in ("kauri", "kauri-np")
+    ]
+    grid = compile_pack(parse_pack(data))
+    config = ProtocolConfig()
+    model = model_for("kauri", 7, NATIONAL, config.block_size)
+    pipelined = model.expected_throughput_txs(config, pipelined=True)
+    sequential = model.expected_throughput_txs(config, pipelined=False)
+    assert sequential < pipelined  # kauri-np is not pipelined
+    assert grid.expect[0].predicted == {0: pipelined}
+    assert grid.expect[1].predicted == {1: sequential}
+    checked = check_rows(grid, [result(0.9 * pipelined), result(1.2 * sequential)])
+    assert [v.status for v in checked] == ["pass", "FAIL"]
+    assert [v.measured for v in checked] == ["0.9", "1.2"]
+    assert checked[0].claim == "between model_ratio mode=kauri"
+    empty = check_rows(grid, [result(0.0), result(1.0)])[0]
+    assert empty.status == "FAIL" and "empty cell mode=kauri reads 0" in empty.line()
+
+
+def test_model_ratio_of_a_cluster_cell_is_rejected_at_compile_time():
+    data = make_pack(defaults={"duration": 5.0,
+                               "scenario": {"clusters": "resilientdb", "per_cluster": 4}},
+                     axes={"mode": ["kauri", "hotstuff-secp"]})
+    data["expect"] = [{"kind": "between", "metric": "model_ratio",
+                       "of": {"mode": "hotstuff-secp"}, "lo": 0.3, "hi": 1.3}]
+    with pytest.raises(
+        PackError,
+        match=r"pack 't', expect\[0\] \(between\): metric 'model_ratio' needs the "
+              r"§4.3 model, and cell 1 \(mode=hotstuff-secp\) has a cluster scenario",
+    ):
+        validate_pack(parse_pack(data))
+
+
+def test_model_ratio_of_a_cell_the_model_cannot_shape_names_it():
+    data = make_pack(defaults={"duration": 5.0, "scenario": "global", "mode": "kauri"},
+                     axes={"n": [2, 7]})
+    data["expect"] = [{"kind": "between", "metric": "model_ratio", "of": {"n": 2},
+                       "lo": 0.3, "hi": 1.3}]
+    with pytest.raises(PackError, match=r"expect\[0\] \(between\): cell 0: n=2 cannot fill"):
+        validate_pack(parse_pack(data))
+
+
+def test_unknown_metric_lists_model_ratio():
+    with pytest.raises(
+        PackError,
+        match=r"unknown metric 'model_ration'; did you mean 'model_ratio'\? "
+              r"\(metrics: throughput_txs, latency.p50, max_view, model_ratio\)",
+    ):
+        expect_pack({"kind": "between", "metric": "model_ration",
+                     "of": {"n": 7, "mode": "kauri"}, "lo": 0.3, "hi": 1.3})
